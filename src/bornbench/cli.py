@@ -35,6 +35,7 @@ from .metrics import kl_sampling_summary
 from .noise import load_noise
 from .runio import (
     config_from_items,
+    is_sweep_axis,
     load_config_file,
     prepare_run_dir,
     read_checkpoint,
@@ -89,20 +90,20 @@ def cmd_deploy(args) -> int:
     steps, thetas = read_trajectory(run_dir)
     circuit = config.circuit()
     target = config.target()
+    clean_probs = circuit_probabilities(circuit, thetas)
+    noisy_probs = circuit_probabilities(circuit, thetas, noise)
     rows = []
-    for step, theta in zip(steps, thetas):
-        clean_probs = circuit_probabilities(circuit, theta)
-        noisy_probs = circuit_probabilities(circuit, theta, noise)
+    for step, clean_row, noisy_row in zip(steps, clean_probs, noisy_probs):
         clean = kl_sampling_summary(
             target,
-            clean_probs,
+            clean_row,
             rng_stream(config.seed, TAG_DEPLOY, step, 0),
             n_repeats=config.kl_repeats,
             n_shots=config.kl_shots,
         )
         noisy = kl_sampling_summary(
             target,
-            noisy_probs,
+            noisy_row,
             rng_stream(config.seed, TAG_DEPLOY, step, 1),
             n_repeats=config.kl_repeats,
             n_shots=config.kl_shots,
@@ -212,8 +213,10 @@ def cmd_embed(args) -> int:
     return 0
 
 
-def _run_sweep_row(index: int, items: dict[str, str], out_dir: Path, force: bool):
-    config = config_from_items(items)
+def _run_sweep_row(
+    index: int, items: dict[str, str], out_dir: Path, force: bool, base_dir: Path
+):
+    config = config_from_items(items, base_dir=base_dir)
     row_dir = out_dir / f"row{index:03d}"
     record = train(config)
     write_run(row_dir, config, record, force=force)
@@ -244,7 +247,8 @@ def cmd_sweep(args) -> int:
         print("empty sweep; nothing to run")
         return 0
 
-    axes = {k: v.split() for k, v in items.items() if len(v.split()) > 1}
+    # values such as an edge list are taken whole even when they contain spaces
+    axes = {k: v.split() for k, v in items.items() if is_sweep_axis(k) and len(v.split()) > 1}
     fixed = {k: v for k, v in items.items() if k not in axes}
     explicit_seed_axis = "seed" in axes
     base_seed = int(fixed.get("seed", "0"))
@@ -261,7 +265,9 @@ def cmd_sweep(args) -> int:
     def run_row(index: int):
         row_items = build_items(index, combos[index])
         try:
-            config, best, row_dir = _run_sweep_row(index, row_items, out_dir, args.force)
+            config, best, row_dir = _run_sweep_row(
+                index, row_items, out_dir, args.force, sweep_path.parent
+            )
             return index, config, best, row_dir, "ok"
         except Exception as exc:  # report per-row, keep sweeping
             return index, row_items, None, None, f"failed: {exc}"
@@ -324,7 +330,7 @@ def cmd_sweep(args) -> int:
                 + "  ".join(f"{cells.get(dc, '-'):<16}" for dc in dcs)
             )
     print(f"summary written to {out_dir / 'summary.csv'}")
-    return 0
+    return 2 if any(status != "ok" for *_, status in results) else 0
 
 
 def cmd_bas(args) -> int:
@@ -373,7 +379,9 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_embed)
 
     p = sub.add_parser("sweep", help="grid of training runs from one sweep file")
-    p.add_argument("-c", "--config", required=True, help="sweep file (list-valued keys fan out)")
+    p.add_argument(
+        "-c", "--config", required=True, help="sweep file (list-valued int, float and bool keys fan out)"
+    )
     p.add_argument("-o", "--out", help="output directory (default ./sweep)")
     p.add_argument("--jobs", type=int, default=1, help="concurrent runs")
     p.add_argument("--force", action="store_true")

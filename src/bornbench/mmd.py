@@ -26,7 +26,7 @@ import numpy as np
 from .ansatz import CircuitSpec
 from .bas import TargetDistribution
 from .noise import NoiseModel
-from .sim import Histogram, circuit_probabilities, sample_histogram
+from .sim import Histogram, circuit_probabilities, sample_counts
 
 MAX_KERNEL_BITS = 12
 
@@ -101,36 +101,29 @@ def mmd_gradient(
 ) -> np.ndarray:
     """Parameter-shift gradient of the MMD loss.
 
-    In ``sampled`` mode the unshifted distribution and the two shifted
-    distributions per parameter are all estimated from fresh independent
-    ``n_shots`` histograms, drawn from generators spawned off ``rng`` (one
-    per shifted evaluation, so evaluation order cannot change the result).
-    ``exact`` mode uses exact output distributions throughout.
+    All 2P+1 circuits (theta, then theta_i + pi/2 and theta_i - pi/2 for each
+    parameter i) are simulated in one batch.  In ``sampled`` mode each of
+    their distributions is estimated from a fresh independent ``n_shots``
+    histogram, evaluation k drawing from the k-th generator spawned off
+    ``rng``.  ``exact`` mode uses exact output distributions throughout.
     """
     theta = np.asarray(theta, dtype=float)
     n_params = circuit.parameter_count
     sampled = mode == "sampled"
     if mode not in ("sampled", "exact"):
         raise ValueError(f"unknown gradient mode {mode!r}")
+    if sampled and (n_shots is None or rng is None):
+        raise ValueError("sampled mode needs n_shots and rng")
+    if theta.shape != (n_params,):
+        raise ValueError(f"circuit has {n_params} parameters, got {theta.shape}")
+
+    index = np.arange(n_params)
+    shifted = np.tile(theta, (2 * n_params + 1, 1))
+    shifted[1 + 2 * index, index] = theta + math.pi / 2.0
+    shifted[2 + 2 * index, index] = theta - math.pi / 2.0
+    q = circuit_probabilities(circuit, shifted, noise)
     if sampled:
-        if n_shots is None or rng is None:
-            raise ValueError("sampled mode needs n_shots and rng")
-        streams = rng.spawn(2 * n_params + 1)
-
-    def distribution(angles, stream_index: int) -> np.ndarray:
-        probs = circuit_probabilities(circuit, angles, noise)
-        if sampled:
-            return sample_histogram(probs, n_shots, streams[stream_index]).empirical()
-        return probs
-
-    q = distribution(theta, 0)
-    weight = spec.matrix @ (q - p.probs)
-    grad = np.empty(n_params)
-    for i in range(n_params):
-        shifted = theta.copy()
-        shifted[i] = theta[i] + math.pi / 2.0
-        q_plus = distribution(shifted, 1 + 2 * i)
-        shifted[i] = theta[i] - math.pi / 2.0
-        q_minus = distribution(shifted, 2 + 2 * i)
-        grad[i] = (q_plus - q_minus) @ weight
-    return grad
+        q = sample_counts(q, n_shots, rng.spawn(len(q))) / n_shots
+    weight = spec.matrix @ (q[0] - p.probs)
+    # a dot product per parameter: one matrix-vector product would round differently
+    return np.array([(plus - minus) @ weight for plus, minus in zip(q[1::2], q[2::2])])

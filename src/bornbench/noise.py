@@ -52,15 +52,32 @@ def amplitude_damping_kraus(gamma: float) -> list[np.ndarray]:
     return [k0, k1]
 
 
+def contract_axes(t: np.ndarray, axes, m: np.ndarray) -> np.ndarray:
+    """Contract ``m`` (2^k x 2^k, shared or one per batch row) over k qubit
+    axes of each row of ``t``, shape (B, 2, ..., 2).
+
+    The gate axes move to the front and each row takes one
+    (2^k x 2^k) @ (2^k x rest) product, the arithmetic of a lone state.
+    """
+    k = len(axes)
+    src = [1 + a for a in axes]
+    front = list(range(1, k + 1))
+    t = np.moveaxis(t, src, front)
+    shape = t.shape
+    t = (m @ t.reshape(len(t), 2**k, -1)).reshape(shape)
+    return np.moveaxis(t, front, src)
+
+
 def apply_readout(probs: np.ndarray, confusion) -> np.ndarray:
-    """Apply per-qubit confusion matrices to an outcome distribution.
+    """Apply per-qubit confusion matrices to an outcome distribution (2^n,)
+    or to each row of a batch (B, 2^n).
 
     ``confusion[k][true_bit, reported_bit]`` must be row-stochastic.  Qubit 0
     is the most significant bit of the outcome index.
     """
     probs = np.asarray(probs, dtype=float)
     n = len(confusion)
-    if probs.shape != (2**n,):
+    if probs.ndim not in (1, 2) or probs.shape[-1] != 2**n:
         raise ValueError(f"expected {2**n} probabilities for {n} confusion matrices")
     mats = []
     for k, matrix in enumerate(confusion):
@@ -70,10 +87,10 @@ def apply_readout(probs: np.ndarray, confusion) -> np.ndarray:
         if np.max(np.abs(m.sum(axis=1) - 1.0)) > 1e-12:
             raise ValueError(f"confusion matrix rows for qubit {k} must sum to 1")
         mats.append(m)
-    out = probs.reshape((2,) * n)
+    out = probs.reshape((-1,) + (2,) * n)
     for k, m in enumerate(mats):
-        out = np.moveaxis(np.tensordot(m.T, out, axes=([1], [k])), 0, k)
-    return out.reshape(-1)
+        out = contract_axes(out, [k], m.T)
+    return out.reshape(probs.shape)
 
 
 def _check_probability(name: str, value: float) -> float:

@@ -54,6 +54,15 @@ _FLOAT_FIELDS = ("alpha", "beta1", "beta2", "epsilon", "sigma")
 _STR_FIELDS = ("label", "kernel_distance", "gradient_mode")
 
 
+def is_sweep_axis(key: str) -> bool:
+    """Whether a sweep value with several tokens fans out: bool, int and float
+    fields and the inline ``noise_*`` strengths do; strings, edge lists and
+    ``noise_profile`` are taken whole."""
+    if key.startswith("noise_"):
+        return key != "noise_profile"
+    return key in _BOOL_FIELDS + _INT_FIELDS + _FLOAT_FIELDS
+
+
 def config_from_items(items: dict[str, str], base_dir: Path | None = None) -> RunConfig:
     """Build a RunConfig from key/value strings; unknown keys are errors.
 

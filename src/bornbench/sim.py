@@ -4,12 +4,18 @@ Conventions: qubit 0 is the most significant bit of a basis index,
 Rx(t) = exp(-i t X / 2) and Rz(t) = exp(-i t Z / 2), so shifting any angle by
 pi/2 gives the exact parameter-shift derivative of outcome probabilities.
 All operations are pure; randomness enters only through explicit generators.
+
+Every simulator accepts one angle vector of shape (P,) or a batch of shape
+(B, P) and runs each gate once over the whole batch.  A batch row goes through
+exactly the floating-point operations it would go through alone, so batched
+and row-by-row results are identical to the last bit.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -18,21 +24,27 @@ from .noise import (
     NoiseModel,
     amplitude_damping_kraus,
     apply_readout,
+    contract_axes,
     depolarizing_kraus,
 )
 
 MAX_STATEVECTOR_QUBITS = 24
 MAX_DENSITY_QUBITS = 10
+# circuit_probabilities simulates at most this many bytes of states at once,
+# which bounds memory for wide registers and long batches
+MAX_BATCH_BYTES = 2**25
 
 
 @dataclass(eq=False)
 class StateVector:
+    """Amplitudes of one state, shape (2^n,), or of a batch, shape (B, 2^n)."""
+
     n_qubits: int
     amplitudes: np.ndarray
 
     def __post_init__(self) -> None:
         amps = np.asarray(self.amplitudes, dtype=complex)
-        if amps.shape != (2**self.n_qubits,):
+        if amps.ndim not in (1, 2) or amps.shape[-1] != 2**self.n_qubits:
             raise ValueError(f"expected {2**self.n_qubits} amplitudes, got {amps.shape}")
         self.amplitudes = amps
 
@@ -45,26 +57,17 @@ class StateVector:
 
 @dataclass(eq=False)
 class DensityMatrix:
+    """One density matrix, shape (2^n, 2^n), or a batch, shape (B, 2^n, 2^n)."""
+
     n_qubits: int
     entries: np.ndarray
 
     def __post_init__(self) -> None:
         dim = 2**self.n_qubits
         entries = np.asarray(self.entries, dtype=complex)
-        if entries.shape != (dim, dim):
-            raise ValueError(f"expected a {dim}x{dim} matrix, got {entries.shape}")
+        if entries.ndim not in (2, 3) or entries.shape[-2:] != (dim, dim):
+            raise ValueError(f"expected {dim}x{dim} matrices, got {entries.shape}")
         self.entries = entries
-
-    @classmethod
-    def zero(cls, n_qubits: int) -> "DensityMatrix":
-        dim = 2**n_qubits
-        entries = np.zeros((dim, dim), dtype=complex)
-        entries[0, 0] = 1.0
-        return cls(n_qubits, entries)
-
-    @classmethod
-    def from_statevector(cls, state: StateVector) -> "DensityMatrix":
-        return cls(state.n_qubits, np.outer(state.amplitudes, state.amplitudes.conj()))
 
 
 @dataclass(eq=False)
@@ -86,20 +89,42 @@ class Histogram:
         return self.counts / self.n_shots
 
 
-_CNOT = np.array(
-    [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
-)
+def _rotations(gate: str, angles: np.ndarray) -> np.ndarray:
+    """Stack of Rx or Rz matrices, shape (B, 2, 2), for a column of angles.
+
+    Rx entries come from the scalar ``math.cos`` and ``math.sin``: numpy's
+    vectorised versions may differ from them in the last bit on some
+    platforms.
+    """
+    u = np.zeros((len(angles), 2, 2), dtype=complex)
+    if gate == "rx":
+        half = (angles / 2.0).tolist()
+        c = [math.cos(a) for a in half]
+        s = [-math.sin(a) for a in half]
+        u[:, 0, 0] = u[:, 1, 1] = c
+        u.imag[:, 0, 1] = u.imag[:, 1, 0] = s
+    else:
+        phase = np.exp(-0.5j * angles)
+        u[:, 0, 0] = phase
+        u[:, 1, 1] = phase.conj()
+    return u
 
 
-def _rx_matrix(angle: float) -> np.ndarray:
-    c = math.cos(angle / 2.0)
-    s = math.sin(angle / 2.0)
-    return np.array([[c, -1j * s], [-1j * s, c]], dtype=complex)
+@lru_cache(maxsize=64)
+def _cnot_permutation(n_qubits: int, edges: tuple[tuple[int, int], ...]) -> np.ndarray:
+    """Gather index of a CNOT sequence: the state after the CNOTs is
+    ``state[..., index]`` over flat basis indices."""
+    basis = np.arange(2**n_qubits)
+    index = basis
+    for control, target in edges:
+        control_bit = (basis >> (n_qubits - 1 - control)) & 1
+        index = index[basis ^ (control_bit << (n_qubits - 1 - target))]
+    index.flags.writeable = False
+    return index
 
 
-def _rz_matrix(angle: float) -> np.ndarray:
-    phase = np.exp(-0.5j * angle)
-    return np.array([[phase, 0.0], [0.0, phase.conjugate()]], dtype=complex)
+def _permute(t: np.ndarray, index: np.ndarray) -> np.ndarray:
+    return t.reshape(len(t), -1)[:, index].reshape(t.shape)
 
 
 def _check_qubit(n_qubits: int, qubit: int) -> None:
@@ -107,126 +132,116 @@ def _check_qubit(n_qubits: int, qubit: int) -> None:
         raise ValueError(f"qubit {qubit} out of range for {n_qubits}-qubit register")
 
 
-def _apply_single(amps: np.ndarray, n: int, qubit: int, u: np.ndarray) -> np.ndarray:
-    psi = amps.reshape((2,) * n)
-    psi = np.moveaxis(psi, qubit, 0).reshape(2, -1)
-    psi = u @ psi
-    return np.moveaxis(psi.reshape((2,) * n), 0, qubit).reshape(-1)
-
-
-def _apply_cnot(amps: np.ndarray, n: int, control: int, target: int) -> np.ndarray:
-    psi = amps.reshape((2,) * n)
-    psi = np.moveaxis(psi, (control, target), (0, 1)).copy()
-    psi[1] = psi[1, ::-1]
-    return np.moveaxis(psi, (0, 1), (control, target)).reshape(-1)
+def _rotate(state: StateVector, qubit: int, gate: str, angle: float) -> StateVector:
+    n = state.n_qubits
+    _check_qubit(n, qubit)
+    u = _rotations(gate, np.array([angle], dtype=float))
+    psi = contract_axes(state.amplitudes.reshape((-1,) + (2,) * n), [qubit], u)
+    return StateVector(n, psi.reshape(state.amplitudes.shape))
 
 
 def apply_rx(state: StateVector, qubit: int, angle: float) -> StateVector:
     """Rotate one qubit about X by ``angle``."""
-    _check_qubit(state.n_qubits, qubit)
-    return StateVector(
-        state.n_qubits,
-        _apply_single(state.amplitudes, state.n_qubits, qubit, _rx_matrix(angle)),
-    )
+    return _rotate(state, qubit, "rx", angle)
 
 
 def apply_rz(state: StateVector, qubit: int, angle: float) -> StateVector:
     """Rotate one qubit about Z by ``angle``; outcome probabilities unchanged."""
-    _check_qubit(state.n_qubits, qubit)
-    return StateVector(
-        state.n_qubits,
-        _apply_single(state.amplitudes, state.n_qubits, qubit, _rz_matrix(angle)),
-    )
+    return _rotate(state, qubit, "rz", angle)
 
 
 def apply_cnot(state: StateVector, control: int, target: int) -> StateVector:
     """Flip ``target`` wherever ``control`` is set."""
-    _check_qubit(state.n_qubits, control)
-    _check_qubit(state.n_qubits, target)
+    n = state.n_qubits
+    _check_qubit(n, control)
+    _check_qubit(n, target)
     if control == target:
         raise ValueError("CNOT control and target must differ")
-    return StateVector(
-        state.n_qubits,
-        _apply_cnot(state.amplitudes, state.n_qubits, control, target),
-    )
+    return StateVector(n, state.amplitudes[..., _cnot_permutation(n, ((control, target),))])
 
 
 def _check_theta(circuit: CircuitSpec, theta) -> np.ndarray:
+    """Angles as a (B, P) batch; ``theta`` is one vector (P,) or a batch."""
     theta = np.asarray(theta, dtype=float)
-    if theta.shape != (circuit.parameter_count,):
+    if theta.ndim not in (1, 2) or theta.shape[-1] != circuit.parameter_count:
         raise ValueError(
             f"circuit has {circuit.parameter_count} parameters, got {theta.shape}"
         )
-    return theta
+    return theta.reshape(-1, circuit.parameter_count)
 
 
 def run_statevector(circuit: CircuitSpec, theta) -> StateVector:
-    """Evolve |0...0> through the circuit at rotation angles ``theta``."""
-    theta = _check_theta(circuit, theta)
+    """Evolve |0...0> through the circuit at rotation angles ``theta``; a
+    batch of angle vectors gives a batch of states."""
+    thetas = _check_theta(circuit, theta)
     n = circuit.n_qubits
     if n > MAX_STATEVECTOR_QUBITS:
         raise ValueError(f"statevector simulation capped at {MAX_STATEVECTOR_QUBITS} qubits")
-    amps = np.zeros(2**n, dtype=complex)
-    amps[0] = 1.0
-    for instr in circuit.instructions():
-        op = instr[0]
-        if op == "rx":
-            amps = _apply_single(amps, n, instr[1], _rx_matrix(theta[instr[2]]))
-        elif op == "rz":
-            amps = _apply_single(amps, n, instr[1], _rz_matrix(theta[instr[2]]))
-        elif op == "cnot":
-            amps = _apply_cnot(amps, n, instr[1], instr[2])
-        # ticks mark gate time only
-    return StateVector(n, amps)
+    psi = np.zeros((len(thetas),) + (2,) * n, dtype=complex)
+    psi[(slice(None),) + (0,) * n] = 1.0
+    cnots: list[tuple[int, int]] = []  # applied together as one permutation
+    for op, *args in (*circuit.instructions(), ("end",)):
+        if op == "cnot":
+            cnots.append(tuple(args))
+        elif op != "tick":  # ticks mark gate time only
+            if cnots:
+                psi = _permute(psi, _cnot_permutation(n, tuple(cnots)))
+                cnots = []
+            if op != "end":
+                psi = contract_axes(psi, [args[0]], _rotations(op, thetas[:, args[1]]))
+    return StateVector(n, psi.reshape(np.shape(theta)[:-1] + (2**n,)))
 
 
 def exact_probabilities(state: StateVector | DensityMatrix) -> np.ndarray:
-    """Outcome distribution over the 2^n basis states."""
+    """Outcome distribution over the 2^n basis states, one row per batch row."""
     if isinstance(state, StateVector):
         probs = np.abs(state.amplitudes) ** 2
     else:
-        probs = np.real(np.diag(state.entries)).copy()
+        probs = np.diagonal(state.entries, axis1=-2, axis2=-1).real.copy()
         if probs.min() < -1e-8:
             raise ValueError("density matrix has significantly negative populations")
         np.clip(probs, 0.0, None, out=probs)
-    return probs / probs.sum()
+    return probs / probs.sum(axis=-1, keepdims=True)
+
+
+def sample_counts(probs, n_shots: int, streams) -> np.ndarray:
+    """Draw ``n_shots`` basis-state samples from each row of ``probs``
+    (shape (B, 2^n)), row k from generator ``streams[k]``; counts (B, 2^n)."""
+    if n_shots <= 0:
+        raise ValueError("n_shots must be positive")
+    p = np.asarray(probs, dtype=float)
+    if p.ndim != 2 or len(p) != len(streams):
+        raise ValueError(f"need one generator per row, got {len(streams)} for {p.shape}")
+    totals = p.sum(axis=-1, keepdims=True)
+    if np.any(p < 0.0) or np.any(totals <= 0.0):
+        raise ValueError("probabilities must be nonnegative with positive sum")
+    p = p / totals
+    return np.array(
+        [stream.multinomial(n_shots, row) for stream, row in zip(streams, p)],
+        dtype=np.int64,
+    )
 
 
 def sample_histogram(probs, n_shots: int, rng: np.random.Generator) -> Histogram:
     """Draw ``n_shots`` i.i.d. basis-state samples; deterministic given ``rng``."""
-    if n_shots <= 0:
-        raise ValueError("n_shots must be positive")
-    p = np.asarray(probs, dtype=float)
-    if np.any(p < 0.0) or p.sum() <= 0.0:
-        raise ValueError("probabilities must be nonnegative with positive sum")
-    counts = rng.multinomial(n_shots, p / p.sum())
-    return Histogram(counts.astype(np.int64), n_shots)
+    counts = sample_counts(np.asarray(probs, dtype=float)[None], n_shots, [rng])
+    return Histogram(counts[0], n_shots)
 
 
 # ---------------------------------------------------------------------------
 # Density-matrix evolution under noise
 
 
-def _tensor_apply(t: np.ndarray, axes, m: np.ndarray) -> np.ndarray:
-    """Contract matrix ``m`` (2^k x 2^k) over the given k axes of ``t``."""
-    k = len(axes)
-    t = np.moveaxis(t, axes, range(k))
-    shape = t.shape
-    t = (m @ t.reshape(2**k, -1)).reshape((2,) * k + shape[k:])
-    return np.moveaxis(t, range(k), axes)
+def _conjugate(rho: np.ndarray, n: int, qubits, u: np.ndarray) -> np.ndarray:
+    """u rho u^dagger on the given qubits of each row of a (B, 2, ..., 2) batch."""
+    rho = contract_axes(rho, qubits, u)
+    return contract_axes(rho, [n + q for q in qubits], u.conj())
 
 
-def _dm_unitary(rho: np.ndarray, n: int, qubits, u: np.ndarray) -> np.ndarray:
-    ket = list(qubits)
-    bra = [n + q for q in qubits]
-    rho = _tensor_apply(rho, ket, u)
-    return _tensor_apply(rho, bra, u.conj())
-
-
-def _dm_kraus(rho: np.ndarray, n: int, qubits, kraus) -> np.ndarray:
+def _channel(rho: np.ndarray, n: int, qubits, kraus) -> np.ndarray:
     out = np.zeros_like(rho)
     for k in kraus:
-        out += _dm_unitary(rho, n, qubits, k)
+        out += _conjugate(rho, n, qubits, k)
     return out
 
 
@@ -234,8 +249,9 @@ def evolve_density(
     circuit: CircuitSpec, theta, noise: NoiseModel | None = None
 ) -> DensityMatrix:
     """Density-matrix evolution; each gate is followed by its noise channel
-    and every entangler sub-covering by per-qubit amplitude damping."""
-    theta = _check_theta(circuit, theta)
+    and every entangler sub-covering by per-qubit amplitude damping.  A batch
+    of angle vectors gives a batch of density matrices."""
+    thetas = _check_theta(circuit, theta)
     n = circuit.n_qubits
     if n > MAX_DENSITY_QUBITS:
         raise ValueError(f"density-matrix simulation capped at {MAX_DENSITY_QUBITS} qubits")
@@ -251,26 +267,27 @@ def evolve_density(
         if noise.t_damp > 0.0:
             kraus_damp = amplitude_damping_kraus(noise.t_damp)
 
-    rho = np.zeros((2,) * (2 * n), dtype=complex)
-    rho[(0,) * (2 * n)] = 1.0
+    rho = np.zeros((len(thetas),) + (2,) * (2 * n), dtype=complex)
+    rho[(slice(None),) + (0,) * (2 * n)] = 1.0
     for instr in circuit.instructions():
         op = instr[0]
         if op in ("rx", "rz"):
             qubit = instr[1]
-            u = _rx_matrix(theta[instr[2]]) if op == "rx" else _rz_matrix(theta[instr[2]])
-            rho = _dm_unitary(rho, n, [qubit], u)
+            rho = _conjugate(rho, n, [qubit], _rotations(op, thetas[:, instr[2]]))
             if kraus_1q is not None:
-                rho = _dm_kraus(rho, n, [qubit], kraus_1q)
+                rho = _channel(rho, n, [qubit], kraus_1q)
         elif op == "cnot":
             control, target = instr[1], instr[2]
-            rho = _tensor_apply(rho, [control, target], _CNOT)
-            rho = _tensor_apply(rho, [n + control, n + target], _CNOT)
+            # ket and bra index together form a 2n-qubit register
+            edges = ((control, target), (n + control, n + target))
+            rho = _permute(rho, _cnot_permutation(2 * n, edges))
             if kraus_2q is not None:
-                rho = _dm_kraus(rho, n, [control, target], kraus_2q)
+                rho = _channel(rho, n, [control, target], kraus_2q)
         elif op == "tick" and kraus_damp is not None:
             for qubit in range(n):
-                rho = _dm_kraus(rho, n, [qubit], kraus_damp)
-    return DensityMatrix(n, rho.reshape(2**n, 2**n))
+                rho = _channel(rho, n, [qubit], kraus_damp)
+    dim = 2**n
+    return DensityMatrix(n, rho.reshape(np.shape(theta)[:-1] + (dim, dim)))
 
 
 def evolve_noisy(circuit: CircuitSpec, theta, noise: NoiseModel) -> np.ndarray:
@@ -287,7 +304,22 @@ def evolve_noisy(circuit: CircuitSpec, theta, noise: NoiseModel) -> np.ndarray:
 def circuit_probabilities(
     circuit: CircuitSpec, theta, noise: NoiseModel | None = None
 ) -> np.ndarray:
-    """Outcome distribution, picking the statevector path when noiseless."""
-    if noise is None or noise.is_noiseless():
+    """Outcome distribution, picking the statevector path when noiseless.
+
+    ``theta`` of shape (P,) gives one distribution (2^n,); a batch (B, P)
+    gives (B, 2^n), simulated at most ``MAX_BATCH_BYTES`` of states at a time.
+    """
+    noiseless = noise is None or noise.is_noiseless()
+    theta = np.asarray(theta, dtype=float)
+    state_bytes = 16 * 2 ** (circuit.n_qubits * (1 if noiseless else 2))
+    rows = max(1, MAX_BATCH_BYTES // state_bytes)
+    if theta.ndim == 2 and len(theta) > rows:
+        return np.concatenate(
+            [
+                circuit_probabilities(circuit, theta[i : i + rows], noise)
+                for i in range(0, len(theta), rows)
+            ]
+        )
+    if noiseless:
         return exact_probabilities(run_statevector(circuit, theta))
     return evolve_noisy(circuit, theta, noise)

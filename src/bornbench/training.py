@@ -151,9 +151,10 @@ class TrainingConfig:
             raise ValueError(f"gradient_mode must be 'sampled' or 'exact'")
         ImageShape(self.n_rows, self.n_cols)  # validates register size
         if self.dc3_edges is not None:
-            object.__setattr__(
-                self, "dc3_edges", tuple((int(u), int(v)) for u, v in self.dc3_edges)
-            )
+            edges = tuple((int(u), int(v)) for u, v in self.dc3_edges)
+            if len(edges) != 3:
+                raise ValueError(f"dc3_edges must list exactly 3 edges, got {len(edges)}")
+            object.__setattr__(self, "dc3_edges", edges)
 
     @property
     def n_qubits(self) -> int:
@@ -311,13 +312,11 @@ def initial_theta(config: TrainingConfig, n_params: int) -> np.ndarray:
 
 def _evaluate_metrics(
     config: TrainingConfig,
-    circuit: CircuitSpec,
-    theta: np.ndarray,
+    probs: np.ndarray,
     step: int,
     target: TargetDistribution,
     bas_states: list[int],
 ) -> MetricRecord:
-    probs = circuit_probabilities(circuit, theta, config.noise)
     kl = kl_sampling_summary(
         target,
         probs,
@@ -345,13 +344,11 @@ def _evaluate_metrics(
 
 def _loss_at(
     config: TrainingConfig,
-    circuit: CircuitSpec,
     kernel: KernelSpec,
     target: TargetDistribution,
-    theta: np.ndarray,
+    probs: np.ndarray,
     step: int,
 ) -> float:
-    probs = circuit_probabilities(circuit, theta, config.noise)
     if config.gradient_mode == "exact":
         return mmd_loss_exact(probs, target, kernel)
     hist = sample_histogram(
@@ -381,10 +378,9 @@ def _run(
     for step in range(start_step, last_step + 1):
         boundary = step in (start_step, last_step)
         if boundary or step % config.metric_every == 0:
-            losses[step] = _loss_at(config, circuit, kernel, target, theta, step)
-            metrics.append(
-                _evaluate_metrics(config, circuit, theta, step, target, bas_states)
-            )
+            probs = circuit_probabilities(circuit, theta, config.noise)
+            losses[step] = _loss_at(config, kernel, target, probs, step)
+            metrics.append(_evaluate_metrics(config, probs, step, target, bas_states))
         if boundary or step % config.checkpoint_every == 0:
             checkpoints.append(
                 Checkpoint(step, theta.copy(), adam.copy(), config.seed, digest)

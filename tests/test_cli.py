@@ -257,3 +257,80 @@ def test_sweep_grid(tmp_path):
     assert all(r[header.index("status")] == "ok" for r in rows[1:])
     assert (out / "row000" / "metrics.csv").exists()
     assert (out / "row001" / "metrics.csv").exists()
+
+
+NOISY_SWEEP = (
+    "d_c = 2\n"
+    "n_layers = 1 2\n"
+    "n_shots_train = 64\n"
+    "n_steps = 1\n"
+    "kl_shots = 64\n"
+    "kl_repeats = 2\n"
+    "noise_profile = moderate.profile\n"
+)
+
+
+def test_sweep_resolves_noise_profile_next_to_sweep_file(tmp_path, monkeypatch):
+    sub = tmp_path / "sub"
+    sub.mkdir()
+    (sub / "noisy.sweep").write_text(NOISY_SWEEP)
+    (sub / "moderate.profile").write_text(NOISE_PROFILE)
+    elsewhere = tmp_path / "elsewhere"
+    elsewhere.mkdir()
+    monkeypatch.chdir(elsewhere)
+    assert main(["sweep", "-c", "../sub/noisy.sweep", "-o", "out"]) == 0
+    rows = read_csv(elsewhere / "out" / "summary.csv")
+    assert [r[rows[0].index("status")] for r in rows[1:]] == ["ok", "ok"]
+    config = (elsewhere / "out" / "row000" / "config.txt").read_text()
+    assert "noise_p2 = 0.02" in config
+
+
+def test_sweep_exits_2_when_a_row_fails(tmp_path, capsys):
+    sweep = tmp_path / "noisy.sweep"
+    sweep.write_text(NOISY_SWEEP)  # no moderate.profile next to it
+    out = tmp_path / "sweep"
+    assert main(["sweep", "-c", str(sweep), "-o", str(out)]) == 2
+    rows = read_csv(out / "summary.csv")
+    statuses = [r[rows[0].index("status")] for r in rows[1:]]
+    assert len(statuses) == 2
+    assert all(s.startswith("failed:") and "moderate.profile" in s for s in statuses)
+    assert "row 0: failed" in capsys.readouterr().err
+
+
+def test_sweep_fans_out_inline_noise_strength(tmp_path):
+    sweep = tmp_path / "noise.sweep"
+    sweep.write_text(NOISY_SWEEP.replace("n_layers = 1 2", "n_layers = 1").replace(
+        "noise_profile = moderate.profile", "noise_p2 = 0 0.02"
+    ))
+    out = tmp_path / "sweep"
+    assert main(["sweep", "-c", str(sweep), "-o", str(out)]) == 0
+    rows = read_csv(out / "summary.csv")
+    assert [r[rows[0].index("status")] for r in rows[1:]] == ["ok", "ok"]
+    assert "noise_p2 = 0.02" not in (out / "row000" / "config.txt").read_text()
+    assert "noise_p2 = 0.02" in (out / "row001" / "config.txt").read_text()
+
+
+def test_sweep_takes_edge_list_whole(tmp_path):
+    sweep = tmp_path / "tree.sweep"
+    sweep.write_text(
+        "d_c = 3\n"
+        "n_layers = 1\n"
+        "n_shots_train = 64\n"
+        "n_steps = 1\n"
+        "kl_shots = 64\n"
+        "kl_repeats = 2\n"
+        "dc3_edges = 0-1, 0-2, 0-3\n"
+    )
+    out = tmp_path / "sweep"
+    assert main(["sweep", "-c", str(sweep), "-o", str(out)]) == 0
+    rows = read_csv(out / "summary.csv")
+    assert len(rows) == 2
+    assert "dc3_edges = 0-1,0-2,0-3" in (out / "row000" / "config.txt").read_text()
+
+
+def test_dc3_edges_must_list_three_edges(tmp_path, capsys):
+    config = tmp_path / "tree.cfg"
+    config.write_text(TINY_CONFIG.replace("d_c = 2", "d_c = 3") + "dc3_edges = 0-1,0-2\n")
+    assert main(["train", "-c", str(config), "-o", str(tmp_path / "run")]) == 1
+    assert "exactly 3 edges" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
