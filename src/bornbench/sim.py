@@ -9,6 +9,14 @@ Every simulator accepts one angle vector of shape (P,) or a batch of shape
 (B, P) and runs each gate once over the whole batch.  A batch row goes through
 exactly the floating-point operations it would go through alone, so batched
 and row-by-row results are identical to the last bit.
+
+A density matrix is a batch of 2n-axis tensors (ket axes, then bra axes).
+Rotations conjugate it with one BLAS matmul per batch row on each side, and
+CNOTs permute its entries.  Every noise channel here is a sum of Kraus
+operators that each flip some qubits and scale by a purely real or purely
+imaginary entry, so ``_channel`` applies an operator as an axis-reversing view
+times its entries: the one product per output entry that a matmul by the
+operator would round, with the same bytes.
 """
 
 from __future__ import annotations
@@ -238,11 +246,73 @@ def _conjugate(rho: np.ndarray, n: int, qubits, u: np.ndarray) -> np.ndarray:
     return contract_axes(rho, [n + q for q in qubits], u.conj())
 
 
-def _channel(rho: np.ndarray, n: int, qubits, kraus) -> np.ndarray:
+def _compile_kraus(kraus) -> tuple[tuple[tuple, np.ndarray, np.ndarray], ...]:
+    """Each Kraus operator K on k qubits as (flips, ket scale, bra scale) with
+    K rho K^dagger = rho[flips] * ket * bra on a (B, ket axes, bra axes, rest)
+    view of rho, where ``flips`` reverses the axes of the qubits K flips.
+
+    K must map basis state j to i = j XOR m for one mask m, with a purely
+    real or purely imaginary entry; any other operator raises.
+    """
+    tables = []
+    for op in kraus:
+        d = len(op)
+        k = d.bit_length() - 1
+        rows, cols = np.nonzero(op)
+        masks = set((rows ^ cols).tolist())
+        if len(masks) > 1 or np.any((op.real != 0) & (op.imag != 0)):
+            raise ValueError("Kraus operator is not an X product with real or imaginary entries")
+        mask = masks.pop() if masks else 0
+        entries = op[np.arange(d), np.arange(d) ^ mask]
+        bits = [(mask >> (k - 1 - b)) & 1 for b in range(k)]
+        flips = tuple(slice(None, None, -1) if bit else slice(None) for bit in bits)
+        tables.append(
+            (
+                (slice(None),) + flips + flips,
+                entries.reshape((2,) * k + (1,) * (k + 1)),
+                entries.conj().reshape((2,) * k + (1,)),
+            )
+        )
+    return tuple(tables)
+
+
+@lru_cache(maxsize=32)
+def _noise_channels(p1: float, p2: float, t_damp: float) -> tuple:
+    """Compiled 1-qubit depolarizing, 2-qubit depolarizing and damping
+    channels (``_compile_kraus``); None for a channel of strength zero."""
+    return (
+        _compile_kraus(depolarizing_kraus(p1, 1)) if p1 > 0.0 else None,
+        _compile_kraus(depolarizing_kraus(p2, 2)) if p2 > 0.0 else None,
+        _compile_kraus(amplitude_damping_kraus(t_damp)) if t_damp > 0.0 else None,
+    )
+
+
+def _channel(rho: np.ndarray, n: int, qubits, tables) -> np.ndarray:
+    """Sum of K rho K^dagger over a Kraus set compiled by ``_compile_kraus``,
+    on the given qubits of each row of a (B, 2, ..., 2) batch.
+
+    The channel's ket and bra axes move to the front once.  Each operator
+    then costs a reversed view and two multiplies, ket side first, as its two
+    matmuls ran.  A row of K has one nonzero entry, purely real or purely
+    imaginary, so each multiply rounds the one product per output entry that
+    the matmul rounded, and the matmul's other terms are exact zeros (a zero
+    may differ in sign, which adding onto zeros erases).  Terms are added
+    onto zeros in Kraus order, so the result has the bytes of the sum of
+    per-operator ``_conjugate`` calls.
+    """
+    k = len(qubits)
+    axes = [1 + q for q in qubits] + [1 + n + q for q in qubits]
+    front = list(range(1, 2 * k + 1))
+    rho = np.moveaxis(rho, axes, front)
+    shape = rho.shape
+    rho = rho.reshape(shape[: 2 * k + 1] + (-1,))
     out = np.zeros_like(rho)
-    for k in kraus:
-        out += _conjugate(rho, n, qubits, k)
-    return out
+    term = np.empty_like(rho)
+    for flips, ket, bra in tables:
+        np.multiply(rho[flips], ket, out=term)
+        term *= bra
+        out += term
+    return np.moveaxis(out.reshape(shape), front, axes)
 
 
 def evolve_density(
@@ -255,17 +325,9 @@ def evolve_density(
     n = circuit.n_qubits
     if n > MAX_DENSITY_QUBITS:
         raise ValueError(f"density-matrix simulation capped at {MAX_DENSITY_QUBITS} qubits")
-
-    kraus_1q = None
-    kraus_2q = None
-    kraus_damp = None
+    kraus_1q, kraus_2q, kraus_damp = (None, None, None)
     if noise is not None:
-        if noise.p1 > 0.0:
-            kraus_1q = depolarizing_kraus(noise.p1, 1)
-        if noise.p2 > 0.0:
-            kraus_2q = depolarizing_kraus(noise.p2, 2)
-        if noise.t_damp > 0.0:
-            kraus_damp = amplitude_damping_kraus(noise.t_damp)
+        kraus_1q, kraus_2q, kraus_damp = _noise_channels(noise.p1, noise.p2, noise.t_damp)
 
     rho = np.zeros((len(thetas),) + (2,) * (2 * n), dtype=complex)
     rho[(slice(None),) + (0,) * (2 * n)] = 1.0

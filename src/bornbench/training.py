@@ -18,7 +18,7 @@ import numpy as np
 from .ansatz import CircuitSpec, build_circuit, format_edge_list
 from .bas import ImageShape, TargetDistribution, bas_target_distribution, enumerate_bas
 from .metrics import MetricRecord, f1_per_state, kl_sampling_summary, qbas_from_probs
-from .mmd import KernelSpec, mmd_loss, mmd_loss_exact, mmd_gradient
+from .mmd import MAX_KERNEL_BITS, KernelSpec, mmd_loss, mmd_loss_exact, mmd_gradient
 from .noise import NoiseModel
 from .sim import circuit_probabilities, sample_histogram
 
@@ -150,6 +150,16 @@ class TrainingConfig:
         if self.gradient_mode not in ("sampled", "exact"):
             raise ValueError(f"gradient_mode must be 'sampled' or 'exact'")
         ImageShape(self.n_rows, self.n_cols)  # validates register size
+        if self.n_qubits > MAX_KERNEL_BITS:
+            raise ValueError(
+                f"{self.n_rows}x{self.n_cols} register has {self.n_qubits} qubits, "
+                f"the MMD kernel is capped at {MAX_KERNEL_BITS}"
+            )
+        if self.d_c != 0 and self.n_qubits != 4:
+            raise ValueError(
+                f"d_c = {self.d_c} is defined on 4 qubits, "
+                f"got a {self.n_rows}x{self.n_cols} register"
+            )
         if self.dc3_edges is not None:
             edges = tuple((int(u), int(v)) for u, v in self.dc3_edges)
             if len(edges) != 3:

@@ -334,3 +334,29 @@ def test_dc3_edges_must_list_three_edges(tmp_path, capsys):
     assert main(["train", "-c", str(config), "-o", str(tmp_path / "run")]) == 1
     assert "exactly 3 edges" in capsys.readouterr().err
     assert not (tmp_path / "run").exists()
+
+
+def test_register_mismatch_fails_when_config_is_built(tmp_path, capsys):
+    config = tmp_path / "wide.cfg"
+    config.write_text(TINY_CONFIG + "n_cols = 3\n")
+    assert main(["train", "-c", str(config), "-o", str(tmp_path / "run")]) == 1
+    assert "d_c = 2 is defined on 4 qubits, got a 2x3 register" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+    sweep = tmp_path / "wide.sweep"
+    sweep.write_text(TINY_CONFIG.replace("n_steps = 4", "n_steps = 1") + "n_cols = 2 3\n")
+    out = tmp_path / "sweep"
+    assert main(["sweep", "-c", str(sweep), "-o", str(out)]) == 2
+    rows = read_csv(out / "summary.csv")
+    statuses = [r[rows[0].index("status")] for r in rows[1:]]
+    assert statuses == ["ok", "failed: d_c = 2 is defined on 4 qubits, got a 2x3 register"]
+
+
+def test_kernel_cap_fails_when_config_is_built(tmp_path, capsys):
+    config = tmp_path / "big.cfg"
+    config.write_text(
+        TINY_CONFIG.replace("d_c = 2", "d_c = 0") + "n_rows = 4\nn_cols = 4\n"
+    )
+    assert main(["train", "-c", str(config), "-o", str(tmp_path / "run")]) == 1
+    assert "the MMD kernel is capped at 12" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()

@@ -31,9 +31,10 @@ from bornbench import (
     sample_histogram,
     train,
 )
-from bornbench import sim
+from bornbench import noise as noise_module, sim
+from bornbench.noise import contract_axes
 from bornbench.runio import load_config_file, write_run
-from bornbench.training import TAG_GRAD
+from bornbench.training import TAG_GRAD, RunConfig
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 MODERATE = CONFIGS / "noise" / "moderate.profile"
@@ -65,18 +66,57 @@ GOLDEN_GRADIENTS = {
 }
 
 
+# SHA-256 of every byte-identical run file after a 3-step train at seed 0
+# under the moderate noise profile, keyed by (d_c, n_layers, gradient_mode);
+# recorded while channels still took one matmul per Kraus operator and side.
+GOLDEN_NOISY_RUNS = {
+    (2, 1, "exact"): {
+        "checkpoints/step_000000.json": "0753071c3a35798d34be40c46c952a5ad022dd107fc831bddacb66fd1266d4c2",
+        "checkpoints/step_000003.json": "b03de857855fa0b7ac7c653b8199aeff67e38a6e3cb27c9000d238e14ab77ed6",
+        "final_theta.json": "69a3ca63a4c7a03a086578417fb150fac2c6da9aa3a70440a2753089f0364da5",
+        "metrics.csv": "4d3f095ff04f6c51e462ea44724ddbcf0b3eb4d7717576498b1bc8d8e70aa475",
+        "theta_trajectory.csv": "bcd654c46316f07876b4e9d91045979279ae09c828c0d31bbaa497e8a0a9b90f",
+    },
+    (2, 1, "sampled"): {
+        "checkpoints/step_000000.json": "945b5b567b3468cd4fdc90eabeb2d5113e48a390f2eea87bd41ec652e3954472",
+        "checkpoints/step_000003.json": "388065d6f13c4b141e01fb756a4010dd9a82aaf5dffda58348ed030bbddc5ad2",
+        "final_theta.json": "fb55740fea6f21daecc4097f6f913665b504f78db61e5b92b2855ae159ed7188",
+        "metrics.csv": "194dc3bb2d9f93fcb0e30d75552049d396531ae83922e04fb829d80237886bc9",
+        "theta_trajectory.csv": "b9e3d9381263dc1d0ba2c186694f4cee67c7965587090e3d485e1917d2a3d8fb",
+    },
+    (4, 2, "exact"): {
+        "checkpoints/step_000000.json": "3add0bbf65ec3fb75eeb631ff50683af9ce5d5a60ab5669d20eed3e816ba78f2",
+        "checkpoints/step_000003.json": "cbca68c00fc9e644ede3cd813da935cd8b91e44d8e166e8185a7cc7bc4d883d7",
+        "final_theta.json": "98cb98efb831639c24b4e07cfad9a696b4bc13e4762960d531aafba025f451e7",
+        "metrics.csv": "82d7d709b6ff865c9c3ddd4724422d716c08eda3efb4b46405837a611a0f28a6",
+        "theta_trajectory.csv": "5c46ba3d1ce63fa3a009b1a18f6e82349bc7715102e80e908cabaf2d7bb7367f",
+    },
+    (4, 2, "sampled"): {
+        "checkpoints/step_000000.json": "91c771bebbf00583e2bc989aa937516462182e3a7c5af2362488ae622e3b0c12",
+        "checkpoints/step_000003.json": "f887c617d110836bea5b50f8e2480528d1d37f76d96b05fe981c8932cab579f2",
+        "final_theta.json": "2522ea5f87c57dd15b5c4214b6aa4d3c58d631be6d6078e7ce59a4d3b0db1ae0",
+        "metrics.csv": "a9951f48bb1ab61bbea2c41eb37ee2bf6185785620b655256593f46863bea4b2",
+        "theta_trajectory.csv": "28cac7b3dec1241c1752acff93488abd3842e9a6f5687a693465124aed34ed25",
+    },
+}
+
+
 def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def short_run_digests(name: str, out_dir: Path) -> dict[str, str]:
-    config = replace(load_config_file(CONFIGS / f"{name}.cfg"), n_steps=5, seed=0)
+def run_digests(config: RunConfig, out_dir: Path) -> dict[str, str]:
     run_dir = write_run(out_dir, config, train(config))
     return {
         path.relative_to(run_dir).as_posix(): _sha(path.read_bytes())
         for path in sorted(run_dir.rglob("*"))
         if path.is_file() and path.name != "config.txt"
     }
+
+
+def short_run_digests(name: str, out_dir: Path) -> dict[str, str]:
+    config = replace(load_config_file(CONFIGS / f"{name}.cfg"), n_steps=5, seed=0)
+    return run_digests(config, out_dir)
 
 
 def noisy_gradient(mode: str) -> np.ndarray:
@@ -98,6 +138,15 @@ def noisy_gradient(mode: str) -> np.ndarray:
 @pytest.mark.parametrize("name", sorted(GOLDEN_RUNS))
 def test_short_run_bytes_unchanged(name, tmp_path):
     assert short_run_digests(name, tmp_path / name) == GOLDEN_RUNS[name]
+
+
+@pytest.mark.parametrize("key", sorted(GOLDEN_NOISY_RUNS), ids=lambda k: "dc%d_L%d_%s" % k)
+def test_short_noisy_run_bytes_unchanged(key, tmp_path):
+    d_c, layers, mode = key
+    config = RunConfig(
+        d_c=d_c, n_layers=layers, n_steps=3, gradient_mode=mode, noise=load_noise(MODERATE)
+    )
+    assert run_digests(config, tmp_path / "run") == GOLDEN_NOISY_RUNS[key]
 
 
 @pytest.mark.parametrize("mode", sorted(GOLDEN_GRADIENTS))
@@ -272,3 +321,33 @@ def test_sample_counts_draws_row_k_from_stream_k():
         sim.sample_counts(probs, 300, [np.random.default_rng(0)])  # one stream short
     with pytest.raises(ValueError):
         sim.sample_counts(-probs, 300, [np.random.default_rng(k) for k in range(5)])
+
+
+def test_noise_channels_make_no_matmul_per_kraus_operator(monkeypatch):
+    """Only rotations contract through BLAS (ket side and bra side); every
+    Kraus operator of a channel is applied without a ``contract_axes`` call."""
+    calls = []
+
+    def counting(t, axes, m):
+        calls.append(len(axes))
+        return contract_axes(t, axes, m)
+
+    monkeypatch.setattr(sim, "contract_axes", counting)
+    monkeypatch.setattr(noise_module, "contract_axes", counting)
+    circuit = TrainingConfig(d_c=4, n_layers=2).circuit()
+    rotations = sum(instr[0] in ("rx", "rz") for instr in circuit.instructions())
+    evolve_density(circuit, _random_thetas(circuit, 2), load_noise(MODERATE))
+    assert calls == [1] * (2 * rotations)
+
+
+def test_channels_compile_only_scaled_pauli_x_products():
+    tables = sim._compile_kraus(depolarizing_kraus(0.3, 2))
+    assert len(tables) == 16
+    assert all(ket.size == bra.size == 4 for _, ket, bra in tables)
+    hadamard = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0)
+    with pytest.raises(ValueError):
+        sim._compile_kraus([hadamard])
+    with pytest.raises(ValueError):
+        sim._compile_kraus([np.diag([1.0, 1.0 + 1.0j]) / np.sqrt(3.0)])
+    with pytest.raises(ValueError):  # one nonzero per row, but not one flip mask
+        sim._compile_kraus([np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]])])

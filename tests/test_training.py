@@ -83,6 +83,19 @@ def test_config_validation():
         TrainingConfig(d_c=2, n_layers=1, kl_repeats=1)
 
 
+def test_config_rejects_register_the_circuit_or_kernel_cannot_take():
+    with pytest.raises(ValueError, match="defined on 4 qubits"):
+        TrainingConfig(d_c=2, n_layers=1, n_rows=2, n_cols=3)
+    with pytest.raises(ValueError, match="capped at 12"):
+        TrainingConfig(d_c=0, n_layers=1, n_rows=4, n_cols=4)
+    # the largest registers each check allows still build their circuit and kernel
+    for config in (
+        TrainingConfig(d_c=0, n_layers=1, n_rows=3, n_cols=4),
+        TrainingConfig(d_c=4, n_layers=1, n_rows=1, n_cols=4),
+    ):
+        assert config.circuit().n_qubits == config.kernel().n_bits == config.n_qubits
+
+
 def test_config_digest_sensitivity():
     a = TrainingConfig(d_c=2, n_layers=2, seed=7)
     b = TrainingConfig(d_c=2, n_layers=2, seed=7)
