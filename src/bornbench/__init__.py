@@ -54,9 +54,6 @@ from .sim import (
     DensityMatrix,
     Histogram,
     StateVector,
-    apply_cnot,
-    apply_rx,
-    apply_rz,
     circuit_probabilities,
     evolve_density,
     evolve_noisy,

@@ -105,10 +105,6 @@ class CircuitSpec:
     def parameter_count(self) -> int:
         return self.n_qubits * sum(len(p) for p in self.rotation_layers)
 
-    @property
-    def n_entangler_layers(self) -> int:
-        return len(self.entangler_layers)
-
     def instructions(self):
         """Yield gates in program order.
 

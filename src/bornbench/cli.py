@@ -84,6 +84,7 @@ def cmd_deploy(args) -> int:
     run_dir = Path(args.run_dir)
     config = read_run_config(run_dir)
     noise = load_noise(args.noise)
+    noise.check_register(config.n_qubits)
     out_path = run_dir / args.out
     if out_path.exists() and not args.force:
         raise FileExistsError(f"{out_path} already exists; pass --force to overwrite")
@@ -128,6 +129,7 @@ def cmd_warmstart(args) -> int:
     config = read_run_config(run_dir)
     checkpoint = read_checkpoint(run_dir, args.step)
     items = dict(config.kv_items())
+    items["label"] = f"{config.label}-ws{args.step}"  # unless -c sets one
     if args.config:
         items.update(parse_kv_file(args.config))
     if args.noise:
@@ -135,8 +137,6 @@ def cmd_warmstart(args) -> int:
         items.update(
             (f"noise_{k}", v) for k, v in load_noise(args.noise).kv_items()
         )
-    if not (args.config and "label" in parse_kv_file(args.config)):
-        items["label"] = f"{config.label}-ws{args.step}"
     items["n_steps"] = str(args.steps)
     new_config = config_from_items(items, base_dir=run_dir)
 
@@ -221,7 +221,7 @@ def _run_sweep_row(
     record = train(config)
     write_run(row_dir, config, record, force=force)
     best = min(record.metrics, key=lambda m: m.kl_mean)
-    return config, best, row_dir
+    return config, best
 
 
 def cmd_sweep(args) -> int:
@@ -240,7 +240,6 @@ def cmd_sweep(args) -> int:
         "min_kl_mean",
         "min_kl_std",
         "min_kl_step",
-        "run_dir",
     ]
     if not items:
         _write_csv(out_dir / "summary.csv", header, [])
@@ -265,12 +264,12 @@ def cmd_sweep(args) -> int:
     def run_row(index: int):
         row_items = build_items(index, combos[index])
         try:
-            config, best, row_dir = _run_sweep_row(
+            config, best = _run_sweep_row(
                 index, row_items, out_dir, args.force, sweep_path.parent
             )
-            return index, config, best, row_dir, "ok"
+            return index, config, best, "ok"
         except Exception as exc:  # report per-row, keep sweeping
-            return index, row_items, None, None, f"failed: {exc}"
+            return index, row_items, None, f"failed: {exc}"
 
     if args.jobs > 1:
         with ThreadPoolExecutor(max_workers=args.jobs) as pool:
@@ -280,7 +279,7 @@ def cmd_sweep(args) -> int:
 
     rows = []
     table: dict[tuple[int, int], dict[int, str]] = {}
-    for index, config, best, row_dir, status in sorted(results):
+    for index, config, best, status in sorted(results):
         if status == "ok":
             rows.append(
                 [
@@ -294,7 +293,6 @@ def cmd_sweep(args) -> int:
                     _fmt(best.kl_mean),
                     _fmt(best.kl_std),
                     str(best.step),
-                    str(row_dir),
                 ]
             )
             cell = f"{best.kl_mean:.3f}+-{best.kl_std:.3f}"
@@ -310,7 +308,6 @@ def cmd_sweep(args) -> int:
                     items_used.get("n_shots_train", ""),
                     items_used.get("seed", ""),
                     status,
-                    "",
                     "",
                     "",
                     "",

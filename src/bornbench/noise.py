@@ -134,6 +134,14 @@ class NoiseModel:
             f > 0.0 for f in self.readout_flip.values()
         )
 
+    def check_register(self, n_qubits: int) -> None:
+        """Reject a per-qubit readout flip on a qubit the register lacks."""
+        for qubit in sorted(self.readout_flip):
+            if qubit >= n_qubits:
+                raise ValueError(
+                    f"readout_flip_q{qubit}: no qubit {qubit} in a {n_qubits}-qubit register"
+                )
+
     def confusion_matrices(self, n_qubits: int) -> list[np.ndarray] | None:
         """Per-qubit confusion matrices, or None when readout is ideal."""
         if not self.has_readout_error():

@@ -16,6 +16,7 @@ import csv
 import shutil
 from dataclasses import fields
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
@@ -32,26 +33,13 @@ TRAJECTORY_FILE = "theta_trajectory.csv"
 FINAL_THETA_FILE = "final_theta.json"
 CHECKPOINT_DIR = "checkpoints"
 
-_BOOL_FIELDS = ("sigma_is_variance", "qbas_enabled")
-_INT_FIELDS = (
-    "d_c",
-    "n_layers",
-    "n_shots_train",
-    "n_steps",
-    "seed",
-    "n_rows",
-    "n_cols",
-    "kl_shots",
-    "kl_repeats",
-    "metric_every",
-    "checkpoint_every",
-    "qbas_shots",
-    "qbas_repeats",
-    "qbas_sample_size",
-    "qbas_resamples",
-)
-_FLOAT_FIELDS = ("alpha", "beta1", "beta2", "epsilon", "sigma")
-_STR_FIELDS = ("label", "kernel_distance", "gradient_mode")
+# Declared type of every config field a file sets as one bool, int, float or
+# str value; edge lists and noise have their own syntax.
+_SCALAR_FIELDS = {
+    name: kind
+    for name, kind in get_type_hints(RunConfig).items()
+    if kind in (bool, int, float, str)
+}
 
 
 def is_sweep_axis(key: str) -> bool:
@@ -60,7 +48,7 @@ def is_sweep_axis(key: str) -> bool:
     ``noise_profile`` are taken whole."""
     if key.startswith("noise_"):
         return key != "noise_profile"
-    return key in _BOOL_FIELDS + _INT_FIELDS + _FLOAT_FIELDS
+    return _SCALAR_FIELDS.get(key) in (bool, int, float)
 
 
 def config_from_items(items: dict[str, str], base_dir: Path | None = None) -> RunConfig:
@@ -80,16 +68,12 @@ def config_from_items(items: dict[str, str], base_dir: Path | None = None) -> Ru
             noise_items[key[len("noise_"):]] = value
         elif key == "dc3_edges":
             kwargs[key] = parse_edge_list(value)
-        elif key in _BOOL_FIELDS:
+        elif _SCALAR_FIELDS.get(key) is bool:
             if value.lower() not in ("true", "false"):
                 raise ValueError(f"{key}: expected true or false, got {value!r}")
             kwargs[key] = value.lower() == "true"
-        elif key in _INT_FIELDS:
-            kwargs[key] = int(value)
-        elif key in _FLOAT_FIELDS:
-            kwargs[key] = float(value)
-        elif key in _STR_FIELDS:
-            kwargs[key] = value
+        elif key in _SCALAR_FIELDS:
+            kwargs[key] = _SCALAR_FIELDS[key](value)
         elif key in known:
             raise ValueError(f"config key {key!r} cannot be set from a file")
         else:

@@ -10,13 +10,20 @@ Every simulator accepts one angle vector of shape (P,) or a batch of shape
 exactly the floating-point operations it would go through alone, so batched
 and row-by-row results are identical to the last bit.
 
-A density matrix is a batch of 2n-axis tensors (ket axes, then bra axes).
-Rotations conjugate it with one BLAS matmul per batch row on each side, and
-CNOTs permute its entries.  Every noise channel here is a sum of Kraus
-operators that each flip some qubits and scale by a purely real or purely
-imaginary entry, so ``_channel`` applies an operator as an axis-reversing view
-times its entries: the one product per output entry that a matmul by the
-operator would round, with the same bytes.
+Both simulators share one walk over the circuit (``_walk``).  A statevector
+is a batch of n-axis tensors; a density matrix is a batch of 2n-axis tensors,
+ket axes then bra axes, which the walk treats as a 2n-qubit register.  A
+rotation contracts the ket axes with u by one BLAS matmul per batch row and,
+for a density matrix, the bra axes with u.conj().  The CNOTs of one entangler
+sub-covering act on disjoint qubits and only permute entries, so they become
+one cached gather index, and each CNOT's 2-qubit channel follows the whole
+permutation: a gather on one pair commutes exactly with a channel on another.
+
+Every noise channel here is a sum of Kraus operators that each flip some
+qubits and scale by a purely real or purely imaginary entry, so ``_channel``
+applies an operator as an axis-reversing view times its entries: the one
+product per output entry that a matmul by the operator would round, with the
+same bytes.
 """
 
 from __future__ import annotations
@@ -55,12 +62,6 @@ class StateVector:
         if amps.ndim not in (1, 2) or amps.shape[-1] != 2**self.n_qubits:
             raise ValueError(f"expected {2**self.n_qubits} amplitudes, got {amps.shape}")
         self.amplitudes = amps
-
-    @classmethod
-    def zero(cls, n_qubits: int) -> "StateVector":
-        amps = np.zeros(2**n_qubits, dtype=complex)
-        amps[0] = 1.0
-        return cls(n_qubits, amps)
 
 
 @dataclass(eq=False)
@@ -131,43 +132,6 @@ def _cnot_permutation(n_qubits: int, edges: tuple[tuple[int, int], ...]) -> np.n
     return index
 
 
-def _permute(t: np.ndarray, index: np.ndarray) -> np.ndarray:
-    return t.reshape(len(t), -1)[:, index].reshape(t.shape)
-
-
-def _check_qubit(n_qubits: int, qubit: int) -> None:
-    if not 0 <= qubit < n_qubits:
-        raise ValueError(f"qubit {qubit} out of range for {n_qubits}-qubit register")
-
-
-def _rotate(state: StateVector, qubit: int, gate: str, angle: float) -> StateVector:
-    n = state.n_qubits
-    _check_qubit(n, qubit)
-    u = _rotations(gate, np.array([angle], dtype=float))
-    psi = contract_axes(state.amplitudes.reshape((-1,) + (2,) * n), [qubit], u)
-    return StateVector(n, psi.reshape(state.amplitudes.shape))
-
-
-def apply_rx(state: StateVector, qubit: int, angle: float) -> StateVector:
-    """Rotate one qubit about X by ``angle``."""
-    return _rotate(state, qubit, "rx", angle)
-
-
-def apply_rz(state: StateVector, qubit: int, angle: float) -> StateVector:
-    """Rotate one qubit about Z by ``angle``; outcome probabilities unchanged."""
-    return _rotate(state, qubit, "rz", angle)
-
-
-def apply_cnot(state: StateVector, control: int, target: int) -> StateVector:
-    """Flip ``target`` wherever ``control`` is set."""
-    n = state.n_qubits
-    _check_qubit(n, control)
-    _check_qubit(n, target)
-    if control == target:
-        raise ValueError("CNOT control and target must differ")
-    return StateVector(n, state.amplitudes[..., _cnot_permutation(n, ((control, target),))])
-
-
 def _check_theta(circuit: CircuitSpec, theta) -> np.ndarray:
     """Angles as a (B, P) batch; ``theta`` is one vector (P,) or a batch."""
     theta = np.asarray(theta, dtype=float)
@@ -176,28 +140,6 @@ def _check_theta(circuit: CircuitSpec, theta) -> np.ndarray:
             f"circuit has {circuit.parameter_count} parameters, got {theta.shape}"
         )
     return theta.reshape(-1, circuit.parameter_count)
-
-
-def run_statevector(circuit: CircuitSpec, theta) -> StateVector:
-    """Evolve |0...0> through the circuit at rotation angles ``theta``; a
-    batch of angle vectors gives a batch of states."""
-    thetas = _check_theta(circuit, theta)
-    n = circuit.n_qubits
-    if n > MAX_STATEVECTOR_QUBITS:
-        raise ValueError(f"statevector simulation capped at {MAX_STATEVECTOR_QUBITS} qubits")
-    psi = np.zeros((len(thetas),) + (2,) * n, dtype=complex)
-    psi[(slice(None),) + (0,) * n] = 1.0
-    cnots: list[tuple[int, int]] = []  # applied together as one permutation
-    for op, *args in (*circuit.instructions(), ("end",)):
-        if op == "cnot":
-            cnots.append(tuple(args))
-        elif op != "tick":  # ticks mark gate time only
-            if cnots:
-                psi = _permute(psi, _cnot_permutation(n, tuple(cnots)))
-                cnots = []
-            if op != "end":
-                psi = contract_axes(psi, [args[0]], _rotations(op, thetas[:, args[1]]))
-    return StateVector(n, psi.reshape(np.shape(theta)[:-1] + (2**n,)))
 
 
 def exact_probabilities(state: StateVector | DensityMatrix) -> np.ndarray:
@@ -237,13 +179,7 @@ def sample_histogram(probs, n_shots: int, rng: np.random.Generator) -> Histogram
 
 
 # ---------------------------------------------------------------------------
-# Density-matrix evolution under noise
-
-
-def _conjugate(rho: np.ndarray, n: int, qubits, u: np.ndarray) -> np.ndarray:
-    """u rho u^dagger on the given qubits of each row of a (B, 2, ..., 2) batch."""
-    rho = contract_axes(rho, qubits, u)
-    return contract_axes(rho, [n + q for q in qubits], u.conj())
+# Noise channels and the circuit walk
 
 
 def _compile_kraus(kraus) -> tuple[tuple[tuple, np.ndarray, np.ndarray], ...]:
@@ -298,7 +234,7 @@ def _channel(rho: np.ndarray, n: int, qubits, tables) -> np.ndarray:
     the matmul rounded, and the matmul's other terms are exact zeros (a zero
     may differ in sign, which adding onto zeros erases).  Terms are added
     onto zeros in Kraus order, so the result has the bytes of the sum of
-    per-operator ``_conjugate`` calls.
+    per-operator ket and bra matmuls.
     """
     k = len(qubits)
     axes = [1 + q for q in qubits] + [1 + n + q for q in qubits]
@@ -315,39 +251,68 @@ def _channel(rho: np.ndarray, n: int, qubits, tables) -> np.ndarray:
     return np.moveaxis(out.reshape(shape), front, axes)
 
 
+def _walk(
+    circuit: CircuitSpec, theta, sides: int, channels: tuple = (None, None, None)
+) -> np.ndarray:
+    """Evolve |0...0> on ``sides`` copies of the register (1: ket, 2: ket and
+    bra) through the circuit; ``channels`` are the compiled 1-qubit, 2-qubit
+    and damping channels (``_noise_channels``), None where absent.  Returns a
+    (B, 2, ..., 2) batch."""
+    thetas = _check_theta(circuit, theta)
+    n = circuit.n_qubits
+    kraus_1q, kraus_2q, kraus_damp = channels
+    state = np.zeros((len(thetas),) + (2,) * (sides * n), dtype=complex)
+    state[(slice(None),) + (0,) * (sides * n)] = 1.0
+    covering: list[tuple[int, int]] = []  # CNOTs of the current sub-covering
+    for op, *args in circuit.instructions():
+        if op == "cnot":
+            covering.append((args[0], args[1]))
+        elif op == "tick":
+            edges = [(c + side * n, g + side * n) for side in range(sides) for c, g in covering]
+            index = _cnot_permutation(sides * n, tuple(edges))
+            state = state.reshape(len(state), -1)[:, index].reshape(state.shape)
+            if kraus_2q is not None:
+                for edge in covering:
+                    state = _channel(state, n, edge, kraus_2q)
+            if kraus_damp is not None:
+                for qubit in range(n):
+                    state = _channel(state, n, [qubit], kraus_damp)
+            covering = []
+        else:
+            qubit, slot = args
+            u = _rotations(op, thetas[:, slot])
+            state = contract_axes(state, [qubit], u)
+            if sides == 2:
+                state = contract_axes(state, [n + qubit], u.conj())
+            if kraus_1q is not None:
+                state = _channel(state, n, [qubit], kraus_1q)
+    return state
+
+
+def run_statevector(circuit: CircuitSpec, theta) -> StateVector:
+    """Evolve |0...0> through the circuit at rotation angles ``theta``; a
+    batch of angle vectors gives a batch of states."""
+    n = circuit.n_qubits
+    if n > MAX_STATEVECTOR_QUBITS:
+        raise ValueError(f"statevector simulation capped at {MAX_STATEVECTOR_QUBITS} qubits")
+    psi = _walk(circuit, theta, sides=1)
+    return StateVector(n, psi.reshape(np.shape(theta)[:-1] + (2**n,)))
+
+
 def evolve_density(
     circuit: CircuitSpec, theta, noise: NoiseModel | None = None
 ) -> DensityMatrix:
     """Density-matrix evolution; each gate is followed by its noise channel
     and every entangler sub-covering by per-qubit amplitude damping.  A batch
     of angle vectors gives a batch of density matrices."""
-    thetas = _check_theta(circuit, theta)
     n = circuit.n_qubits
     if n > MAX_DENSITY_QUBITS:
         raise ValueError(f"density-matrix simulation capped at {MAX_DENSITY_QUBITS} qubits")
-    kraus_1q, kraus_2q, kraus_damp = (None, None, None)
-    if noise is not None:
-        kraus_1q, kraus_2q, kraus_damp = _noise_channels(noise.p1, noise.p2, noise.t_damp)
-
-    rho = np.zeros((len(thetas),) + (2,) * (2 * n), dtype=complex)
-    rho[(slice(None),) + (0,) * (2 * n)] = 1.0
-    for instr in circuit.instructions():
-        op = instr[0]
-        if op in ("rx", "rz"):
-            qubit = instr[1]
-            rho = _conjugate(rho, n, [qubit], _rotations(op, thetas[:, instr[2]]))
-            if kraus_1q is not None:
-                rho = _channel(rho, n, [qubit], kraus_1q)
-        elif op == "cnot":
-            control, target = instr[1], instr[2]
-            # ket and bra index together form a 2n-qubit register
-            edges = ((control, target), (n + control, n + target))
-            rho = _permute(rho, _cnot_permutation(2 * n, edges))
-            if kraus_2q is not None:
-                rho = _channel(rho, n, [control, target], kraus_2q)
-        elif op == "tick" and kraus_damp is not None:
-            for qubit in range(n):
-                rho = _channel(rho, n, [qubit], kraus_damp)
+    if noise is None:
+        rho = _walk(circuit, theta, sides=2)
+    else:
+        channels = _noise_channels(noise.p1, noise.p2, noise.t_damp)
+        rho = _walk(circuit, theta, sides=2, channels=channels)
     dim = 2**n
     return DensityMatrix(n, rho.reshape(np.shape(theta)[:-1] + (dim, dim)))
 

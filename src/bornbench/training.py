@@ -160,6 +160,8 @@ class TrainingConfig:
                 f"d_c = {self.d_c} is defined on 4 qubits, "
                 f"got a {self.n_rows}x{self.n_cols} register"
             )
+        if self.noise is not None:
+            self.noise.check_register(self.n_qubits)
         if self.dc3_edges is not None:
             edges = tuple((int(u), int(v)) for u, v in self.dc3_edges)
             if len(edges) != 3:

@@ -360,3 +360,41 @@ def test_kernel_cap_fails_when_config_is_built(tmp_path, capsys):
     assert main(["train", "-c", str(config), "-o", str(tmp_path / "run")]) == 1
     assert "the MMD kernel is capped at 12" in capsys.readouterr().err
     assert not (tmp_path / "run").exists()
+
+
+def test_readout_flip_outside_register_is_rejected(tiny_run, tmp_path, capsys):
+    _, run = tiny_run
+    message = "readout_flip_q9: no qubit 9 in a 4-qubit register"
+    config = tmp_path / "flip.cfg"
+    flip = "noise_readout_flip_q9 = 0.4\n"
+    config.write_text(TINY_CONFIG + flip)
+    assert main(["train", "-c", str(config), "-o", str(tmp_path / "run9")]) == 1
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "run9").exists()
+
+    sweep = tmp_path / "flip.sweep"
+    sweep.write_text(TINY_CONFIG.replace("n_steps = 4", "n_steps = 1") + flip)
+    assert main(["sweep", "-c", str(sweep), "-o", str(tmp_path / "sweep")]) == 2
+    rows = read_csv(tmp_path / "sweep" / "summary.csv")
+    assert [r[rows[0].index("status")] for r in rows[1:]] == [f"failed: {message}"]
+
+    profile = tmp_path / "q9.profile"
+    profile.write_text("readout_flip_q9 = 0.4\n")
+    assert main(["deploy", str(run), "--noise", str(profile)]) == 1
+    assert message in capsys.readouterr().err
+    assert not (run / "deploy.csv").exists()
+    warm = ["warmstart", str(run), "--step", "0", "--noise", str(profile)]
+    assert main(warm + ["-o", str(tmp_path / "ws")]) == 1
+    assert message in capsys.readouterr().err
+
+
+def test_sweep_summary_bytes_do_not_depend_on_output_dir(tmp_path):
+    sweep = tmp_path / "grid.sweep"
+    sweep.write_text(
+        TINY_CONFIG.replace("n_steps = 4", "n_steps = 1").replace("d_c = 2", "d_c = 2 4")
+    )
+    for name in ("a", "elsewhere"):
+        assert main(["sweep", "-c", str(sweep), "-o", str(tmp_path / name)]) == 0
+    summary = (tmp_path / "a" / "summary.csv").read_bytes()
+    assert summary == (tmp_path / "elsewhere" / "summary.csv").read_bytes()
+    assert summary.count(b",ok,") == 2

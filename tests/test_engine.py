@@ -14,13 +14,9 @@ import numpy as np
 import pytest
 
 from bornbench import (
-    StateVector,
     TrainingConfig,
     amplitude_damping_kraus,
-    apply_cnot,
     apply_readout,
-    apply_rx,
-    apply_rz,
     circuit_probabilities,
     depolarizing_kraus,
     evolve_density,
@@ -285,29 +281,6 @@ def test_readout_batch_matches_rows():
     confusion = load_noise(MODERATE).confusion_matrices(4)
     rows = np.array([apply_readout(p, confusion) for p in probs])
     assert apply_readout(probs, confusion).tobytes() == rows.tobytes()
-
-
-def test_single_gates_match_reference(rng):
-    amps = rng.normal(size=8) + 1j * rng.normal(size=8)
-    state = StateVector(3, amps / np.linalg.norm(amps))
-    psi = state.amplitudes.reshape(2, 2, 2)
-    for qubit in range(3):
-        for angle in rng.uniform(-7.0, 7.0, 3):
-            for gate, name in ((apply_rx, "rx"), (apply_rz, "rz")):
-                expected = _ref_apply(psi, [qubit], _ref_rotation(name, angle)).reshape(-1)
-                assert gate(state, qubit, angle).amplitudes.tobytes() == expected.tobytes()
-    for control, target in ((0, 1), (2, 0), (1, 2)):
-        expected = _ref_cnot(psi, control, target).reshape(-1)
-        assert apply_cnot(state, control, target).amplitudes.tobytes() == expected.tobytes()
-
-
-def test_single_gates_act_on_every_batch_row(rng):
-    amps = rng.normal(size=(4, 8)) + 1j * rng.normal(size=(4, 8))
-    batch = StateVector(3, amps)
-    for gate, args in ((apply_rx, (1, 0.7)), (apply_rz, (2, -1.3)), (apply_cnot, (0, 2))):
-        out = gate(batch, *args).amplitudes
-        rows = np.array([gate(StateVector(3, row), *args).amplitudes for row in amps])
-        assert out.tobytes() == rows.tobytes()
 
 
 def test_sample_counts_draws_row_k_from_stream_k():

@@ -1,5 +1,5 @@
-"""Property tests of the density-matrix path and the noise channels over
-random channel strengths, circuit shapes and angles."""
+"""Property tests of the statevector and density-matrix paths and the noise
+channels over random channel strengths, circuit shapes and angles."""
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
@@ -10,8 +10,9 @@ from bornbench import (
     amplitude_damping_kraus,
     depolarizing_kraus,
     evolve_density,
+    run_statevector,
 )
-from test_engine import reference_density
+from test_engine import reference_amplitudes, reference_density
 
 # reproducible from run to run, and no example database left on disk
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -49,6 +50,16 @@ def test_density_matrices_match_reference_and_are_states(case):
         assert abs(np.trace(rho) - 1.0) <= 1e-12
         assert np.allclose(rho, rho.conj().T, rtol=0.0, atol=1e-12)
         assert np.linalg.eigvalsh(rho).min() >= -1e-12
+
+
+@PROPERTY
+@given(noisy_circuits())
+def test_statevectors_match_reference_and_are_normalised(case):
+    circuit, _, thetas = case  # the same shapes and angle rows, noise unused
+    states = run_statevector(circuit, thetas).amplitudes
+    for psi, theta in zip(states, thetas):
+        assert psi.tobytes() == reference_amplitudes(circuit, theta).tobytes()
+        assert abs(np.linalg.norm(psi) - 1.0) <= 1e-12
 
 
 def _completeness_error(kraus) -> float:

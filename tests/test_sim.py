@@ -5,13 +5,11 @@ import pytest
 from scipy import stats
 
 from bornbench import (
+    CircuitSpec,
+    EntanglerLayer,
     Histogram,
     NoiseModel,
-    StateVector,
     TrainingConfig,
-    apply_cnot,
-    apply_rx,
-    apply_rz,
     build_circuit,
     circuit_probabilities,
     evolve_density,
@@ -30,94 +28,119 @@ def random_circuit_theta(d_c, layers, seed):
     return circuit, rng.uniform(0, 2 * np.pi, circuit.parameter_count)
 
 
+def amplitudes(circuit, theta):
+    return run_statevector(circuit, theta).amplitudes
+
+
+def cnots(*sub_coverings):
+    """One entangling layer of the given sub-coverings of (control, target)."""
+    return EntanglerLayer(tuple(sub_coverings))
+
+
+# Two qubits in an entangled state: (Rx, Rz) on each, CNOT 0->1, then the
+# layer under test; PREP_2Q holds the preparation's 4 angles.
+PREP_2Q = [0.7, -1.9, 2.3, 0.4]
+
+
+def prepared_2q(pattern):
+    return CircuitSpec(2, (("rx", "rz"), pattern), (cnots(((0, 1),)),))
+
+
 def test_rx_half_turn():
-    state = apply_rx(StateVector.zero(1), 0, math.pi / 2)
-    assert np.allclose(exact_probabilities(state), [0.5, 0.5], atol=1e-12)
+    probs = exact_probabilities(run_statevector(CircuitSpec(1, (("rx",),), ()), [math.pi / 2]))
+    assert np.allclose(probs, [0.5, 0.5], rtol=0.0, atol=1e-15)
 
 
-def test_rx_identity_and_flip(rng):
-    amps = rng.normal(size=2) + 1j * rng.normal(size=2)
-    amps /= np.linalg.norm(amps)
-    state = StateVector(1, amps)
-    assert np.allclose(apply_rx(state, 0, 0.0).amplitudes, amps)
-    flipped = apply_rx(StateVector.zero(1), 0, math.pi)
-    assert np.allclose(exact_probabilities(flipped), [0.0, 1.0], atol=1e-12)
+def test_rx_identity_and_flip():
+    circuit = prepared_2q(("rx",))
+    state = amplitudes(circuit, PREP_2Q + [0.0, 0.0])
+    assert np.allclose(state, amplitudes(prepared_2q(()), PREP_2Q), rtol=0.0, atol=1e-15)
+    flipped = run_statevector(CircuitSpec(1, (("rx",),), ()), [math.pi])
+    assert np.allclose(exact_probabilities(flipped), [0.0, 1.0], rtol=0.0, atol=1e-15)
 
 
-def test_rz_preserves_probabilities(rng):
-    amps = rng.normal(size=4) + 1j * rng.normal(size=4)
-    amps /= np.linalg.norm(amps)
-    state = StateVector(2, amps)
-    for qubit in (0, 1):
-        rotated = apply_rz(state, qubit, 1.234)
-        assert np.allclose(
-            exact_probabilities(rotated), exact_probabilities(state), atol=1e-12
-        )
-    zeros = apply_rz(StateVector.zero(2), 0, 2.5)
-    assert np.allclose(exact_probabilities(zeros), [1, 0, 0, 0], atol=1e-12)
+def test_rz_preserves_probabilities():
+    before = exact_probabilities(run_statevector(prepared_2q(()), PREP_2Q))
+    assert before.min() > 0.01  # a state where a wrong phase would show
+    for angles in ([1.234, 0.0], [0.0, 1.234]):
+        rotated = run_statevector(prepared_2q(("rz",)), PREP_2Q + angles)
+        assert np.allclose(exact_probabilities(rotated), before, rtol=0.0, atol=1e-12)
+    zeros = run_statevector(CircuitSpec(2, (("rz",),), ()), [2.5, 0.0])
+    assert np.allclose(exact_probabilities(zeros), [1, 0, 0, 0], rtol=0.0, atol=1e-15)
 
 
-def test_rz_inverse_pair(rng):
-    amps = rng.normal(size=2) + 1j * rng.normal(size=2)
-    amps /= np.linalg.norm(amps)
-    state = StateVector(1, amps)
-    back = apply_rz(apply_rz(state, 0, math.pi), 0, -math.pi)
-    assert np.allclose(back.amplitudes, amps, atol=1e-12)
+def test_rz_inverse_pair():
+    back = amplitudes(prepared_2q(("rz", "rz")), PREP_2Q + [math.pi, -math.pi, 0.0, 0.0])
+    assert np.allclose(back, amplitudes(prepared_2q(()), PREP_2Q), rtol=0.0, atol=1e-12)
 
 
 def test_rz_changes_interference():
-    # oracle: multiply the 2x2 matrices directly
-    plus = StateVector(1, np.array([1.0, 1.0]) / math.sqrt(2))
-    rz = np.diag([np.exp(-0.25j * math.pi), np.exp(0.25j * math.pi)])
-    c, s = math.cos(math.pi / 4), math.sin(math.pi / 4)
-    rx = np.array([[c, -1j * s], [-1j * s, c]])
-    expected_with_rz = np.abs(rx @ rz @ plus.amplitudes) ** 2
-    expected_without = np.abs(rx @ plus.amplitudes) ** 2
+    # oracle: multiply the 2x2 matrices directly; Rx(pi/2) then Rz(pi/2)
+    # prepares |+> up to phase, on which a further Rx(pi/2) keeps both
+    # outcomes even
+    def rx(t):
+        c, s = math.cos(t / 2), math.sin(t / 2)
+        return np.array([[c, -1j * s], [-1j * s, c]])
 
-    with_rz = apply_rx(apply_rz(plus, 0, math.pi / 2), 0, math.pi / 2)
-    without = apply_rx(plus, 0, math.pi / 2)
-    assert np.allclose(exact_probabilities(with_rz), expected_with_rz, atol=1e-12)
-    assert np.allclose(exact_probabilities(without), expected_without, atol=1e-12)
-    assert not np.allclose(expected_with_rz, expected_without)
+    def rz(t):
+        return np.diag([np.exp(-0.5j * t), np.exp(0.5j * t)])
+
+    circuit = CircuitSpec(1, (("rx", "rz", "rx"),), ())
+    zero = np.array([1.0, 0.0])
+    quarter = math.pi / 2
+    expected_with_rz = rx(quarter) @ rz(quarter) @ rx(quarter) @ zero
+    expected_without = rx(quarter) @ rx(quarter) @ zero
+    with_rz = amplitudes(circuit, [quarter] * 3)
+    without = amplitudes(circuit, [quarter, 0.0, quarter])
+    assert np.allclose(with_rz, expected_with_rz, rtol=0.0, atol=1e-12)
+    assert np.allclose(without, expected_without, rtol=0.0, atol=1e-12)
+    assert not np.allclose(np.abs(expected_with_rz), np.abs(expected_without))
 
 
 def test_cnot_basis_action():
-    ten = StateVector(2, np.array([0, 0, 1, 0], dtype=complex))  # |10>
-    assert np.allclose(apply_cnot(ten, 0, 1).amplitudes, [0, 0, 0, 1])  # -> |11>
-    zero = StateVector.zero(2)
-    assert np.allclose(apply_cnot(zero, 0, 1).amplitudes, zero.amplitudes)
+    circuit = CircuitSpec(2, (("rx",), ()), (cnots(((0, 1),)),))
+    ten = amplitudes(circuit, [math.pi, 0.0])  # -i|10> before the CNOT
+    assert np.allclose(np.abs(ten), [0, 0, 0, 1], rtol=0.0, atol=1e-15)  # -> |11>
+    assert np.array_equal(amplitudes(circuit, [0.0, 0.0]), [1, 0, 0, 0])
 
 
 def test_cnot_involution(rng):
-    amps = rng.normal(size=16) + 1j * rng.normal(size=16)
-    amps /= np.linalg.norm(amps)
-    state = StateVector(4, amps)
-    back = apply_cnot(apply_cnot(state, 1, 3), 1, 3)
-    assert np.allclose(back.amplitudes, amps, atol=1e-12)
+    # an entangled 4-qubit state, then CNOT 1->3 twice, as two sub-coverings
+    twice = cnots(((1, 3),), ((1, 3),))
+    layers = (("rx", "rz"), ("rx",), ())
+    theta = rng.uniform(-7.0, 7.0, 12)
+    matching = cnots(((0, 1), (2, 3)))
+    state = amplitudes(CircuitSpec(4, layers, (matching, cnots())), theta)
+    once = amplitudes(CircuitSpec(4, layers, (matching, cnots(((1, 3),)))), theta)
+    back = amplitudes(CircuitSpec(4, layers, (matching, twice)), theta)
+    assert not np.allclose(once, state)
+    assert back.tobytes() == state.tobytes()
 
 
 def test_gate_errors():
-    state = StateVector.zero(2)
     with pytest.raises(ValueError):
-        apply_rx(state, 2, 0.1)
+        CircuitSpec(2, (("ry",),), ())  # unknown rotation
     with pytest.raises(ValueError):
-        apply_rz(state, -1, 0.1)
+        cnots(((1, 1),))  # control equals target
     with pytest.raises(ValueError):
-        apply_cnot(state, 1, 1)
+        cnots(((-1, 0),))
     with pytest.raises(ValueError):
-        apply_cnot(state, 0, 5)
+        CircuitSpec(2, (("rx",), ("rx",)), (cnots(((0, 5),)),))  # outside the register
 
 
 def test_norm_preserved_and_unitary_inverse(rng):
-    amps = rng.normal(size=8) + 1j * rng.normal(size=8)
-    amps /= np.linalg.norm(amps)
-    state = StateVector(3, amps)
+    # 3 qubits entangled by CNOT 0->1 and 1->2, then the gate on qubit 1
+    prep = rng.uniform(-7.0, 7.0, 6)
+    entangle = (cnots(((0, 1),), ((1, 2),)),)
+    state = amplitudes(CircuitSpec(3, (("rx", "rz"), ()), entangle), prep)
     for angle in rng.uniform(-2 * np.pi, 2 * np.pi, 5):
-        for gate in (apply_rx, apply_rz):
-            out = gate(state, 1, angle)
-            assert abs(np.linalg.norm(out.amplitudes) - 1.0) < 1e-10
-            undone = gate(out, 1, -angle)
-            assert np.allclose(undone.amplitudes, state.amplitudes, atol=1e-10)
+        for gate in ("rx", "rz"):
+            once = CircuitSpec(3, (("rx", "rz"), (gate,)), entangle)
+            out = amplitudes(once, [*prep, 0, angle, 0])
+            assert abs(np.linalg.norm(out) - 1.0) < 1e-12
+            undo = CircuitSpec(3, (("rx", "rz"), (gate, gate)), entangle)
+            undone = amplitudes(undo, [*prep, 0, 0, angle, -angle, 0, 0])
+            assert np.allclose(undone, state, rtol=0.0, atol=1e-12)
 
 
 def test_statevector_density_agreement():

@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -96,6 +98,14 @@ def test_config_rejects_register_the_circuit_or_kernel_cannot_take():
         assert config.circuit().n_qubits == config.kernel().n_bits == config.n_qubits
 
 
+def test_config_rejects_readout_flip_outside_register():
+    with pytest.raises(ValueError, match="no qubit 9 in a 4-qubit register"):
+        TrainingConfig(d_c=2, n_layers=1, noise=NoiseModel(readout_flip={9: 0.4}))
+    with pytest.raises(ValueError, match="no qubit 4 in a 4-qubit register"):
+        TrainingConfig(d_c=2, n_layers=1, noise=NoiseModel(readout_flip={4: 0.0}))
+    TrainingConfig(d_c=2, n_layers=1, noise=NoiseModel(readout_flip={3: 0.4}))
+
+
 def test_config_digest_sensitivity():
     a = TrainingConfig(d_c=2, n_layers=2, seed=7)
     b = TrainingConfig(d_c=2, n_layers=2, seed=7)
@@ -107,16 +117,40 @@ def test_config_digest_sensitivity():
 
 
 def test_config_kv_roundtrip():
+    # every field off its default, so none can drop out of the key/value form
+    # or come back parsed as the wrong type
     config = RunConfig(
         d_c=3,
         n_layers=2,
+        n_shots_train=512,
+        n_steps=7,
+        alpha=0.05,
+        beta1=0.8,
+        beta2=0.99,
+        epsilon=1e-7,
+        sigma=0.3,
+        kernel_distance="hamming-squared",
+        sigma_is_variance=False,
         seed=5,
-        label="roundtrip",
+        n_rows=1,
+        n_cols=4,
+        kl_shots=1000,
+        kl_repeats=3,
+        metric_every=2,
+        checkpoint_every=3,
+        qbas_enabled=True,
+        qbas_shots=100,
+        qbas_repeats=4,
+        qbas_sample_size=7,
+        qbas_resamples=50,
+        gradient_mode="exact",
         dc3_edges=((0, 1), (0, 2), (0, 3)),
         noise=NoiseModel(p1=0.002, p2=0.02, readout_flip_all=0.03, readout_flip={1: 0.05}),
-        qbas_enabled=True,
-        alpha=0.05,
+        label="roundtrip",
     )
+    defaults = RunConfig(d_c=0, n_layers=0)
+    for f in fields(RunConfig):
+        assert getattr(config, f.name) != getattr(defaults, f.name), f.name
     rebuilt = config_from_items(dict(config.kv_items()))
     assert rebuilt == config
     assert rebuilt.digest() == config.digest()
