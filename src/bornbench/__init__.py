@@ -42,7 +42,7 @@ from .metrics import (
     qbas_protocol,
     qbas_score,
 )
-from .mmd import KernelSpec, gaussian_kernel, mmd_gradient, mmd_loss, mmd_loss_exact
+from .mmd import KernelSpec, mmd_gradient, mmd_loss, mmd_loss_exact
 from .noise import (
     NoiseModel,
     amplitude_damping_kraus,

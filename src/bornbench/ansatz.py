@@ -24,8 +24,6 @@ import numpy as np
 
 from .bas import ImageShape, TargetDistribution
 
-SUBCOVERING_DURATION_NS = 200.0
-
 # The two perfect matchings of the 4-qubit square plaquette 0-1-3-2.
 MATCHING_A = ((0, 1), (2, 3))
 MATCHING_B = ((0, 2), (1, 3))
@@ -64,10 +62,6 @@ class EntanglerLayer:
     def edges(self) -> tuple[tuple[int, int], ...]:
         """All CNOTs in application order."""
         return tuple(e for covering in self.sub_coverings for e in covering)
-
-    @property
-    def duration_ns(self) -> float:
-        return SUBCOVERING_DURATION_NS * len(self.sub_coverings)
 
     def max_qubit(self) -> int:
         return max((max(c, t) for c, t in self.edges), default=-1)
@@ -274,7 +268,6 @@ def build_circuit(
     n_layers: int,
     chow_liu_source: TargetDistribution | None = None,
     dc3_edges=None,
-    entangler_layers=None,
 ) -> CircuitSpec:
     """Assemble the benchmark ansatz.
 
@@ -284,16 +277,10 @@ def build_circuit(
     one more rotation layer than entangling layers; ``n_layers == 0`` keeps
     two rotation layers so the parameter space matches the single-layer case.
     The three-CNOT layer needs ``chow_liu_source`` or explicit ``dc3_edges``.
-    Arbitrary registers are supported by passing ``entangler_layers``
-    explicitly.
     """
     if n_layers < 0:
         raise ValueError("n_layers must be nonnegative")
-    if entangler_layers is not None:
-        layers = tuple(entangler_layers)
-        if len(layers) != n_layers:
-            raise ValueError(f"expected {n_layers} entangler layers, got {len(layers)}")
-    elif d_c == 0 or n_layers == 0:
+    if d_c == 0 or n_layers == 0:
         if d_c != 0 and n_layers == 0:
             raise ValueError("entangling layers require n_layers >= 1")
         layers = tuple(EntanglerLayer(()) for _ in range(n_layers))
@@ -301,10 +288,7 @@ def build_circuit(
         if d_c not in (2, 3, 4):
             raise ValueError(f"unsupported d_c {d_c}; choose 0, 2, 3 or 4")
         if n_qubits != 4:
-            raise ValueError(
-                "built-in entangling layers are defined on 4 qubits; "
-                "pass entangler_layers explicitly for other registers"
-            )
+            raise ValueError("built-in entangling layers are defined on 4 qubits")
         if d_c == 2:
             layers = tuple(entangler_dc2(i) for i in range(n_layers))
         elif d_c == 4:
@@ -401,9 +385,7 @@ def load_coupling_graph(path) -> CouplingGraph:
     return CouplingGraph(n, frozenset(edges), path.stem)
 
 
-def embed_layer(
-    layer: EntanglerLayer, graph: CouplingGraph, n_logical: int | None = None
-) -> dict[int, int] | None:
+def embed_layer(layer: EntanglerLayer, graph: CouplingGraph) -> dict[int, int] | None:
     """Injective map of layer qubits onto graph vertices such that every CNOT
     lands on a graph edge, or None when no such map exists.
 
@@ -412,8 +394,7 @@ def embed_layer(
     deterministic.
     """
     logical_edges = {(min(c, t), max(c, t)) for c, t in layer.edges}
-    if n_logical is None:
-        n_logical = layer.max_qubit() + 1
+    n_logical = layer.max_qubit() + 1
     if n_logical <= 0:
         return {}
     if n_logical > graph.n_physical:

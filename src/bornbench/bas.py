@@ -63,13 +63,6 @@ def bitstring(index: int, n_bits: int) -> str:
     return format(index, f"0{n_bits}b")
 
 
-def pixel_qubit(shape: ImageShape, row: int, col: int) -> int:
-    """Register qubit holding pixel (row, col)."""
-    if not (0 <= row < shape.rows and 0 <= col < shape.cols):
-        raise ValueError(f"pixel ({row}, {col}) outside {shape.rows}x{shape.cols} image")
-    return row * shape.cols + col
-
-
 def enumerate_bas(shape: ImageShape) -> list[int]:
     """Basis indices of all images whose rows are constant (stripes) or whose
     columns are constant (bars), sorted ascending.

@@ -84,7 +84,6 @@ def cmd_deploy(args) -> int:
     run_dir = Path(args.run_dir)
     config = read_run_config(run_dir)
     noise = load_noise(args.noise)
-    noise.check_register(config.n_qubits)
     out_path = run_dir / args.out
     if out_path.exists() and not args.force:
         raise FileExistsError(f"{out_path} already exists; pass --force to overwrite")

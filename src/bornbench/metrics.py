@@ -18,7 +18,6 @@ aggregates 11 independent histograms by inverse-variance weighting.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from statistics import fmean
 from typing import NamedTuple
@@ -28,7 +27,7 @@ import numpy as np
 from .ansatz import CircuitSpec
 from .bas import TargetDistribution
 from .noise import NoiseModel
-from .sim import Histogram, circuit_probabilities, sample_histogram
+from .sim import Histogram, circuit_probabilities, sample_counts
 
 
 class KlEstimate(NamedTuple):
@@ -60,24 +59,27 @@ def default_floor(n_shots: int) -> float:
     return 1.0 / (100.0 * n_shots)
 
 
+def _kl_rows(p: TargetDistribution, counts, n_shots: int, floor: float | None) -> list[float]:
+    """KL(p || q) in nats of each row of a (R, 2^n) counts array drawn at
+    ``n_shots`` shots.  Each row is summed on its own, as a lone histogram is:
+    a sum over the whole array's last axis rounds differently."""
+    if floor is None:
+        floor = default_floor(n_shots)
+    support = p.support
+    ps = p.probs[support]
+    q_hat = np.maximum(counts[:, support] / n_shots, floor)
+    with np.errstate(divide="ignore"):  # unsampled and unfloored: p log(p/0) = inf
+        terms = ps * np.log(ps / q_hat)
+    return [float(np.sum(row)) for row in terms]
+
+
 def kl_divergence(p: TargetDistribution, q: Histogram, floor: float | None = None) -> float:
     """KL(p || q) in nats from a sampled histogram.
 
     A nonpositive ``floor`` disables smoothing: any unsampled target state
     then makes the divergence infinite.
     """
-    if floor is None:
-        floor = default_floor(q.n_shots)
-    support = p.support
-    empirical = q.counts[support] / q.n_shots
-    if floor <= 0.0:
-        if np.any(empirical == 0.0):
-            return math.inf
-        q_hat = empirical
-    else:
-        q_hat = np.maximum(empirical, floor)
-    ps = p.probs[support]
-    return float(np.sum(ps * np.log(ps / q_hat)))
+    return _kl_rows(p, q.counts[None], q.n_shots, floor)[0]
 
 
 def kl_sampling_summary(
@@ -89,20 +91,15 @@ def kl_sampling_summary(
     floor: float | None = None,
 ) -> KlEstimate:
     """Mean and sample standard deviation of KL over independent histograms
-    drawn from an outcome distribution."""
+    drawn from an outcome distribution, histogram k from the k-th generator
+    spawned off ``rng``."""
     if n_repeats < 2:
         raise ValueError("need at least 2 repeats for a standard deviation")
-    streams = rng.spawn(n_repeats)
-    values = []
-    smoothed = False
-    for stream in streams:
-        hist = sample_histogram(probs, n_shots, stream)
-        if np.any(hist.counts[p.support] == 0):
-            smoothed = True
-        values.append(kl_divergence(p, hist, floor))
-    mean = fmean(values)
-    std = float(np.std(values, ddof=1))
-    return KlEstimate(mean, std, smoothed)
+    rows = np.broadcast_to(probs, (n_repeats,) + np.shape(probs))
+    counts = sample_counts(rows, n_shots, rng.spawn(n_repeats))
+    values = _kl_rows(p, counts, n_shots, floor)
+    smoothed = bool(np.any(counts[:, p.support] == 0))
+    return KlEstimate(fmean(values), float(np.std(values, ddof=1)), smoothed)
 
 
 def mean_kl(
@@ -179,6 +176,8 @@ def qbas_from_probs(
 ) -> QbasResult:
     """qBAS protocol on an outcome distribution: ``repeats`` independent
     histograms, scored by resampling, aggregated by inverse-variance weights.
+    Histogram k is drawn from, then resampled on, the k-th generator spawned
+    off ``rng``.
 
     The reported variance is that of the weighted mean, 1 / sum(1/var_i).
     When any per-histogram variance is zero the unweighted mean is returned
@@ -186,11 +185,13 @@ def qbas_from_probs(
     means as the variance.
     """
     streams = rng.spawn(repeats)
-    means = np.empty(repeats)
-    variances = np.empty(repeats)
-    for k, stream in enumerate(streams):
-        hist = sample_histogram(probs, shots, stream)
-        means[k], variances[k] = qbas_score(hist, bas_states, sample_size, resamples, stream)
+    counts = sample_counts(np.broadcast_to(probs, (repeats,) + np.shape(probs)), shots, streams)
+    scores = [
+        qbas_score(Histogram(row, shots), bas_states, sample_size, resamples, stream)
+        for row, stream in zip(counts, streams)
+    ]
+    # fresh contiguous arrays: weights @ means on a strided view rounds differently
+    means, variances = map(np.array, zip(*scores))
     if np.any(variances <= 1e-24):  # constant scores up to float rounding
         return QbasResult(float(means.mean()), float(means.var()), True)
     weights = 1.0 / variances

@@ -61,11 +61,6 @@ class KernelSpec:
         self.matrix = np.exp(-d / denom)
 
 
-def gaussian_kernel(x: int, y: int, spec: KernelSpec) -> float:
-    """Kernel value between two basis states."""
-    return float(spec.matrix[x, y])
-
-
 def mmd_loss(q: Histogram, p: TargetDistribution, spec: KernelSpec) -> float:
     """Squared MMD between a sampled model distribution and the exact target.
 

@@ -320,6 +320,7 @@ def evolve_density(
 def evolve_noisy(circuit: CircuitSpec, theta, noise: NoiseModel) -> np.ndarray:
     """Outcome distribution of the circuit under the noise model, readout
     confusion included."""
+    noise.check_register(circuit.n_qubits)
     rho = evolve_density(circuit, theta, noise)
     probs = exact_probabilities(rho)
     confusion = noise.confusion_matrices(circuit.n_qubits)

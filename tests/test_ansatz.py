@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from bornbench import (
+    CircuitSpec,
     CouplingGraph,
     EntanglerLayer,
     ImageShape,
@@ -83,7 +84,6 @@ def test_dc4_structure():
     assert all(len(c) == 2 for c in layer.sub_coverings)
     assert layer.d_c == 4
     assert {tuple(sorted(e)) for e in layer.edges} == PLAQUETTE_EDGES
-    assert layer.duration_ns == 2 * entangler_dc2(0).duration_ns
 
 
 def test_subcoverings_must_be_disjoint():
@@ -185,10 +185,18 @@ def test_build_circuit_errors(target22):
         build_circuit(6, 2, 1)  # built-in layers are 4-qubit only
     with pytest.raises(ValueError):
         build_circuit(4, 2, 0)
-    # explicit layers lift the 4-qubit restriction
+    # other registers take explicit layers through the CircuitSpec constructor
     layer = layer_from_edges([(0, 1), (2, 3), (4, 5)])
-    circuit = build_circuit(6, 2, 1, entangler_layers=[layer])
-    assert circuit.n_qubits == 6
+    patterns = build_circuit(4, 2, 1).rotation_layers
+    circuit = CircuitSpec(6, patterns, (layer,))
+    assert circuit.n_qubits == 6 and circuit.parameter_count == 24
+    assert [i for i in circuit.instructions() if i[0] == "cnot"] == [
+        ("cnot", 0, 1),
+        ("cnot", 2, 3),
+        ("cnot", 4, 5),
+    ]
+    with pytest.raises(ValueError):
+        CircuitSpec(4, patterns, (layer,))  # qubits 4 and 5 lie outside the register
 
 
 def test_l0_output_is_product(rng):
@@ -216,11 +224,10 @@ def test_classify_pixel_pairs():
 # -- embedding ---------------------------------------------------------------
 
 
-def brute_force_embed(layer, graph, n_logical=None):
+def brute_force_embed(layer, graph):
     """Oracle: try every injection of logical onto physical vertices."""
     edges = {tuple(sorted(e)) for e in layer.edges}
-    if n_logical is None:
-        n_logical = layer.max_qubit() + 1
+    n_logical = layer.max_qubit() + 1
     for mapping in itertools.permutations(range(graph.n_physical), n_logical):
         if all(
             (min(mapping[u], mapping[v]), max(mapping[u], mapping[v])) in graph.edges

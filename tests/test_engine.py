@@ -35,7 +35,8 @@ from bornbench.training import TAG_GRAD, RunConfig
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 MODERATE = CONFIGS / "noise" / "moderate.profile"
 
-# SHA-256 of every byte-identical run file after a 5-step train at seed 0.
+# SHA-256 of every byte-identical run file after a 5-step train at seed 0 of
+# a shipped config, or of one in EXTRA_CONFIGS.
 GOLDEN_RUNS = {
     "dc2_L2_2048": {
         "checkpoints/step_000000.json": "c9b70b33938347a65a599165f6273d224c8c020aed2bf3f1fb2178cf3a5c7e18",
@@ -50,6 +51,55 @@ GOLDEN_RUNS = {
         "final_theta.json": "1ac7463cf06af6ab535a568e341b66215b8c05d2d1dd693fa178643fd1da28e5",
         "metrics.csv": "0a9fa6d3301c641c6646731b823f9fb8a08d6e5215295f20898f36ee09087226",
         "theta_trajectory.csv": "6c9372eb895b87032365765f541171ef8b3e338f2baa8e19a8df8fd926db836c",
+    },
+    "dc2_L1_1024": {
+        "checkpoints/step_000000.json": "322170a6c8149881ddcb1a27aa2834bf6772c30995b1455deb4474f49993dc83",
+        "checkpoints/step_000005.json": "14d622e3af7c5954453a13105172edf66addb2ae91a0e5eaba12ed7e9be5884a",
+        "final_theta.json": "4ca13750df2d4c907cb332bfd74318e6b479da22b7616f9fb03308576c37a1c7",
+        "metrics.csv": "30ea9f35d7bb91ba581b64fc5cdb5c0bd5cf79d8f741b7f347a2392de24c62ce",
+        "theta_trajectory.csv": "e848dafe6d1aa4b4fc4c9e964e7a9ae98548fb1c25f2590d9f1025b4a519a188",
+    },
+    "dc2_L1_lowrate": {
+        "checkpoints/step_000000.json": "257f937d3cb85a2c50d456cf9ed585841fd05b2ea3e083ae74b1ad8bdb0982fb",
+        "checkpoints/step_000005.json": "7fb3b6ce4c4aa4482a78c7c31847ba96663d6b68a3474f5f51d7a954ffc45348",
+        "final_theta.json": "2e52411e374870c0c437d5a98e70b3c9981ffe9a21872e1ef637c6075a74128d",
+        "metrics.csv": "573b38fcfb6bd85da3b9fcc87bbeaefc5ee547bf710273650e96ab3fd61257e4",
+        "theta_trajectory.csv": "306adc63e3665812d9afd8e62b23b632286df4a927d2a33ede7c24bfe577a60b",
+    },
+    "dc3_L1_2048": {
+        "checkpoints/step_000000.json": "f4008c997878cabd21f3149e6b2214b1b4f1a1b316b047dee804f68e7726cf28",
+        "checkpoints/step_000005.json": "c5e737bb566f1c39daa177036bcb35701d58e6e6f95f39a50216a9a4b27fc847",
+        "final_theta.json": "af13c5ce6c0bc57718c67d9ad14aef8bb3b46c8454b7f788c81f892648d9ad74",
+        "metrics.csv": "571554f5465298a4ee8a3d0c2b861d0415f08185e5de911ce498dfcead0bc4e7",
+        "theta_trajectory.csv": "c7192edc4be488a8fe7d9768072c8f71bc4a7ecad565a176e505b83f1dcc3fcc",
+    },
+    "dc4_L1_2048": {
+        "checkpoints/step_000000.json": "2e2d4e6eb6a99c45a405c452561f66f501abaa6017088559847416c232aa2fd6",
+        "checkpoints/step_000005.json": "0c52a622705e093b5e66ba1b1b6a4edb9d97e74a6a4438de8f00f830aa2586bc",
+        "final_theta.json": "618ba7861d3c2b3708b08059d779f2a9d16e91d71959e04f48c5934d77595410",
+        "metrics.csv": "798c848786afc7000ab8afd33a5faf6ca2bf2d869e34d13c19522ad330a0af84",
+        "theta_trajectory.csv": "f8997f88f3c2b9bc8091c058a3f28f6a8be4c67eff42318733a9c13855f6f2ba",
+    },
+    "product_baseline_1024": {
+        "checkpoints/step_000000.json": "c76818ff51b4a71da7513541861d0bed842ae5172297d0c596ca745f8d52b0a5",
+        "checkpoints/step_000005.json": "2cf42a2097ade8d9755054f7df75baa66f2c311566b121665c754326761999df",
+        "final_theta.json": "57777f69b0d87b4f7cd0f483267f16ad77790cc291173b9188daf60a4bdb808f",
+        "metrics.csv": "8189e9795bbf78b99536d9c61acaabcdf2d7c9ba20fa9178e09fcf125869d6be",
+        "theta_trajectory.csv": "91e962e7ed9405eb2ded93383aeb3c7fc68921ff5b860a5409093a303731cedd",
+    },
+    "qbas_dc3_L2": {
+        "checkpoints/step_000000.json": "736b227021523e313d1a55e40e53e7f93664f8a8653954b70841327cbd0e187b",
+        "checkpoints/step_000005.json": "471f856e4a82c20a745a9f880e0dc0be07d877d2f77909915217d1143ffe7062",
+        "final_theta.json": "300ea4a1295b7f3638abccbdb14d78b13d182749b2e3d249404d5b74d5211e3f",
+        "metrics.csv": "93d31c942afbc1db9b27b384f58adb3886bcdc08aa335134ef09c2adc8b7d004",
+        "theta_trajectory.csv": "68256e0523096cb38c736df73172a5c47d5429ea7aa876a96bba78f2a91ecaaa",
+    },
+    "bas23_dc0_L0_qbas": {
+        "checkpoints/step_000000.json": "e925b9f4469aec780969d303a919ca34c87d83fac32dc8387cdfcf46e73b4273",
+        "checkpoints/step_000005.json": "e5314fd669487060af2db876aee724b22e820819852db8d2c32cf1761c6deac6",
+        "final_theta.json": "aa3c453308b159f89969d055d2192e818179799d9380919bb9e4f3505f6a7797",
+        "metrics.csv": "7b382c896613996cb0a87005b84d3f83a6c3b5f817e38e60205fcb9ffee11cab",
+        "theta_trajectory.csv": "722df7b770b5c0a3759394ab67f4d7c49b95de5cde88332be234f3608421c0b7",
     },
 }
 
@@ -110,9 +160,15 @@ def run_digests(config: RunConfig, out_dir: Path) -> dict[str, str]:
     }
 
 
+# Golden runs no shipped config covers: the 2x3 target has 10 support states.
+EXTRA_CONFIGS = {
+    "bas23_dc0_L0_qbas": RunConfig(d_c=0, n_layers=0, n_rows=2, n_cols=3, qbas_enabled=True),
+}
+
+
 def short_run_digests(name: str, out_dir: Path) -> dict[str, str]:
-    config = replace(load_config_file(CONFIGS / f"{name}.cfg"), n_steps=5, seed=0)
-    return run_digests(config, out_dir)
+    config = EXTRA_CONFIGS.get(name) or load_config_file(CONFIGS / f"{name}.cfg")
+    return run_digests(replace(config, n_steps=5, seed=0), out_dir)
 
 
 def noisy_gradient(mode: str) -> np.ndarray:

@@ -1,12 +1,15 @@
 import math
+from statistics import fmean
 
 import numpy as np
 import pytest
 
 from bornbench import (
     Histogram,
+    QbasResult,
     TrainingConfig,
     bas_target_distribution,
+    enumerate_bas,
     ImageShape,
     f1_per_state,
     kl_divergence,
@@ -17,6 +20,8 @@ from bornbench import (
     qbas_score,
     sample_histogram,
 )
+from bornbench import metrics
+from bornbench.sim import sample_counts
 
 BAS22 = [0, 3, 5, 10, 12, 15]
 
@@ -260,3 +265,107 @@ def test_qbas_validation(target22):
         qbas_score(hist, BAS22, 0, 100, np.random.default_rng(0))
     with pytest.raises(ValueError):
         qbas_score(hist, BAS22, 15, 0, np.random.default_rng(0))
+
+
+# ---------------------------------------------------------------------------
+# The per-histogram loops that one batched ``sample_counts`` call replaced,
+# kept as the reference the batched metrics must match bit for bit.
+
+
+def reference_kl(p, hist, floor=None):
+    if floor is None:
+        floor = 1.0 / (100.0 * hist.n_shots)
+    empirical = hist.counts[p.support] / hist.n_shots
+    if floor <= 0.0:
+        if np.any(empirical == 0.0):
+            return math.inf
+        q_hat = empirical
+    else:
+        q_hat = np.maximum(empirical, floor)
+    ps = p.probs[p.support]
+    return float(np.sum(ps * np.log(ps / q_hat)))
+
+
+def reference_kl_summary(p, probs, rng, n_repeats, n_shots, floor):
+    values, smoothed = [], False
+    for stream in rng.spawn(n_repeats):
+        hist = sample_histogram(probs, n_shots, stream)
+        smoothed |= bool(np.any(hist.counts[p.support] == 0))
+        value = kl_divergence(p, hist, floor)
+        assert repr(value) == repr(reference_kl(p, hist, floor))
+        values.append(value)
+    return fmean(values), float(np.std(values, ddof=1)), smoothed
+
+
+def reference_qbas(probs, bas_states, rng, shots, repeats, sample_size, resamples):
+    streams = rng.spawn(repeats)
+    means = np.empty(repeats)
+    variances = np.empty(repeats)
+    for k, stream in enumerate(streams):
+        hist = sample_histogram(probs, shots, stream)
+        means[k], variances[k] = qbas_score(hist, bas_states, sample_size, resamples, stream)
+    if np.any(variances <= 1e-24):
+        return QbasResult(float(means.mean()), float(means.var()), True)
+    weights = 1.0 / variances
+    return QbasResult(float((weights @ means) / weights.sum()), float(1.0 / weights.sum()), False)
+
+
+def noisy_target(shape, seed, unsampled=False):
+    """The BAS target mixed with Dirichlet noise; ``unsampled`` zeroes one
+    support state so that no histogram can draw it."""
+    target = bas_target_distribution(shape)
+    noise = np.random.default_rng(seed).dirichlet(np.ones(len(target.probs)))
+    probs = 0.8 * target.probs + 0.2 * noise
+    if unsampled:
+        probs[target.support[-1]] = 0.0
+    return target, probs / probs.sum()
+
+
+SHAPES = [(2, 2), (2, 3), (3, 3), (3, 4)]
+
+
+@pytest.mark.parametrize("rows, cols", SHAPES)
+@pytest.mark.parametrize("floor", [None, 0.0, 1e-3], ids=["default", "zero", "fixed"])
+@pytest.mark.parametrize("unsampled", [False, True], ids=["sampled", "unsampled"])
+def test_kl_summary_matches_per_histogram_loop(rows, cols, floor, unsampled):
+    target, probs = noisy_target(ImageShape(rows, cols), 10 * rows + cols, unsampled)
+    for n_shots, seed in ((64, 1), (2048, 2)):
+        with np.errstate(invalid="ignore"):  # std of infinite KL values is nan
+            got = kl_sampling_summary(
+                target, probs, np.random.default_rng(seed), n_repeats=7, n_shots=n_shots, floor=floor
+            )
+            expected = reference_kl_summary(
+                target, probs, np.random.default_rng(seed), 7, n_shots, floor
+            )
+        assert repr(tuple(got)) == repr(expected)  # repr: bit-exact, nan-safe
+        if unsampled:
+            assert got.smoothed
+            assert (got.mean == math.inf) == (floor == 0.0)
+
+
+@pytest.mark.parametrize("rows, cols", [(2, 2), (2, 3)])
+def test_qbas_from_probs_matches_per_histogram_loop(rows, cols):
+    shape = ImageShape(rows, cols)
+    bas_states = enumerate_bas(shape)
+    _, probs = noisy_target(shape, rows + cols)
+    point = np.zeros(2**shape.n_bits)
+    point[bas_states[1]] = 1.0  # degenerate weights
+    for case in (probs, point):
+        got = qbas_from_probs(case, bas_states, np.random.default_rng(8), resamples=2000)
+        expected = reference_qbas(case, bas_states, np.random.default_rng(8), 1024, 11, 15, 2000)
+        assert repr(got) == repr(expected)
+    assert not qbas_from_probs(probs, bas_states, np.random.default_rng(8)).degenerate_weights
+
+
+def test_each_metric_draws_its_histograms_in_one_batch(target22, monkeypatch):
+    calls = []
+
+    def counting(probs, n_shots, streams):
+        calls.append((np.shape(probs), n_shots, len(streams)))
+        return sample_counts(probs, n_shots, streams)
+
+    monkeypatch.setattr(metrics, "sample_counts", counting)
+    kl_sampling_summary(target22, target22.probs, np.random.default_rng(0), n_shots=100)
+    assert calls == [((10, 16), 100, 10)]
+    qbas_from_probs(target22.probs, BAS22, np.random.default_rng(0), resamples=100)
+    assert calls[1:] == [((11, 16), 1024, 11)]

@@ -8,7 +8,6 @@ from bornbench import (
     KernelSpec,
     TrainingConfig,
     circuit_probabilities,
-    gaussian_kernel,
     mmd_gradient,
     mmd_loss,
     mmd_loss_exact,
@@ -23,8 +22,8 @@ def kernel4():
 
 def test_kernel_diagonal_and_symmetry(kernel4):
     for x in range(16):
-        assert gaussian_kernel(x, x, kernel4) == 1.0
-    assert np.allclose(kernel4.matrix, kernel4.matrix.T)
+        assert kernel4.matrix[x, x] == 1.0
+    assert np.array_equal(kernel4.matrix, kernel4.matrix.T)
     # distant pairs underflow to 0.0 in float64; near-diagonal entries stay positive
     assert np.all(kernel4.matrix >= 0.0)
     assert np.all(kernel4.matrix <= 1.0)
@@ -33,18 +32,18 @@ def test_kernel_diagonal_and_symmetry(kernel4):
 
 def test_kernel_value_integer_distance(kernel4):
     # direct evaluation: d = (3-4)^2 = 1, sigma treated as variance
-    assert gaussian_kernel(3, 4, kernel4) == pytest.approx(math.exp(-1 / 0.2), rel=1e-12)
+    assert kernel4.matrix[3, 4] == pytest.approx(math.exp(-1 / 0.2), rel=1e-12)
 
 
 def test_kernel_hamming_variant():
     spec = KernelSpec(4, sigma=0.1, distance="hamming-squared")
     # 0b0000 vs 0b0011 differ in 2 bits: exp(-4 / 0.2)
-    assert gaussian_kernel(0b0000, 0b0011, spec) == pytest.approx(math.exp(-20.0))
+    assert spec.matrix[0b0000, 0b0011] == pytest.approx(math.exp(-20.0))
 
 
 def test_kernel_sigma_as_std():
     spec = KernelSpec(4, sigma=0.5, sigma_is_variance=False)
-    assert gaussian_kernel(0, 1, spec) == pytest.approx(math.exp(-1 / (2 * 0.25)))
+    assert spec.matrix[0, 1] == pytest.approx(math.exp(-1 / (2 * 0.25)))
 
 
 def test_kernel_validation():

@@ -3,8 +3,10 @@ import pytest
 
 from bornbench import (
     NoiseModel,
+    TrainingConfig,
     amplitude_damping_kraus,
     apply_readout,
+    circuit_probabilities,
     depolarizing_kraus,
     load_noise,
 )
@@ -137,3 +139,12 @@ def test_load_noise_profiles(tmp_path):
 def test_noise_kv_roundtrip():
     model = NoiseModel(p1=0.002, p2=0.02, readout_flip_all=0.03, readout_flip={2: 0.06}, t_damp=0.01)
     assert noise_from_items(dict(model.kv_items())) == model
+
+
+def test_simulator_rejects_readout_flip_outside_register():
+    circuit = TrainingConfig(d_c=2, n_layers=1).circuit()
+    theta = np.zeros(circuit.parameter_count)
+    with pytest.raises(ValueError, match="no qubit 9 in a 4-qubit register"):
+        circuit_probabilities(circuit, theta, NoiseModel(readout_flip={9: 0.4}))
+    flip3 = circuit_probabilities(circuit, theta, NoiseModel(readout_flip={3: 0.4}))
+    assert flip3[1] == pytest.approx(0.4, abs=1e-12)  # |0000> read out as 0001
