@@ -18,6 +18,7 @@ aggregates 11 independent histograms by inverse-variance weighting.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from statistics import fmean
 from typing import NamedTuple
@@ -92,14 +93,15 @@ def kl_sampling_summary(
 ) -> KlEstimate:
     """Mean and sample standard deviation of KL over independent histograms
     drawn from an outcome distribution, histogram k from the k-th generator
-    spawned off ``rng``."""
+    spawned off ``rng``.  An infinite repeat makes both infinite."""
     if n_repeats < 2:
         raise ValueError("need at least 2 repeats for a standard deviation")
     rows = np.broadcast_to(probs, (n_repeats,) + np.shape(probs))
     counts = sample_counts(rows, n_shots, rng.spawn(n_repeats))
     values = _kl_rows(p, counts, n_shots, floor)
     smoothed = bool(np.any(counts[:, p.support] == 0))
-    return KlEstimate(fmean(values), float(np.std(values, ddof=1)), smoothed)
+    std = math.inf if math.inf in values else float(np.std(values, ddof=1))
+    return KlEstimate(fmean(values), std, smoothed)
 
 
 def mean_kl(

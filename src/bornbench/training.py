@@ -33,6 +33,9 @@ TAG_DEPLOY = 6
 
 CHECKPOINT_VERSION = 1
 CONFIG_DIGEST_VERSION = 1
+# Output version of the density-matrix path; only noisy configs hash it, so
+# a change to noisy bytes leaves every noiseless digest and checkpoint alone.
+DENSITY_PATH_VERSION = 2
 
 
 def rng_stream(seed: int, *path: int) -> np.random.Generator:
@@ -223,6 +226,8 @@ class TrainingConfig:
 
     def digest(self) -> str:
         lines = [f"digest_version = {CONFIG_DIGEST_VERSION}"]
+        if self.noise is not None and not self.noise.is_noiseless():
+            lines.append(f"density_path_version = {DENSITY_PATH_VERSION}")
         lines.extend(f"{k} = {v}" for k, v in sorted(self.kv_items()))
         return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 

@@ -1,11 +1,15 @@
 """Guards on the batched simulation engine.
 
-The expected digests were recorded with the per-circuit, per-gate simulator
+The noiseless digests were recorded with the per-circuit, per-gate simulator
 that preceded batching; every batched path must reproduce its bytes exactly.
+The noisy digests were recorded with the fused-superoperator density path
+(``density_path_version = 2``), which stays within 1e-12 of the per-gate
+reference walk below.
 """
 
 import hashlib
 from dataclasses import replace
+from itertools import product
 from pathlib import Path
 
 import math
@@ -14,6 +18,7 @@ import numpy as np
 import pytest
 
 from bornbench import (
+    NoiseModel,
     TrainingConfig,
     amplitude_damping_kraus,
     apply_readout,
@@ -27,13 +32,15 @@ from bornbench import (
     sample_histogram,
     train,
 )
-from bornbench import noise as noise_module, sim
+from bornbench import sim, training
+from bornbench.kv import parse_kv_file
 from bornbench.noise import contract_axes
-from bornbench.runio import load_config_file, write_run
+from bornbench.runio import config_from_items, is_sweep_axis, load_config_file, write_run
 from bornbench.training import TAG_GRAD, RunConfig
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 MODERATE = CONFIGS / "noise" / "moderate.profile"
+ZERO = CONFIGS / "noise" / "zero.profile"
 
 # SHA-256 of every byte-identical run file after a 5-step train at seed 0 of
 # a shipped config, or of one in EXTRA_CONFIGS.
@@ -105,41 +112,44 @@ GOLDEN_RUNS = {
 
 # SHA-256 of the float64 bytes of a noisy d_c=4, L=2 gradient (moderate
 # profile) at the angles of ``noisy_gradient``, drawn from
-# rng_stream(0, TAG_GRAD, 0).
+# rng_stream(0, TAG_GRAD, 0).  The sampled gradient kept its bytes through the
+# fused density path: its histograms come out the same.
 GOLDEN_GRADIENTS = {
-    "exact": "65bfb4d04ce5bb443b95851b9d276d9527cedf6486f9582f79519dcd729fb9a7",
+    "exact": "3b1e901386bac03e331bbed4bbd381e0fbcbc435f5928eda802d16527eacdda8",
     "sampled": "2becfeb50b43c308b6a35e89cf39a06e77b899a2d42c8d4d88c7d7f907c67b3c",
 }
 
 
 # SHA-256 of every byte-identical run file after a 3-step train at seed 0
-# under the moderate noise profile, keyed by (d_c, n_layers, gradient_mode);
-# recorded while channels still took one matmul per Kraus operator and side.
+# under the moderate noise profile, keyed by (d_c, n_layers, gradient_mode).
+# The sampled runs' metrics.csv, trajectory and final_theta.json bytes date
+# from the per-gate density path; only their checkpoints moved, through the
+# config digest they embed.
 GOLDEN_NOISY_RUNS = {
     (2, 1, "exact"): {
-        "checkpoints/step_000000.json": "0753071c3a35798d34be40c46c952a5ad022dd107fc831bddacb66fd1266d4c2",
-        "checkpoints/step_000003.json": "b03de857855fa0b7ac7c653b8199aeff67e38a6e3cb27c9000d238e14ab77ed6",
-        "final_theta.json": "69a3ca63a4c7a03a086578417fb150fac2c6da9aa3a70440a2753089f0364da5",
-        "metrics.csv": "4d3f095ff04f6c51e462ea44724ddbcf0b3eb4d7717576498b1bc8d8e70aa475",
-        "theta_trajectory.csv": "bcd654c46316f07876b4e9d91045979279ae09c828c0d31bbaa497e8a0a9b90f",
+        "checkpoints/step_000000.json": "e4910a59d308350706d42df004e95a341af18246e8de40fc5ff2f40c279d2f70",
+        "checkpoints/step_000003.json": "faff19b8949d9396cb40ede0ac01a7bd86955f3bed6681eba184d385aa0735b4",
+        "final_theta.json": "6f67000f2706c4bd2d37f2f0be0040614434fbd4f55fc2027a4b7cfb6f119a15",
+        "metrics.csv": "7f07b80f141cf5b126bf13d87d69c084591ccc5bfc280d3c5601e0ad0af89261",
+        "theta_trajectory.csv": "22b80beca5355cdf44b839cb98375c3f7863cf6e936223f47b5683a4196b0fd0",
     },
     (2, 1, "sampled"): {
-        "checkpoints/step_000000.json": "945b5b567b3468cd4fdc90eabeb2d5113e48a390f2eea87bd41ec652e3954472",
-        "checkpoints/step_000003.json": "388065d6f13c4b141e01fb756a4010dd9a82aaf5dffda58348ed030bbddc5ad2",
+        "checkpoints/step_000000.json": "3f809b0c3c93573abfaea57ba199d7a388d7533e7ec77db52411f450e396dea2",
+        "checkpoints/step_000003.json": "3fa06c2c65f25b6e6695333738ebd8fccc6ce9c49199fd6199c249df830df326",
         "final_theta.json": "fb55740fea6f21daecc4097f6f913665b504f78db61e5b92b2855ae159ed7188",
         "metrics.csv": "194dc3bb2d9f93fcb0e30d75552049d396531ae83922e04fb829d80237886bc9",
         "theta_trajectory.csv": "b9e3d9381263dc1d0ba2c186694f4cee67c7965587090e3d485e1917d2a3d8fb",
     },
     (4, 2, "exact"): {
-        "checkpoints/step_000000.json": "3add0bbf65ec3fb75eeb631ff50683af9ce5d5a60ab5669d20eed3e816ba78f2",
-        "checkpoints/step_000003.json": "cbca68c00fc9e644ede3cd813da935cd8b91e44d8e166e8185a7cc7bc4d883d7",
-        "final_theta.json": "98cb98efb831639c24b4e07cfad9a696b4bc13e4762960d531aafba025f451e7",
-        "metrics.csv": "82d7d709b6ff865c9c3ddd4724422d716c08eda3efb4b46405837a611a0f28a6",
-        "theta_trajectory.csv": "5c46ba3d1ce63fa3a009b1a18f6e82349bc7715102e80e908cabaf2d7bb7367f",
+        "checkpoints/step_000000.json": "0baff023cccc5ea73aa716cee744d04dd8361f1988678625f09b0dbafdeda8c3",
+        "checkpoints/step_000003.json": "1743f01740fddbaf612acf7148cd46505afdf5a8a93a7e05d5ff1096b80534d8",
+        "final_theta.json": "a81becae344281ff7ea1628acd6d6c0423a60ac7bf6c795fe76acb7bdb449ce1",
+        "metrics.csv": "0e8a808acdb72f5ba52fbddb11426d31933b6decffd7fca69041a1fb7ca046b3",
+        "theta_trajectory.csv": "0716518388123cd78061a881a237230fe010cfdb5e88ce9b2469f8224ef4263a",
     },
     (4, 2, "sampled"): {
-        "checkpoints/step_000000.json": "91c771bebbf00583e2bc989aa937516462182e3a7c5af2362488ae622e3b0c12",
-        "checkpoints/step_000003.json": "f887c617d110836bea5b50f8e2480528d1d37f76d96b05fe981c8932cab579f2",
+        "checkpoints/step_000000.json": "7e42134f8bd62d6ae0ee25b4a870223e83ddcbf5a971130af0a24219f33f95dd",
+        "checkpoints/step_000003.json": "635432b530444fda249a13847082acfc6d1ef82b1fb29a7ad27d3c1ff0cefa23",
         "final_theta.json": "2522ea5f87c57dd15b5c4214b6aa4d3c58d631be6d6078e7ce59a4d3b0db1ae0",
         "metrics.csv": "a9951f48bb1ab61bbea2c41eb37ee2bf6185785620b655256593f46863bea4b2",
         "theta_trajectory.csv": "28cac7b3dec1241c1752acff93488abd3842e9a6f5687a693465124aed34ed25",
@@ -210,7 +220,8 @@ def test_noisy_gradient_bytes_unchanged(mode):
 
 # ---------------------------------------------------------------------------
 # The one-state, per-gate simulator that batching replaced, kept as the
-# reference the engine must match bit for bit.
+# reference: statevectors must match it bit for bit, density matrices within
+# 1e-12 (perfbench's probability tolerance for the noisy workload).
 
 _CNOT = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex)
 
@@ -303,10 +314,11 @@ def test_batch_matches_rows_bit_for_bit(d_c, layers, noisy):
     if noisy:
         states = evolve_density(circuit, thetas, noise).entries
         expected = np.array([reference_density(circuit, t, noise) for t in thetas])
+        assert np.max(np.abs(states - expected)) <= 1e-12
     else:
         states = run_statevector(circuit, thetas).amplitudes
         expected = np.array([reference_amplitudes(circuit, t) for t in thetas])
-    assert states.tobytes() == expected.tobytes()
+        assert states.tobytes() == expected.tobytes()
 
 
 def test_single_theta_keeps_unbatched_shapes():
@@ -352,31 +364,113 @@ def test_sample_counts_draws_row_k_from_stream_k():
         sim.sample_counts(-probs, 300, [np.random.default_rng(k) for k in range(5)])
 
 
-def test_noise_channels_make_no_matmul_per_kraus_operator(monkeypatch):
-    """Only rotations contract through BLAS (ket side and bra side); every
-    Kraus operator of a channel is applied without a ``contract_axes`` call."""
+@pytest.mark.parametrize("d_c", [3, 4])
+def test_density_path_makes_one_contraction_per_gate(d_c, monkeypatch):
+    """A rotation (with its channel), a CNOT edge (with its channel and the
+    damping of both qubits) and the damping of a qubit no edge of a
+    sub-covering touches each take one ``contract_axes`` call."""
     calls = []
 
     def counting(t, axes, m):
-        calls.append(len(axes))
+        calls.append(list(axes))
         return contract_axes(t, axes, m)
 
     monkeypatch.setattr(sim, "contract_axes", counting)
-    monkeypatch.setattr(noise_module, "contract_axes", counting)
-    circuit = TrainingConfig(d_c=4, n_layers=2).circuit()
-    rotations = sum(instr[0] in ("rx", "rz") for instr in circuit.instructions())
+    circuit = TrainingConfig(d_c=d_c, n_layers=2).circuit()
+    n = circuit.n_qubits
+    expected, touched = [], set()
+    for op, *args in circuit.instructions():
+        if op == "cnot":
+            a, b = args
+            expected.append([a, b, n + a, n + b])
+            touched |= {a, b}
+        elif op == "tick":
+            expected.extend([q, n + q] for q in range(n) if q not in touched)
+            touched = set()
+        else:
+            expected.append([args[0], n + args[0]])
     evolve_density(circuit, _random_thetas(circuit, 2), load_noise(MODERATE))
-    assert calls == [1] * (2 * rotations)
+    assert calls == expected
 
 
-def test_channels_compile_only_scaled_pauli_x_products():
-    tables = sim._compile_kraus(depolarizing_kraus(0.3, 2))
-    assert len(tables) == 16
-    assert all(ket.size == bra.size == 4 for _, ket, bra in tables)
-    hadamard = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0)
-    with pytest.raises(ValueError):
-        sim._compile_kraus([hadamard])
-    with pytest.raises(ValueError):
-        sim._compile_kraus([np.diag([1.0, 1.0 + 1.0j]) / np.sqrt(3.0)])
-    with pytest.raises(ValueError):  # one nonzero per row, but not one flip mask
-        sim._compile_kraus([np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]])])
+# TrainingConfig.digest() of every shipped config (each sweep row labelled and
+# seeded as the sweep command does it, each plain config also under the
+# noiseless zero profile) and of EXTRA_CONFIGS, recorded before the density
+# path had a version of its own.
+PINNED_DIGESTS = {
+    "dc2_L1_1024": "505aedd76e86df532cc92a1b952363022a70f89622fd17884b163942b54db39b",
+    "dc2_L1_1024+zero": "95d22f511120ecade7a397852b3cbe4a2465f52c565a4d8b3d7047252f7416f5",
+    "dc2_L1_lowrate": "fc2613ff3a50c9071993711be95596af9cbdc502845fad7e32cfdc9107ee1172",
+    "dc2_L1_lowrate+zero": "5eb7c2f1daedceec829fee4c447000276996ee313bcfc5a0a0d0da0ec3099cd3",
+    "dc2_L2_2048": "e9ca2444507f66c2475fbbd7d009ba6620906d0f81d726aeb63c04d9f6852170",
+    "dc2_L2_2048+zero": "17da686fa6c90022d3022bbc4918769ad51256b4c1fea4f3b23b8d43108b2d99",
+    "dc3_L1_2048": "56bcb4e6657c22e97948291300d0f38965d5edbc0d894c637ef20ea9bf39163c",
+    "dc3_L1_2048+zero": "d3638397c930658dfbe3f60edd2619ae7629d4109334a1a519d70e6fe01947d5",
+    "dc4_L1_2048": "d6911cfedd979c2ce9c24462b72022092caa41ff95c01eff0e8c355f67ced63d",
+    "dc4_L1_2048+zero": "4d2cf31a9a2138616af2d928e5df76d1b5acbe425ba209272abd9319a2b3cbfb",
+    "product_baseline_1024": "bd41fe3f5e77b01b4e677ed4aa85e618c75c334620b7825d8f47db5aa3c65a5e",
+    "product_baseline_1024+zero": "205f630e831329e504d81f99e801e1a4885b5c57536ef9e5fd6cc9ad93554734",
+    "qbas_dc3_L2": "058d088367306e4a4714a46a4e9a0c6696df5b0d19b1473d76ee941b3073ab17",
+    "qbas_dc3_L2+zero": "95a596fbf38928c83cb77f233ac575c462edd6d9b7e7d0d3aee3295dfcc646f4",
+    "qbas_dc4_L2": "8f3d87f598eaa5251bcb79436ebeafc3114d1d246a2ad93e5b40cb71bd506105",
+    "qbas_dc4_L2+zero": "5609b9b50982d7a4dabc8650decd84be4bd7d18e8fe77c706d0bf4bfd7dc4c8c",
+    "sweep_full_grid/row000": "2309e0b8687239a01a4cd068adc4aafc8afe81fd4b17b2ab0cdfb77baebbe5f6",
+    "sweep_full_grid/row001": "7bd35953326c3b8af3d24ef9377850116a9d035da7f22d6b9ff93eaa5886af40",
+    "sweep_full_grid/row002": "b5668df8a88bc18e052642b18f7e977871027dfb185da5e592e066f517ec0dd3",
+    "sweep_full_grid/row003": "d227df7ae3a0b5bb1b27409233857df1b34104317da2644b0e19961ee14377d3",
+    "sweep_full_grid/row004": "2f035db7ce9b2f72ba2329182e07d5cc9125eee23329cfdf4cd53ca3559d7110",
+    "sweep_full_grid/row005": "4af076665e9983be48ba6d75911265e78576e5413c7be41aa674664d79dd1bb9",
+    "sweep_full_grid/row006": "cc1045d8396d6887b6a6c55db4298f9d9f30c17670eb0b5e77c6da59f8ec7d53",
+    "sweep_full_grid/row007": "3420812291f4dc7d89b8ba987a6b8cbf83098fe5c155638a20c5d876e6751119",
+    "sweep_full_grid/row008": "6a4e955c3b99ce848f8b3570e5fb65fd1c7432e7fd6dc028642f2acf8e22cae7",
+    "sweep_full_grid/row009": "0e35fa3f0e779755954f5a40dc2874b289cd534b07b325ceaf1230a9dacc81c0",
+    "sweep_full_grid/row010": "6a669958a5139f6f4d2726f9930c858258f7d7fa61ab647cba623da3036c30aa",
+    "sweep_full_grid/row011": "b0dd7a64cd8497a2a367c5d130d80797d1280ce8cdabd88f8047ce44ec2c79ab",
+    "sweep_full_grid/row012": "ef9ebb33a869af1ed72450dcac8def15f311a12e7a78d5c90f4cdf4b7fb8c695",
+    "sweep_full_grid/row013": "315f48d0466aa9d957812d072c7223846154756ec3d38a1aed1d41777254b99f",
+    "sweep_full_grid/row014": "fb11c2b849c11543849b1fc16bfed9e869d6e633f307f5d50a801b85cf9b0866",
+    "sweep_full_grid/row015": "c1b8aa92d421a1ebced91e0ac5deb522601b95a069563fc56fd5e084c91a26d2",
+    "sweep_full_grid/row016": "c02ab2e55010cb2f24bf259cdb15e7d709fd4f8aa9103ea7703a20b787f18055",
+    "sweep_full_grid/row017": "ee75085e4bb52c796cdf5793d1144eda3930d813d50b7018be05fe152da2c72c",
+    "bas23_dc0_L0_qbas": "90df5493f8000730e8611dbb1b220038dc39d4f53e94f6ce23839633fceb9517",
+}
+
+
+def shipped_configs() -> dict[str, RunConfig]:
+    configs = dict(EXTRA_CONFIGS)
+    for path in sorted(CONFIGS.glob("*.cfg")):
+        items = parse_kv_file(path)
+        axes = {k: v.split() for k, v in items.items() if is_sweep_axis(k) and len(v.split()) > 1}
+        if not axes:
+            config = load_config_file(path)
+            configs[path.stem] = config
+            configs[path.stem + "+zero"] = replace(config, noise=load_noise(ZERO))
+            continue
+        for row, combo in enumerate(product(*axes.values())):
+            row_items = {**items, **dict(zip(axes, combo))}
+            row_items.update(seed=str(int(items["seed"]) + row), label=f"row{row:03d}")
+            configs[f"{path.stem}/row{row:03d}"] = config_from_items(row_items, path.parent)
+    return configs
+
+
+def test_digests_of_noiseless_configs_unchanged():
+    assert {name: c.digest() for name, c in shipped_configs().items()} == PINNED_DIGESTS
+
+
+def _v1_digest(config, *extra_lines):
+    lines = ["digest_version = 1", *extra_lines]
+    lines.extend(f"{k} = {v}" for k, v in sorted(config.kv_items()))
+    return _sha("\n".join(lines).encode())
+
+
+def test_noisy_digest_adds_only_the_density_path_version(monkeypatch):
+    noiseless = load_config_file(CONFIGS / "dc4_L1_2048.cfg")
+    noisy = replace(noiseless, noise=load_noise(MODERATE))
+    assert noiseless.digest() == _v1_digest(noiseless)
+    assert noisy.digest() == _v1_digest(noisy, "density_path_version = 2")
+    readout_only = replace(noiseless, noise=NoiseModel(readout_flip_all=0.03))
+    assert readout_only.digest() == _v1_digest(readout_only, "density_path_version = 2")
+    before = (noiseless.digest(), noisy.digest())
+    monkeypatch.setattr(training, "DENSITY_PATH_VERSION", 3)
+    assert noiseless.digest() == before[0]
+    assert noisy.digest() not in (before[1], _v1_digest(noisy))

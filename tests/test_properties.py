@@ -46,7 +46,9 @@ def test_density_matrices_match_reference_and_are_states(case):
     circuit, noise, thetas = case
     states = evolve_density(circuit, thetas, noise).entries
     for rho, theta in zip(states, thetas):
-        assert rho.tobytes() == reference_density(circuit, theta, noise).tobytes()
+        assert rho.tobytes() == evolve_density(circuit, theta, noise).entries.tobytes()
+        # fused superoperators round differently from the per-gate walk
+        assert np.max(np.abs(rho - reference_density(circuit, theta, noise))) <= 1e-12
         assert abs(np.trace(rho) - 1.0) <= 1e-12
         assert np.allclose(rho, rho.conj().T, rtol=0.0, atol=1e-12)
         assert np.linalg.eigvalsh(rho).min() >= -1e-12
