@@ -431,6 +431,9 @@ def embed_layer(layer: EntanglerLayer, graph: CouplingGraph) -> dict[int, int] |
 
 def classify_pixel_pair(shape: ImageShape, u: int, v: int) -> str:
     """'local' when the two pixels are grid neighbours, else 'non-local'."""
+    for pixel in (u, v):
+        if not 0 <= pixel < shape.n_bits:
+            raise ValueError(f"pixel {pixel} is outside the {shape.rows}x{shape.cols} image")
     ru, cu = divmod(u, shape.cols)
     rv, cv = divmod(v, shape.cols)
     return "local" if abs(ru - rv) + abs(cu - cv) == 1 else "non-local"

@@ -30,10 +30,11 @@ from .ansatz import (
     preset_graph,
 )
 from .bas import ImageShape, bas_target_distribution, bitstring, enumerate_bas
-from .kv import parse_kv_file
+from .kv import format_value, parse_kv_file, parse_value
 from .metrics import kl_sampling_summary
 from .noise import load_noise
 from .runio import (
+    config_fields,
     config_from_items,
     is_sweep_axis,
     load_config_file,
@@ -127,17 +128,13 @@ def cmd_warmstart(args) -> int:
     run_dir = Path(args.run_dir)
     config = read_run_config(run_dir)
     checkpoint = read_checkpoint(run_dir, args.step)
-    items = dict(config.kv_items())
-    items["label"] = f"{config.label}-ws{args.step}"  # unless -c sets one
+    overrides = {"label": f"{config.label}-ws{args.step}"}  # unless -c sets one
     if args.config:
-        items.update(parse_kv_file(args.config))
+        overrides.update(config_fields(parse_kv_file(args.config), Path(args.config).parent))
     if args.noise:
-        items = {k: v for k, v in items.items() if not k.startswith("noise_")}
-        items.update(
-            (f"noise_{k}", v) for k, v in load_noise(args.noise).kv_items()
-        )
-    items["n_steps"] = str(args.steps)
-    new_config = config_from_items(items, base_dir=run_dir)
+        overrides["noise"] = load_noise(args.noise)
+    overrides["n_steps"] = args.steps
+    new_config = replace(config, **overrides)
 
     record = resume(new_config, checkpoint, args.steps)
     out_dir = Path(args.out) if args.out else run_dir.parent / new_config.label
@@ -223,23 +220,16 @@ def _run_sweep_row(
     return config, best
 
 
+# config keys echoed in each row of a sweep's summary.csv
+SUMMARY_KEYS = ("label", "d_c", "n_layers", "n_shots_train", "seed")
+
+
 def cmd_sweep(args) -> int:
     sweep_path = Path(args.config)
     items = parse_kv_file(sweep_path)
     out_dir = prepare_run_dir(args.out or "sweep", force=args.force)
 
-    header = [
-        "row",
-        "label",
-        "d_c",
-        "n_layers",
-        "n_shots_train",
-        "seed",
-        "status",
-        "min_kl_mean",
-        "min_kl_std",
-        "min_kl_step",
-    ]
+    header = ["row", *SUMMARY_KEYS, "status", "min_kl_mean", "min_kl_std", "min_kl_step"]
     if not items:
         _write_csv(out_dir / "summary.csv", header, [])
         print("empty sweep; nothing to run")
@@ -249,14 +239,14 @@ def cmd_sweep(args) -> int:
     axes = {k: v.split() for k, v in items.items() if is_sweep_axis(k) and len(v.split()) > 1}
     fixed = {k: v for k, v in items.items() if k not in axes}
     explicit_seed_axis = "seed" in axes
-    base_seed = int(fixed.get("seed", "0"))
+    base_seed = parse_value("seed", fixed.get("seed", "0"), int)
     combos = list(product(*axes.values())) if axes else [()]
 
     def build_items(index: int, combo) -> dict[str, str]:
         row = dict(fixed)
         row.update(zip(axes.keys(), combo))
         if not explicit_seed_axis:
-            row["seed"] = str(base_seed + index)
+            row["seed"] = format_value(base_seed + index)
         row.setdefault("label", f"row{index:03d}")
         return row
 
@@ -279,40 +269,17 @@ def cmd_sweep(args) -> int:
     rows = []
     table: dict[tuple[int, int], dict[int, str]] = {}
     for index, config, best, status in sorted(results):
+        # failed rows carry their raw key/value items instead of a config
+        used = dict(config.kv_items()) if status == "ok" else config
+        row = [str(index), *(used.get(key, "") for key in SUMMARY_KEYS), status]
         if status == "ok":
-            rows.append(
-                [
-                    str(index),
-                    config.label,
-                    str(config.d_c),
-                    str(config.n_layers),
-                    str(config.n_shots_train),
-                    str(config.seed),
-                    status,
-                    _fmt(best.kl_mean),
-                    _fmt(best.kl_std),
-                    str(best.step),
-                ]
-            )
+            row += [_fmt(best.kl_mean), _fmt(best.kl_std), str(best.step)]
             cell = f"{best.kl_mean:.3f}+-{best.kl_std:.3f}"
             table.setdefault((config.n_layers, config.n_shots_train), {})[config.d_c] = cell
         else:
-            items_used = config  # failed rows carry their raw key/value items
-            rows.append(
-                [
-                    str(index),
-                    items_used.get("label", ""),
-                    items_used.get("d_c", ""),
-                    items_used.get("n_layers", ""),
-                    items_used.get("n_shots_train", ""),
-                    items_used.get("seed", ""),
-                    status,
-                    "",
-                    "",
-                    "",
-                ]
-            )
+            row += ["", "", ""]
             print(f"row {index}: {status}", file=sys.stderr)
+        rows.append(row)
 
     _write_csv(out_dir / "summary.csv", header, rows)
     if table:

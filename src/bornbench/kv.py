@@ -32,3 +32,25 @@ def parse_kv_file(path) -> dict[str, str]:
 
 def format_kv(items) -> str:
     return "".join(f"{key} = {value}\n" for key, value in items)
+
+
+def format_value(value) -> str:
+    """Text form of one bool, int, float or str value, chosen by its runtime
+    type: bools as true/false, floats by ``repr`` (which round-trips
+    bit-exactly), the rest by ``str``."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return repr(value) if isinstance(value, float) else str(value)
+
+
+def parse_value(key: str, text: str, kind: type):
+    """Read the text form of one value of type ``kind`` (bool, int, float or
+    str); ``key`` names it in errors."""
+    if kind is bool:
+        if text.lower() not in ("true", "false"):
+            raise ValueError(f"{key}: expected true or false, got {text!r}")
+        return text.lower() == "true"
+    try:
+        return kind(text)
+    except ValueError:
+        raise ValueError(f"{key}: expected {kind.__name__}, got {text!r}") from None

@@ -15,10 +15,11 @@ Pauli products P.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import get_type_hints
 
 import numpy as np
 
-from .kv import parse_kv_file
+from .kv import format_value, parse_kv_file, parse_value
 
 _I = np.eye(2, dtype=complex)
 _X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -93,13 +94,6 @@ def apply_readout(probs: np.ndarray, confusion) -> np.ndarray:
     return out.reshape(probs.shape)
 
 
-def _check_probability(name: str, value: float) -> float:
-    value = float(value)
-    if not 0.0 <= value <= 1.0:
-        raise ValueError(f"{name} = {value} outside [0, 1]")
-    return value
-
-
 @dataclass(frozen=True)
 class NoiseModel:
     """Channel strengths; all default to zero (noiseless)."""
@@ -111,23 +105,21 @@ class NoiseModel:
     t_damp: float = 0.0
 
     def __post_init__(self) -> None:
-        _check_probability("p1", self.p1)
-        _check_probability("p2", self.p2)
-        _check_probability("readout_flip_all", self.readout_flip_all)
-        _check_probability("t_damp", self.t_damp)
-        for qubit, flip in self.readout_flip.items():
+        for qubit in self.readout_flip:
             if qubit < 0:
                 raise ValueError(f"readout_flip_q{qubit}: negative qubit index")
-            _check_probability(f"readout_flip_q{qubit}", flip)
+        for key, value in self._strengths().items():
+            if not 0.0 <= float(value) <= 1.0:
+                raise ValueError(f"{key} = {float(value)} outside [0, 1]")
+
+    def _strengths(self) -> dict[str, float]:
+        """Every channel strength by its profile key, per-qubit flips last."""
+        out = {name: getattr(self, name) for name in _STRENGTH_FIELDS}
+        out.update((f"readout_flip_q{q}", self.readout_flip[q]) for q in sorted(self.readout_flip))
+        return out
 
     def is_noiseless(self) -> bool:
-        return (
-            self.p1 == 0.0
-            and self.p2 == 0.0
-            and self.t_damp == 0.0
-            and self.readout_flip_all == 0.0
-            and all(f == 0.0 for f in self.readout_flip.values())
-        )
+        return all(value == 0.0 for value in self._strengths().values())
 
     def has_readout_error(self) -> bool:
         return self.readout_flip_all > 0.0 or any(
@@ -154,39 +146,26 @@ class NoiseModel:
 
     def kv_items(self) -> list[tuple[str, str]]:
         """Canonical key/value form (used for profiles, echoes and digests)."""
-        items = [
-            ("p1", repr(self.p1)),
-            ("p2", repr(self.p2)),
-            ("readout_flip_all", repr(self.readout_flip_all)),
-            ("t_damp", repr(self.t_damp)),
-        ]
-        for qubit in sorted(self.readout_flip):
-            items.append((f"readout_flip_q{qubit}", repr(self.readout_flip[qubit])))
-        return items
+        return [(key, format_value(value)) for key, value in self._strengths().items()]
+
+
+# the float strengths; per-qubit readout flips have their own keys
+_STRENGTH_FIELDS = [name for name, kind in get_type_hints(NoiseModel).items() if kind is float]
 
 
 def noise_from_items(items) -> NoiseModel:
     """Build a NoiseModel from string key/value pairs; unknown keys are errors."""
-    p1 = p2 = flip_all = t_damp = 0.0
-    per_qubit: dict[int, float] = {}
-    for key, value in dict(items).items():
-        try:
-            number = float(value)
-        except ValueError as exc:
-            raise ValueError(f"{key}: not a number: {value!r}") from exc
-        if key == "p1":
-            p1 = number
-        elif key == "p2":
-            p2 = number
-        elif key == "readout_flip_all":
-            flip_all = number
-        elif key == "t_damp":
-            t_damp = number
+    kwargs: dict = {"readout_flip": {}}
+    for key, text in dict(items).items():
+        value = parse_value(key, text, float)
+        if key in _STRENGTH_FIELDS:
+            kwargs[key] = value
         elif key.startswith("readout_flip_q"):
-            per_qubit[int(key[len("readout_flip_q"):])] = number
+            qubit = parse_value(key, key[len("readout_flip_q"):], int)
+            kwargs["readout_flip"][qubit] = value
         else:
             raise ValueError(f"unknown noise key {key!r}")
-    return NoiseModel(p1, p2, flip_all, per_qubit, t_damp)
+    return NoiseModel(**kwargs)
 
 
 def load_noise(path) -> NoiseModel:

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import __version__
 from .bas import bitstring
-from .kv import format_kv, parse_kv_file
+from .kv import format_kv, parse_kv_file, parse_value
 from .noise import load_noise, noise_from_items
 from .training import Checkpoint, RunConfig, RunRecord, load_checkpoint, save_checkpoint
 from .ansatz import parse_edge_list
@@ -51,11 +51,12 @@ def is_sweep_axis(key: str) -> bool:
     return _SCALAR_FIELDS.get(key) in (bool, int, float)
 
 
-def config_from_items(items: dict[str, str], base_dir: Path | None = None) -> RunConfig:
-    """Build a RunConfig from key/value strings; unknown keys are errors.
+def config_fields(items: dict[str, str], base_dir: Path | None = None) -> dict:
+    """Typed RunConfig fields from key/value strings; unknown keys are errors.
 
     Noise is given either as ``noise_profile = <file>`` (resolved relative to
-    ``base_dir``) or inline through ``noise_*`` keys.
+    ``base_dir``) or inline through ``noise_*`` keys, and either sets the
+    whole ``noise`` field.
     """
     known = {f.name for f in fields(RunConfig)}
     kwargs: dict = {}
@@ -68,12 +69,8 @@ def config_from_items(items: dict[str, str], base_dir: Path | None = None) -> Ru
             noise_items[key[len("noise_"):]] = value
         elif key == "dc3_edges":
             kwargs[key] = parse_edge_list(value)
-        elif _SCALAR_FIELDS.get(key) is bool:
-            if value.lower() not in ("true", "false"):
-                raise ValueError(f"{key}: expected true or false, got {value!r}")
-            kwargs[key] = value.lower() == "true"
         elif key in _SCALAR_FIELDS:
-            kwargs[key] = _SCALAR_FIELDS[key](value)
+            kwargs[key] = parse_value(key, value, _SCALAR_FIELDS[key])
         elif key in known:
             raise ValueError(f"config key {key!r} cannot be set from a file")
         else:
@@ -87,6 +84,12 @@ def config_from_items(items: dict[str, str], base_dir: Path | None = None) -> Ru
         kwargs["noise"] = load_noise(profile_path)
     elif noise_items:
         kwargs["noise"] = noise_from_items(noise_items)
+    return kwargs
+
+
+def config_from_items(items: dict[str, str], base_dir: Path | None = None) -> RunConfig:
+    """Build a RunConfig from key/value strings (see ``config_fields``)."""
+    kwargs = config_fields(items, base_dir)
     if "d_c" not in kwargs or "n_layers" not in kwargs:
         raise ValueError("config must set d_c and n_layers")
     return RunConfig(**kwargs)

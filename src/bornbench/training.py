@@ -17,6 +17,7 @@ import numpy as np
 
 from .ansatz import CircuitSpec, build_circuit, format_edge_list
 from .bas import ImageShape, TargetDistribution, bas_target_distribution, enumerate_bas
+from .kv import format_value
 from .metrics import MetricRecord, f1_per_state, kl_sampling_summary, qbas_from_probs
 from .mmd import MAX_KERNEL_BITS, KernelSpec, mmd_loss, mmd_loss_exact, mmd_gradient
 from .noise import NoiseModel
@@ -208,20 +209,14 @@ class TrainingConfig:
         items: list[tuple[str, str]] = []
         for f in fields(self):
             value = getattr(self, f.name)
+            if value is None:  # dc3_edges or noise left unset
+                continue
             if f.name == "noise":
-                if value is not None:
-                    items.extend((f"noise_{k}", v) for k, v in value.kv_items())
-                continue
-            if f.name == "dc3_edges":
-                if value is not None:
-                    items.append((f.name, format_edge_list(value)))
-                continue
-            if isinstance(value, bool):
-                items.append((f.name, "true" if value else "false"))
-            elif isinstance(value, float):
-                items.append((f.name, repr(value)))
+                items.extend((f"noise_{k}", v) for k, v in value.kv_items())
+            elif f.name == "dc3_edges":
+                items.append((f.name, format_edge_list(value)))
             else:
-                items.append((f.name, str(value)))
+                items.append((f.name, format_value(value)))
         return items
 
     def digest(self) -> str:

@@ -221,6 +221,13 @@ def test_classify_pixel_pairs():
         assert classify_pixel_pair(shape, u, v) == "non-local"
 
 
+def test_classify_pixel_pair_rejects_pixels_outside_the_image():
+    for u, v in [(0, 4), (5, 1), (-1, 0)]:
+        with pytest.raises(ValueError, match="outside the 2x2 image"):
+            classify_pixel_pair(ImageShape(2, 2), u, v)
+    assert classify_pixel_pair(ImageShape(2, 4), 0, 4) == "local"
+
+
 # -- embedding ---------------------------------------------------------------
 
 

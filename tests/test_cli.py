@@ -115,6 +115,16 @@ def test_embed_outputs(capsys):
     assert "EMBEDDABLE" in out
 
 
+def test_embed_rejects_pixels_outside_the_image(capsys):
+    ladder = ["embed", "--edges", "0-5,1-7", "--graph", "ladder2x4"]
+    assert main(ladder) == 1  # the default image is 2x2
+    captured = capsys.readouterr()
+    assert "pixel 5 is outside the 2x2 image" in captured.err
+    assert "non-local" not in captured.out
+    assert main(ladder + ["--rows", "2", "--cols", "4"]) == 0
+    assert "0 local, 2 non-local" in capsys.readouterr().out
+
+
 def test_deploy_zero_noise_matches(tiny_run, tmp_path):
     _, out = tiny_run
     profile = tmp_path / "zero.profile"
@@ -181,6 +191,55 @@ def test_warmstart(tmp_path, capsys):
     assert main(
         ["warmstart", str(out), "--step", "15", "--noise", str(profile), "-o", str(tmp_path / "x")]
     ) == 1
+
+
+def _noise_echo(run_dir):
+    lines = (run_dir / "config.txt").read_text().splitlines()
+    return [line for line in lines if line.startswith("noise_")]
+
+
+def test_warmstart_noise_override_replaces_the_run_noise(tmp_path):
+    (tmp_path / "moderate.profile").write_text(NOISE_PROFILE)
+    config = tmp_path / "noisy.cfg"
+    config.write_text(TINY_CONFIG + "noise_profile = moderate.profile\n")
+    run = tmp_path / "run"
+    assert main(["train", "-c", str(config), "-o", str(run)]) == 0
+    ws = ["warmstart", str(run), "--step", "0", "--steps", "1"]
+    strong = tmp_path / "strong.profile"
+    strong.write_text("p2 = 0.05\n")
+    only_p2 = [
+        "noise_p1 = 0.0", "noise_p2 = 0.05", "noise_readout_flip_all = 0.0", "noise_t_damp = 0.0"
+    ]
+
+    # a profile given by -c replaces the run's inline noise
+    over = tmp_path / "profile.cfg"
+    over.write_text(f"noise_profile = {strong}\n")
+    assert main(ws + ["-c", str(over), "-o", str(tmp_path / "ws1")]) == 0
+    assert _noise_echo(tmp_path / "ws1") == only_p2
+
+    # so do inline keys: noise_p1 is not kept from the run
+    over = tmp_path / "inline.cfg"
+    over.write_text("noise_p2 = 0.05\n")
+    assert main(ws + ["-c", str(over), "-o", str(tmp_path / "ws2")]) == 0
+    assert _noise_echo(tmp_path / "ws2") == only_p2
+
+    # and --noise wins over -c
+    cli_noise = ["--noise", str(tmp_path / "moderate.profile")]
+    assert main(ws + ["-c", str(over), *cli_noise, "-o", str(tmp_path / "ws3")]) == 0
+    assert _noise_echo(tmp_path / "ws3") == _noise_echo(run)
+
+
+def test_warmstart_resolves_noise_profile_next_to_the_override_file(tiny_run, tmp_path):
+    _, run = tiny_run
+    overrides = tmp_path / "overrides"
+    overrides.mkdir()
+    (overrides / "z.profile").write_text("p1 = 0.01\n")
+    (overrides / "over.cfg").write_text("noise_profile = z.profile\nlabel = zed\n")
+    out = tmp_path / "ws"
+    ws = ["warmstart", str(run), "--step", "0", "--steps", "1", "-c", str(overrides / "over.cfg")]
+    assert main(ws + ["-o", str(out)]) == 0
+    assert "noise_p1 = 0.01" in _noise_echo(out)
+    assert "label = zed\n" in (out / "config.txt").read_text()
 
 
 def test_shipped_lowrate_config(tmp_path):

@@ -1,5 +1,8 @@
 """Property tests of the statevector and density-matrix paths and the noise
-channels over random channel strengths, circuit shapes and angles."""
+channels over random channel strengths, circuit shapes and angles, and of the
+config text form over random configs."""
+
+from dataclasses import fields
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
@@ -12,6 +15,10 @@ from bornbench import (
     evolve_density,
     run_statevector,
 )
+from bornbench.kv import format_kv, parse_kv_text
+from bornbench.mmd import DISTANCE_KINDS
+from bornbench.runio import config_from_items
+from bornbench.training import RunConfig
 from test_engine import reference_amplitudes, reference_density
 
 # reproducible from run to run, and no example database left on disk
@@ -93,3 +100,73 @@ def test_confusion_matrices_are_row_stochastic(flip_all, flips, n_qubits):
     for m in mats:
         assert m.shape == (2, 2) and np.all(m >= 0.0)
         assert np.max(np.abs(m.sum(axis=1) - 1.0)) <= 1e-12
+
+
+def _floats(**bounds):
+    return st.floats(allow_nan=False, **bounds)
+
+
+@st.composite
+def run_configs(draw):
+    d_c, layers = draw(st.sampled_from(SHAPES))
+    registers = [(2, 2), (1, 4), (4, 1)]
+    if d_c == 0:  # the product circuit takes any register
+        registers += [(2, 3), (1, 1)]
+    rows, cols = draw(st.sampled_from(registers))
+    n_qubits = rows * cols
+    pixel = st.integers(0, n_qubits - 1)
+    noise = NoiseModel(
+        p1=draw(probability),
+        p2=draw(probability),
+        readout_flip_all=draw(probability),
+        readout_flip=draw(st.dictionaries(pixel, probability, max_size=n_qubits)),
+        t_damp=draw(probability),
+    )
+    positive = st.integers(1, 10**6)
+    return RunConfig(
+        d_c=d_c,
+        n_layers=draw(st.integers(layers, 5)),
+        n_shots_train=draw(st.integers(2, 10**6)),
+        n_steps=draw(st.integers(0, 10**6)),
+        alpha=draw(_floats(min_value=0.0, exclude_min=True)),
+        beta1=draw(_floats(min_value=0.0, max_value=1.0, exclude_max=True)),
+        beta2=draw(_floats(min_value=0.0, max_value=1.0, exclude_max=True)),
+        epsilon=draw(_floats(min_value=0.0, exclude_min=True)),
+        sigma=draw(_floats(min_value=0.0, exclude_min=True)),
+        kernel_distance=draw(st.sampled_from(DISTANCE_KINDS)),
+        sigma_is_variance=draw(st.booleans()),
+        seed=draw(st.integers(0, 2**63)),
+        n_rows=rows,
+        n_cols=cols,
+        kl_shots=draw(positive),
+        kl_repeats=draw(st.integers(2, 100)),
+        metric_every=draw(positive),
+        checkpoint_every=draw(positive),
+        qbas_enabled=draw(st.booleans()),
+        qbas_shots=draw(positive),
+        qbas_repeats=draw(positive),
+        qbas_sample_size=draw(positive),
+        qbas_resamples=draw(positive),
+        gradient_mode=draw(st.sampled_from(["sampled", "exact"])),
+        dc3_edges=draw(st.none() | st.lists(st.tuples(pixel, pixel), min_size=3, max_size=3)),
+        noise=draw(st.none() | st.just(noise)),
+        label=draw(st.text("abcxyz019-_.", min_size=1, max_size=12)),
+    )
+
+
+@PROPERTY
+@given(run_configs())
+def test_config_text_form_round_trips(config):
+    items = config.kv_items()
+    keys = {key for key, _ in items}
+    # every field has a key, so a field of a type the codec lacks fails here
+    optional = {"noise", "dc3_edges"}
+    assert {f.name for f in fields(RunConfig)} - optional <= keys
+    assert ("dc3_edges" in keys) == (config.dc3_edges is not None)
+    assert any(key.startswith("noise_") for key in keys) == (config.noise is not None)
+    for rebuilt in (
+        config_from_items(dict(items)),
+        config_from_items(parse_kv_text(format_kv(items))),
+    ):
+        assert rebuilt == config
+        assert rebuilt.digest() == config.digest()

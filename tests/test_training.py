@@ -1,3 +1,4 @@
+import re
 from dataclasses import fields
 
 import numpy as np
@@ -154,6 +155,19 @@ def test_config_kv_roundtrip():
     rebuilt = config_from_items(dict(config.kv_items()))
     assert rebuilt == config
     assert rebuilt.digest() == config.digest()
+
+
+def test_config_values_that_do_not_parse_name_their_key():
+    base = {"d_c": "2", "n_layers": "1"}
+    for key, text, message in [
+        ("n_steps", "1.5", "n_steps: expected int, got '1.5'"),
+        ("alpha", "fast", "alpha: expected float, got 'fast'"),
+        ("qbas_enabled", "yes", "qbas_enabled: expected true or false, got 'yes'"),
+        ("noise_p1", "abc", "p1: expected float, got 'abc'"),
+        ("noise_readout_flip_qx", "0.1", "readout_flip_qx: expected int, got 'x'"),
+    ]:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            config_from_items({**base, key: text})
 
 
 def test_initial_theta_range_and_determinism():
