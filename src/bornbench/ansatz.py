@@ -38,7 +38,6 @@ class EntanglerLayer:
     """One entangling layer: ordered sub-coverings of (control, target) CNOTs."""
 
     sub_coverings: tuple[tuple[tuple[int, int], ...], ...]
-    degenerate_mi: bool = False  # set when built from an all-zero MI matrix
 
     def __post_init__(self) -> None:
         for covering in self.sub_coverings:
@@ -200,15 +199,12 @@ def chow_liu_layer(dist: TargetDistribution, root: int = 0) -> EntanglerLayer:
     Edges are directed parent -> child away from ``root`` and grouped by tree
     depth; each depth level is further split into vertex-disjoint
     sub-coverings.  A distribution with an all-zero MI matrix (for example a
-    point mass) still yields the lexicographic spanning tree, flagged via
-    ``degenerate_mi``.
+    point mass) still yields the lexicographic spanning tree.
     """
     n = dist.n_bits
     if not 0 <= root < n:
         raise ValueError(f"root {root} out of range for {n} bits")
-    mi = pairwise_mutual_information(dist)
-    degenerate = bool(np.allclose(mi, 0.0))
-    tree = _max_weight_spanning_tree(mi)
+    tree = _max_weight_spanning_tree(pairwise_mutual_information(dist))
 
     adjacency: dict[int, set[int]] = {v: set() for v in range(n)}
     for u, v in tree:
@@ -232,7 +228,7 @@ def chow_liu_layer(dist: TargetDistribution, root: int = 0) -> EntanglerLayer:
         level_edges = sorted((u, v) for d, u, v in directed if d == level)
         for group in _disjoint_split(level_edges):
             coverings.append(tuple(group))
-    return EntanglerLayer(tuple(coverings), degenerate_mi=degenerate)
+    return EntanglerLayer(tuple(coverings))
 
 
 def parse_edge_list(text: str) -> tuple[tuple[int, int], ...]:
@@ -262,6 +258,31 @@ def layer_from_edges(edges) -> EntanglerLayer:
     return EntanglerLayer(tuple(tuple(g) for g in groups))
 
 
+def entangler_layer(
+    d_c: int,
+    layer_index: int = 0,
+    chow_liu_source: TargetDistribution | None = None,
+    dc3_edges=None,
+) -> EntanglerLayer:
+    """The built-in 4-qubit entangling layer with ``d_c`` CNOTs at position
+    ``layer_index`` of the stack: none for 0, the alternating matchings for 2,
+    the spanning tree of ``chow_liu_source`` (or explicit ``dc3_edges``) for 3
+    and both matchings for 4."""
+    if d_c == 0:
+        return EntanglerLayer(())
+    if d_c == 2:
+        return entangler_dc2(layer_index)
+    if d_c == 4:
+        return entangler_dc4()
+    if d_c != 3:
+        raise ValueError(f"d_c must be one of 0, 2, 3, 4, got {d_c}")
+    if dc3_edges is not None:
+        return layer_from_edges(dc3_edges)
+    if chow_liu_source is None:
+        raise ValueError("d_c=3 needs a chow_liu_source distribution or explicit dc3_edges")
+    return chow_liu_layer(chow_liu_source)
+
+
 def build_circuit(
     n_qubits: int,
     d_c: int,
@@ -271,39 +292,23 @@ def build_circuit(
 ) -> CircuitSpec:
     """Assemble the benchmark ansatz.
 
-    ``d_c`` selects the built-in 4-qubit entangling layers (0 disables
-    entanglement; 2, 3 and 4 give the matching, tree and full-plaquette
-    layers).  ``n_layers`` repeats the entangling layer that many times, with
-    one more rotation layer than entangling layers; ``n_layers == 0`` keeps
-    two rotation layers so the parameter space matches the single-layer case.
-    The three-CNOT layer needs ``chow_liu_source`` or explicit ``dc3_edges``.
+    ``d_c`` selects the built-in 4-qubit entangling layers (see
+    ``entangler_layer``).  ``n_layers`` repeats the entangling layer that many
+    times, with one more rotation layer than entangling layers;
+    ``n_layers == 0`` keeps two rotation layers so the parameter space matches
+    the single-layer case.
     """
     if n_layers < 0:
         raise ValueError("n_layers must be nonnegative")
-    if d_c == 0 or n_layers == 0:
-        if d_c != 0 and n_layers == 0:
-            raise ValueError("entangling layers require n_layers >= 1")
-        layers = tuple(EntanglerLayer(()) for _ in range(n_layers))
-    else:
-        if d_c not in (2, 3, 4):
-            raise ValueError(f"unsupported d_c {d_c}; choose 0, 2, 3 or 4")
-        if n_qubits != 4:
-            raise ValueError("built-in entangling layers are defined on 4 qubits")
-        if d_c == 2:
-            layers = tuple(entangler_dc2(i) for i in range(n_layers))
-        elif d_c == 4:
-            layers = tuple(entangler_dc4() for _ in range(n_layers))
-        else:
-            if dc3_edges is not None:
-                layer = layer_from_edges(dc3_edges)
-            elif chow_liu_source is not None:
-                layer = chow_liu_layer(chow_liu_source)
-            else:
-                raise ValueError(
-                    "d_c=3 needs a chow_liu_source distribution or explicit dc3_edges"
-                )
-            layers = tuple(layer for _ in range(n_layers))
-
+    if d_c != 0 and n_layers == 0:
+        raise ValueError(f"d_c = {d_c} needs n_layers >= 1")
+    if d_c != 0 and n_qubits != 4:
+        raise ValueError(
+            f"built-in entangling layers are defined on 4 qubits, got {n_qubits} for d_c = {d_c}"
+        )
+    layers = tuple(
+        entangler_layer(d_c, i, chow_liu_source, dc3_edges) for i in range(n_layers)
+    )
     if n_layers == 0:
         patterns = (_FIRST_LAYER, _LAST_LAYER)
     else:

@@ -19,11 +19,9 @@ from pathlib import Path
 
 from . import __version__
 from .ansatz import (
-    entangler_dc2,
-    entangler_dc4,
-    chow_liu_layer,
     classify_pixel_pair,
     embed_layer,
+    entangler_layer,
     layer_from_edges,
     load_coupling_graph,
     parse_edge_list,
@@ -183,12 +181,9 @@ def _resolve_graph(spec: str):
 def cmd_embed(args) -> int:
     if args.edges:
         layer = layer_from_edges(parse_edge_list(args.edges))
-    elif args.dc == 2:
-        layer = entangler_dc2(args.layer_index)
-    elif args.dc == 4:
-        layer = entangler_dc4()
-    elif args.dc == 3:
-        layer = chow_liu_layer(bas_target_distribution(ImageShape(2, 2)))
+    elif args.dc:
+        target = bas_target_distribution(ImageShape(2, 2))
+        layer = entangler_layer(args.dc, args.layer_index, chow_liu_source=target)
     else:
         raise CliError("embed: give --dc {2,3,4} or --edges")
     graph = _resolve_graph(args.graph)

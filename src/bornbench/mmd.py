@@ -44,12 +44,23 @@ class KernelSpec:
     matrix: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        if self.sigma <= 0.0:
-            raise ValueError("sigma must be positive")
+        if not (math.isfinite(self.sigma) and self.sigma > 0.0):
+            raise ValueError(f"sigma must be finite and positive, got {self.sigma!r}")
         if self.distance not in DISTANCE_KINDS:
             raise ValueError(f"unknown distance {self.distance!r}")
         if not 1 <= self.n_bits <= MAX_KERNEL_BITS:
-            raise ValueError(f"kernel matrix supported for 1..{MAX_KERNEL_BITS} bits")
+            raise ValueError(
+                f"the MMD kernel is capped at {MAX_KERNEL_BITS} bits, got {self.n_bits}"
+            )
+        try:
+            denom = 2.0 * self.sigma if self.sigma_is_variance else 2.0 * self.sigma**2
+        except OverflowError:  # sigma**2 past the float range
+            denom = math.inf
+        if not 0.0 < denom < math.inf:
+            raise ValueError(
+                f"sigma = {self.sigma!r} gives the kernel denominator {denom!r}, "
+                "which must be finite and positive"
+            )
         index = np.arange(2**self.n_bits)
         if self.distance == "integer-squared":
             d = (index[:, None] - index[None, :]).astype(float) ** 2
@@ -57,8 +68,8 @@ class KernelSpec:
             bits = (index[:, None] >> np.arange(self.n_bits)[None, :]) & 1
             hamming = (bits[:, None, :] != bits[None, :, :]).sum(axis=2)
             d = hamming.astype(float) ** 2
-        denom = 2.0 * self.sigma if self.sigma_is_variance else 2.0 * self.sigma**2
-        self.matrix = np.exp(-d / denom)
+        with np.errstate(over="ignore"):  # -d / denom may round to -inf: entry 0
+            self.matrix = np.exp(-d / denom)
 
 
 def mmd_loss(q: Histogram, p: TargetDistribution, spec: KernelSpec) -> float:

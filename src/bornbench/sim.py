@@ -171,7 +171,7 @@ def sample_counts(probs, n_shots: int, streams) -> np.ndarray:
     if p.ndim != 2 or len(p) != len(streams):
         raise ValueError(f"need one generator per row, got {len(streams)} for {p.shape}")
     totals = p.sum(axis=-1, keepdims=True)
-    if np.any(p < 0.0) or np.any(totals <= 0.0):
+    if np.any(p < 0.0) or not np.all((totals > 0.0) & np.isfinite(totals)):
         raise ValueError("probabilities must be nonnegative with positive sum")
     p = p / totals
     return np.array(

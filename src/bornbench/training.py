@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -19,7 +20,7 @@ from .ansatz import CircuitSpec, build_circuit, format_edge_list
 from .bas import ImageShape, TargetDistribution, bas_target_distribution, enumerate_bas
 from .kv import format_value
 from .metrics import MetricRecord, f1_per_state, kl_sampling_summary, qbas_from_probs
-from .mmd import MAX_KERNEL_BITS, KernelSpec, mmd_loss, mmd_loss_exact, mmd_gradient
+from .mmd import KernelSpec, mmd_loss, mmd_loss_exact, mmd_gradient
 from .noise import NoiseModel
 from .sim import circuit_probabilities, sample_histogram
 
@@ -118,24 +119,18 @@ class TrainingConfig:
     noise: NoiseModel | None = None
 
     def __post_init__(self) -> None:
-        if self.d_c not in (0, 2, 3, 4):
-            raise ValueError(f"d_c must be one of 0, 2, 3, 4, got {self.d_c}")
-        if self.n_layers < 0:
-            raise ValueError("n_layers must be nonnegative")
-        if self.d_c != 0 and self.n_layers < 1:
-            raise ValueError("entangling circuits need n_layers >= 1")
         if self.n_shots_train < 2:
             raise ValueError("n_shots_train must be at least 2")
         if self.n_steps < 0:
             raise ValueError("n_steps must be nonnegative")
-        if self.alpha <= 0.0:
-            raise ValueError("alpha must be positive")
+        for name in ("alpha", "epsilon"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0.0):
+                raise ValueError(f"{name} must be finite and positive, got {value!r}")
         for name in ("beta1", "beta2"):
             value = getattr(self, name)
             if not 0.0 <= value < 1.0:
                 raise ValueError(f"{name} must lie in [0, 1)")
-        if self.epsilon <= 0.0:
-            raise ValueError("epsilon must be positive")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
         if self.kl_repeats < 2:
@@ -154,16 +149,6 @@ class TrainingConfig:
         if self.gradient_mode not in ("sampled", "exact"):
             raise ValueError(f"gradient_mode must be 'sampled' or 'exact'")
         ImageShape(self.n_rows, self.n_cols)  # validates register size
-        if self.n_qubits > MAX_KERNEL_BITS:
-            raise ValueError(
-                f"{self.n_rows}x{self.n_cols} register has {self.n_qubits} qubits, "
-                f"the MMD kernel is capped at {MAX_KERNEL_BITS}"
-            )
-        if self.d_c != 0 and self.n_qubits != 4:
-            raise ValueError(
-                f"d_c = {self.d_c} is defined on 4 qubits, "
-                f"got a {self.n_rows}x{self.n_cols} register"
-            )
         if self.noise is not None:
             self.noise.check_register(self.n_qubits)
         if self.dc3_edges is not None:
@@ -171,6 +156,27 @@ class TrainingConfig:
             if len(edges) != 3:
                 raise ValueError(f"dc3_edges must list exactly 3 edges, got {len(edges)}")
             object.__setattr__(self, "dc3_edges", edges)
+        # The run's derived objects, built once.  They are plain attributes,
+        # not fields, so kv_items, digest, == and replace see only the fields.
+        # The kernel goes first: it caps the register before the target's
+        # 2^n vector is allocated.
+        kernel = KernelSpec(
+            self.n_qubits,
+            sigma=self.sigma,
+            distance=self.kernel_distance,
+            sigma_is_variance=self.sigma_is_variance,
+        )
+        target = bas_target_distribution(self.shape)
+        circuit = build_circuit(
+            self.n_qubits,
+            self.d_c,
+            self.n_layers,
+            chow_liu_source=target if self.dc3_edges is None else None,
+            dc3_edges=self.dc3_edges,
+        )
+        object.__setattr__(self, "_kernel", kernel)
+        object.__setattr__(self, "_target", target)
+        object.__setattr__(self, "_circuit", circuit)
 
     @property
     def n_qubits(self) -> int:
@@ -181,28 +187,16 @@ class TrainingConfig:
         return ImageShape(self.n_rows, self.n_cols)
 
     def target(self) -> TargetDistribution:
-        return bas_target_distribution(self.shape)
+        return self._target
 
     def bas_states(self) -> list[int]:
         return enumerate_bas(self.shape)
 
     def kernel(self) -> KernelSpec:
-        return KernelSpec(
-            self.n_qubits,
-            sigma=self.sigma,
-            distance=self.kernel_distance,
-            sigma_is_variance=self.sigma_is_variance,
-        )
+        return self._kernel
 
     def circuit(self) -> CircuitSpec:
-        source = self.target() if (self.d_c == 3 and self.dc3_edges is None) else None
-        return build_circuit(
-            self.n_qubits,
-            self.d_c,
-            self.n_layers,
-            chow_liu_source=source,
-            dc3_edges=self.dc3_edges,
-        )
+        return self._circuit
 
     def kv_items(self) -> list[tuple[str, str]]:
         """Canonical key/value form covering every field; noise is inlined."""
@@ -243,11 +237,6 @@ class Checkpoint:
     adam: AdamState
     seed: int
     config_digest: str
-
-    def copy(self) -> "Checkpoint":
-        return Checkpoint(
-            self.step, self.theta.copy(), self.adam.copy(), self.seed, self.config_digest
-        )
 
 
 def save_checkpoint(checkpoint: Checkpoint, path) -> None:
@@ -308,12 +297,6 @@ class RunRecord:
     @property
     def final_theta(self) -> np.ndarray:
         return self.theta_trajectory[-1]
-
-    def checkpoint_at(self, step: int) -> Checkpoint:
-        for checkpoint in self.checkpoints:
-            if checkpoint.step == step:
-                return checkpoint
-        raise KeyError(f"no checkpoint at step {step}")
 
 
 def initial_theta(config: TrainingConfig, n_params: int) -> np.ndarray:

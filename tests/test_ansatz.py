@@ -133,7 +133,6 @@ def test_chow_liu_star(target22):
     assert {tuple(sorted(e)) for e in layer.edges} == {(0, 1), (0, 2), (0, 3)}
     assert all(edge[0] == 0 for edge in layer.edges)  # directed away from the root
     assert layer.d_c == 3
-    assert not layer.degenerate_mi
     kinds = [classify_pixel_pair(ImageShape(2, 2), u, v) for u, v in layer.edges]
     assert kinds.count("local") == 2 and kinds.count("non-local") == 1
 
@@ -166,8 +165,7 @@ def test_chow_liu_degenerate_distribution():
     point = np.zeros(16)
     point[0] = 1.0
     layer = chow_liu_layer(TargetDistribution(4, point), root=0)
-    assert layer.degenerate_mi
-    assert len(layer.edges) == 3  # still a spanning tree
+    assert layer.edges == ((0, 1), (0, 2), (0, 3))  # still the lexicographic spanning tree
 
 
 def test_build_circuit_deterministic(target22):

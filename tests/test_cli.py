@@ -399,7 +399,8 @@ def test_register_mismatch_fails_when_config_is_built(tmp_path, capsys):
     config = tmp_path / "wide.cfg"
     config.write_text(TINY_CONFIG + "n_cols = 3\n")
     assert main(["train", "-c", str(config), "-o", str(tmp_path / "run")]) == 1
-    assert "d_c = 2 is defined on 4 qubits, got a 2x3 register" in capsys.readouterr().err
+    message = "built-in entangling layers are defined on 4 qubits, got 6 for d_c = 2"
+    assert message in capsys.readouterr().err
     assert not (tmp_path / "run").exists()
 
     sweep = tmp_path / "wide.sweep"
@@ -408,7 +409,7 @@ def test_register_mismatch_fails_when_config_is_built(tmp_path, capsys):
     assert main(["sweep", "-c", str(sweep), "-o", str(out)]) == 2
     rows = read_csv(out / "summary.csv")
     statuses = [r[rows[0].index("status")] for r in rows[1:]]
-    assert statuses == ["ok", "failed: d_c = 2 is defined on 4 qubits, got a 2x3 register"]
+    assert statuses == ["ok", f"failed: {message}"]
 
 
 def test_kernel_cap_fails_when_config_is_built(tmp_path, capsys):
@@ -419,6 +420,74 @@ def test_kernel_cap_fails_when_config_is_built(tmp_path, capsys):
     assert main(["train", "-c", str(config), "-o", str(tmp_path / "run")]) == 1
     assert "the MMD kernel is capped at 12" in capsys.readouterr().err
     assert not (tmp_path / "run").exists()
+
+
+def test_a_built_config_is_not_rebuilt(tmp_path, monkeypatch):
+    """train, resume and deploy use the circuit and kernel the config built."""
+    from bornbench import cli, mmd, training
+    from bornbench.runio import read_run_config, write_run
+
+    calls = []
+    build_circuit = training.build_circuit
+    kernel_init = mmd.KernelSpec.__post_init__
+
+    def counted_build(*args, **kwargs):
+        calls.append("circuit")
+        return build_circuit(*args, **kwargs)
+
+    def counted_kernel(self):
+        calls.append("kernel")
+        kernel_init(self)
+
+    monkeypatch.setattr(training, "build_circuit", counted_build)
+    monkeypatch.setattr(mmd.KernelSpec, "__post_init__", counted_kernel)
+    config = training.RunConfig(
+        d_c=3, n_layers=2, n_shots_train=64, n_steps=2, kl_shots=64, kl_repeats=2
+    )
+    assert calls == ["kernel", "circuit"]
+    calls.clear()
+    record = training.train(config)
+    training.resume(config, record.checkpoints[-1], 1)
+    assert calls == []
+
+    run = write_run(tmp_path / "run", config, record)
+    built = read_run_config(run)
+    monkeypatch.setattr(cli, "read_run_config", lambda run_dir: built)
+    profile = tmp_path / "noise.profile"
+    profile.write_text(NOISE_PROFILE)
+    calls.clear()
+    assert main(["deploy", str(run), "--noise", str(profile)]) == 0
+    assert calls == []
+
+
+STD_FORM = "sigma_is_variance = false\n"
+BAD_FLOATS = [
+    ("sigma = 1e200\n" + STD_FORM, "sigma = 1e+200 gives the kernel denominator inf"),
+    ("sigma = 1e-200\n" + STD_FORM, "sigma = 1e-200 gives the kernel denominator 0.0"),
+    ("sigma = nan\n", "sigma must be finite and positive, got nan"),
+    ("alpha = inf\n", "alpha must be finite and positive, got inf"),
+    ("epsilon = inf\n", "epsilon must be finite and positive, got inf"),
+]
+
+
+@pytest.mark.parametrize("lines, message", BAD_FLOATS)
+def test_bad_floats_fail_when_config_is_built(tmp_path, capsys, lines, message):
+    config = tmp_path / "bad.cfg"
+    config.write_text(TINY_CONFIG.replace("alpha = 0.2\n", "") + lines)
+    assert main(["train", "-c", str(config), "-o", str(tmp_path / "run")]) == 1
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+def test_bad_float_fails_its_sweep_row(tmp_path):
+    sweep = tmp_path / "bad.sweep"
+    sweep.write_text(TINY_CONFIG.replace("n_steps = 4", "n_steps = 1") + "sigma = 0.1 nan\n")
+    out = tmp_path / "sweep"
+    assert main(["sweep", "-c", str(sweep), "-o", str(out)]) == 2
+    rows = read_csv(out / "summary.csv")
+    statuses = [r[rows[0].index("status")] for r in rows[1:]]
+    assert statuses == ["ok", "failed: sigma must be finite and positive, got nan"]
+    assert not (out / "row001").exists()
 
 
 def test_readout_flip_outside_register_is_rejected(tiny_run, tmp_path, capsys):

@@ -2,6 +2,8 @@
 channels over random channel strengths, circuit shapes and angles, and of the
 config text form over random configs."""
 
+import math
+import sys
 from dataclasses import fields
 
 import numpy as np
@@ -103,7 +105,15 @@ def test_confusion_matrices_are_row_stochastic(flip_all, flips, n_qubits):
 
 
 def _floats(**bounds):
-    return st.floats(allow_nan=False, **bounds)
+    return st.floats(allow_nan=False, allow_infinity=False, **bounds)
+
+
+def _sigmas(sigma_is_variance: bool):
+    """Bandwidths whose kernel denominator, 2 sigma or 2 sigma^2, is a
+    positive finite float."""
+    if sigma_is_variance:
+        return _floats(min_value=0.0, max_value=sys.float_info.max / 2.0, exclude_min=True)
+    return _floats(min_value=1e-150, max_value=1e150)
 
 
 @st.composite
@@ -123,6 +133,10 @@ def run_configs(draw):
         t_damp=draw(probability),
     )
     positive = st.integers(1, 10**6)
+    sigma_is_variance = draw(st.booleans())
+    # the layer of a d_c = 3 circuit takes no self-loop
+    edge = st.tuples(pixel, pixel).filter(lambda e: e[0] != e[1])
+    edges = st.lists(edge, min_size=3, max_size=3) if n_qubits > 1 else st.nothing()
     return RunConfig(
         d_c=d_c,
         n_layers=draw(st.integers(layers, 5)),
@@ -132,9 +146,9 @@ def run_configs(draw):
         beta1=draw(_floats(min_value=0.0, max_value=1.0, exclude_max=True)),
         beta2=draw(_floats(min_value=0.0, max_value=1.0, exclude_max=True)),
         epsilon=draw(_floats(min_value=0.0, exclude_min=True)),
-        sigma=draw(_floats(min_value=0.0, exclude_min=True)),
+        sigma=draw(_sigmas(sigma_is_variance)),
         kernel_distance=draw(st.sampled_from(DISTANCE_KINDS)),
-        sigma_is_variance=draw(st.booleans()),
+        sigma_is_variance=sigma_is_variance,
         seed=draw(st.integers(0, 2**63)),
         n_rows=rows,
         n_cols=cols,
@@ -148,7 +162,7 @@ def run_configs(draw):
         qbas_sample_size=draw(positive),
         qbas_resamples=draw(positive),
         gradient_mode=draw(st.sampled_from(["sampled", "exact"])),
-        dc3_edges=draw(st.none() | st.lists(st.tuples(pixel, pixel), min_size=3, max_size=3)),
+        dc3_edges=draw(st.none() | edges),
         noise=draw(st.none() | st.just(noise)),
         label=draw(st.text("abcxyz019-_.", min_size=1, max_size=12)),
     )
@@ -170,3 +184,41 @@ def test_config_text_form_round_trips(config):
     ):
         assert rebuilt == config
         assert rebuilt.digest() == config.digest()
+
+
+def _finite_positive(value: float) -> bool:
+    return math.isfinite(value) and value > 0.0
+
+
+@settings(PROPERTY, max_examples=300)
+@given(st.floats(), st.floats(), st.floats(), st.booleans(), st.sampled_from(DISTANCE_KINDS))
+def test_float_fields_fail_at_config_time_or_give_a_proper_kernel(
+    alpha, epsilon, sigma, sigma_is_variance, distance
+):
+    """alpha, epsilon and sigma must be finite and positive; a sigma in
+    [1e-150, 1e150] is always accepted, one nearer the ends of the float range
+    may be rejected for its kernel denominator.  A rejection is a ValueError
+    naming the first bad key; an accepted config has a proper kernel."""
+    bad = [k for k, v in (("alpha", alpha), ("epsilon", epsilon)) if not _finite_positive(v)]
+    try:
+        config = TrainingConfig(
+            d_c=0,
+            n_layers=0,
+            alpha=alpha,
+            epsilon=epsilon,
+            sigma=sigma,
+            sigma_is_variance=sigma_is_variance,
+            kernel_distance=distance,
+        )
+    except ValueError as exc:
+        message = str(exc)
+        if bad:
+            assert message.startswith(f"{bad[0]} must be finite and positive")
+        else:
+            assert message.startswith("sigma")
+            assert not (_finite_positive(sigma) and 1e-150 <= sigma <= 1e150)
+        return
+    assert not bad and _finite_positive(sigma)
+    matrix = config.kernel().matrix
+    assert np.all(np.isfinite(matrix)) and np.all((matrix >= 0.0) & (matrix <= 1.0))
+    assert np.all(np.diag(matrix) == 1.0) and np.array_equal(matrix, matrix.T)

@@ -185,6 +185,9 @@ def test_sampling_errors():
         sample_histogram(np.full(4, 0.25), 0, np.random.default_rng(0))
     with pytest.raises(ValueError):
         sample_histogram(np.array([-0.5, 1.5]), 10, np.random.default_rng(0))
+    for bad in (np.nan, np.inf):  # rejected here, not by numpy's multinomial
+        with pytest.raises(ValueError, match="nonnegative with positive sum"):
+            sample_histogram(np.array([0.5, bad]), 10, np.random.default_rng(0))
     with pytest.raises(ValueError):
         Histogram(np.array([1, 2]), 4)  # counts do not sum to n_shots
 

@@ -218,10 +218,15 @@ def test_metric_schedule_and_checkpoints():
     assert record.theta_trajectory.shape == (21, 16)
 
 
+def checkpoint_at(record, step):
+    (checkpoint,) = [c for c in record.checkpoints if c.step == step]
+    return checkpoint
+
+
 def test_checkpoint_file_roundtrip(tmp_path):
     config = TrainingConfig(d_c=2, n_layers=2, n_steps=10, seed=2)
     record = train(config)
-    checkpoint = record.checkpoint_at(10)
+    checkpoint = checkpoint_at(record, 10)
     path = tmp_path / "cp.json"
     save_checkpoint(checkpoint, path)
     loaded = load_checkpoint(path)
@@ -238,7 +243,7 @@ def test_resume_reproduces_run_bit_exactly():
     config = TrainingConfig(d_c=2, n_layers=2, n_steps=30, seed=4)
     full = train(config)
     for start in (0, 10, 20):
-        checkpoint = full.checkpoint_at(start)
+        checkpoint = checkpoint_at(full, start)
         continued = resume(config, checkpoint, 30 - start)
         assert np.array_equal(
             continued.theta_trajectory, full.theta_trajectory[start:]
@@ -253,13 +258,13 @@ def test_resume_under_noise_warm_start(trained_dc2_L2):
     from dataclasses import replace
 
     noisy = replace(config, noise=NoiseModel(p1=0.002, p2=0.02, readout_flip_all=0.03))
-    warm = resume(noisy, record.checkpoint_at(50), 10)
+    warm = resume(noisy, checkpoint_at(record, 50), 10)
     assert warm.start_step == 50
     assert warm.final_step == 60
     assert [m.step for m in warm.metrics] == list(range(50, 61))
     with pytest.raises(ValueError):
         other = TrainingConfig(d_c=2, n_layers=1)
-        resume(other, record.checkpoint_at(50), 5)  # parameter count mismatch
+        resume(other, checkpoint_at(record, 50), 5)  # parameter count mismatch
 
 
 def test_run_record_accessors():
@@ -268,8 +273,7 @@ def test_run_record_accessors():
     assert record.steps == [0, 1, 2, 3, 4]
     assert record.final_step == 4
     assert np.array_equal(record.final_theta, record.theta_trajectory[-1])
-    with pytest.raises(KeyError):
-        record.checkpoint_at(3)
+    assert [c.step for c in record.checkpoints] == [0, 4]  # none at step 3
 
 
 def test_qbas_metrics_recorded_when_enabled():
