@@ -37,9 +37,7 @@ from .metrics import (
     f1_per_state,
     kl_divergence,
     kl_sampling_summary,
-    mean_kl,
     qbas_from_probs,
-    qbas_protocol,
     qbas_score,
 )
 from .mmd import KernelSpec, mmd_gradient, mmd_loss, mmd_loss_exact
@@ -51,13 +49,8 @@ from .noise import (
     load_noise,
 )
 from .sim import (
-    DensityMatrix,
-    Histogram,
-    StateVector,
     circuit_probabilities,
     evolve_density,
-    evolve_noisy,
-    exact_probabilities,
     run_statevector,
     sample_histogram,
 )

@@ -306,9 +306,10 @@ def build_circuit(
         raise ValueError(
             f"built-in entangling layers are defined on 4 qubits, got {n_qubits} for d_c = {d_c}"
         )
-    layers = tuple(
-        entangler_layer(d_c, i, chow_liu_source, dc3_edges) for i in range(n_layers)
-    )
+    # only d_c = 2 alternates, so each distinct layer (a Chow-Liu tree too) is built once
+    period = 2 if d_c == 2 else 1
+    cycle = [entangler_layer(d_c, i, chow_liu_source, dc3_edges) for i in range(period)]
+    layers = tuple(cycle[i % period] for i in range(n_layers))
     if n_layers == 0:
         patterns = (_FIRST_LAYER, _LAST_LAYER)
     else:

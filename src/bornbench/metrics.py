@@ -10,6 +10,10 @@ positives when q > p and as false negatives when q < p, giving
 precision q/(2q - p), unit recall when overshooting and recall q/p, unit
 precision when undershooting.
 
+Every metric scores a 1-d counts array over the 2^n basis states, as
+``sim.sample_counts`` and ``sim.sample_histogram`` draw it; the shot count is
+its sum.
+
 The qBAS score resamples small batches (size 15 for 2x2 images) from a
 measured histogram; precision is the fraction of valid target-state draws in
 a batch and recall the fraction of distinct target states seen.  The protocol
@@ -25,10 +29,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .ansatz import CircuitSpec
 from .bas import TargetDistribution
-from .noise import NoiseModel
-from .sim import Histogram, circuit_probabilities, sample_counts
+# circuit_probabilities is unused here, but perfbench traces it at this module
+from .sim import circuit_probabilities, sample_counts  # noqa: F401
 
 
 class KlEstimate(NamedTuple):
@@ -74,13 +77,13 @@ def _kl_rows(p: TargetDistribution, counts, n_shots: int, floor: float | None) -
     return [float(np.sum(row)) for row in terms]
 
 
-def kl_divergence(p: TargetDistribution, q: Histogram, floor: float | None = None) -> float:
-    """KL(p || q) in nats from a sampled histogram.
+def kl_divergence(p: TargetDistribution, counts, floor: float | None = None) -> float:
+    """KL(p || q) in nats, q the empirical distribution of a counts array.
 
     A nonpositive ``floor`` disables smoothing: any unsampled target state
     then makes the divergence infinite.
     """
-    return _kl_rows(p, q.counts[None], q.n_shots, floor)[0]
+    return _kl_rows(p, counts[None], counts.sum(), floor)[0]
 
 
 def kl_sampling_summary(
@@ -104,25 +107,10 @@ def kl_sampling_summary(
     return KlEstimate(fmean(values), std, smoothed)
 
 
-def mean_kl(
-    p: TargetDistribution,
-    circuit: CircuitSpec,
-    theta,
-    rng: np.random.Generator,
-    n_repeats: int = 10,
-    kl_shots: int = 2048,
-    noise: NoiseModel | None = None,
-    floor: float | None = None,
-) -> KlEstimate:
-    """Evaluate a circuit's KL divergence ``n_repeats`` times at ``kl_shots``
-    shots each and summarize."""
-    probs = circuit_probabilities(circuit, theta, noise)
-    return kl_sampling_summary(p, probs, rng, n_repeats=n_repeats, n_shots=kl_shots, floor=floor)
-
-
-def f1_per_state(p: TargetDistribution, q: Histogram) -> dict[int, float]:
-    """F1 score of each target support state against its sampled probability."""
-    empirical = q.counts / q.n_shots
+def f1_per_state(p: TargetDistribution, counts) -> dict[int, float]:
+    """F1 score of each target support state against its empirical
+    probability in a counts array."""
+    empirical = counts / counts.sum()
     scores: dict[int, float] = {}
     for x in p.support:
         px = float(p.probs[x])
@@ -141,13 +129,14 @@ def f1_per_state(p: TargetDistribution, q: Histogram) -> dict[int, float]:
 
 
 def qbas_score(
-    q: Histogram,
+    counts,
     bas_states,
     n_samples: int,
     n_resamples: int,
     rng: np.random.Generator,
 ) -> tuple[float, float]:
-    """Mean and variance of the qBAS score over batches resampled from ``q``.
+    """Mean and variance of the qBAS score over batches resampled from a
+    counts array.
 
     Each batch draws ``n_samples`` states with replacement from the empirical
     distribution; the score is the harmonic mean of batch precision and batch
@@ -158,7 +147,7 @@ def qbas_score(
     if n_resamples < 1:
         raise ValueError("n_resamples must be positive")
     bas_states = np.asarray(list(bas_states), dtype=int)
-    draws = rng.multinomial(n_samples, q.empirical(), size=n_resamples)
+    draws = rng.multinomial(n_samples, counts / counts.sum(), size=n_resamples)
     bas_counts = draws[:, bas_states]
     precision = bas_counts.sum(axis=1) / n_samples
     recall = (bas_counts > 0).sum(axis=1) / len(bas_states)
@@ -178,7 +167,7 @@ def qbas_from_probs(
 ) -> QbasResult:
     """qBAS protocol on an outcome distribution: ``repeats`` independent
     histograms, scored by resampling, aggregated by inverse-variance weights.
-    Histogram k is drawn from, then resampled on, the k-th generator spawned
+    Counts row k is drawn from, then resampled on, the k-th generator spawned
     off ``rng``.
 
     The reported variance is that of the weighted mean, 1 / sum(1/var_i).
@@ -189,7 +178,7 @@ def qbas_from_probs(
     streams = rng.spawn(repeats)
     counts = sample_counts(np.broadcast_to(probs, (repeats,) + np.shape(probs)), shots, streams)
     scores = [
-        qbas_score(Histogram(row, shots), bas_states, sample_size, resamples, stream)
+        qbas_score(row, bas_states, sample_size, resamples, stream)
         for row, stream in zip(counts, streams)
     ]
     # fresh contiguous arrays: weights @ means on a strided view rounds differently
@@ -200,27 +189,3 @@ def qbas_from_probs(
     weighted_mean = float((weights @ means) / weights.sum())
     weighted_variance = float(1.0 / weights.sum())
     return QbasResult(weighted_mean, weighted_variance, False)
-
-
-def qbas_protocol(
-    circuit: CircuitSpec,
-    theta,
-    bas_states,
-    rng: np.random.Generator,
-    noise: NoiseModel | None = None,
-    shots: int = 1024,
-    repeats: int = 11,
-    sample_size: int = 15,
-    resamples: int = 10000,
-) -> QbasResult:
-    """Run the qBAS protocol on a circuit's output distribution."""
-    probs = circuit_probabilities(circuit, theta, noise)
-    return qbas_from_probs(
-        probs,
-        bas_states,
-        rng,
-        shots=shots,
-        repeats=repeats,
-        sample_size=sample_size,
-        resamples=resamples,
-    )

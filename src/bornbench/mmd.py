@@ -26,7 +26,7 @@ import numpy as np
 from .ansatz import CircuitSpec
 from .bas import TargetDistribution
 from .noise import NoiseModel
-from .sim import Histogram, circuit_probabilities, sample_counts
+from .sim import circuit_probabilities, sample_counts
 
 MAX_KERNEL_BITS = 12
 
@@ -61,27 +61,31 @@ class KernelSpec:
                 f"sigma = {self.sigma!r} gives the kernel denominator {denom!r}, "
                 "which must be finite and positive"
             )
-        index = np.arange(2**self.n_bits)
+        index = np.arange(2**self.n_bits, dtype=np.uint16)  # n_bits <= 12
         if self.distance == "integer-squared":
-            d = (index[:, None] - index[None, :]).astype(float) ** 2
+            d = np.subtract(index[:, None], index[None, :], dtype=float) ** 2
         else:
-            bits = (index[:, None] >> np.arange(self.n_bits)[None, :]) & 1
-            hamming = (bits[:, None, :] != bits[None, :, :]).sum(axis=2)
+            flips = index[:, None] ^ index[None, :]
+            hamming = np.zeros_like(flips)
+            for bit in range(self.n_bits):  # one bit at a time: no (2^n, 2^n, n) array
+                hamming += (flips >> bit) & 1
             d = hamming.astype(float) ** 2
         with np.errstate(over="ignore"):  # -d / denom may round to -inf: entry 0
-            self.matrix = np.exp(-d / denom)
+            d /= -denom  # in place, as d is the largest array built here
+            self.matrix = np.exp(d, out=d)
 
 
-def mmd_loss(q: Histogram, p: TargetDistribution, spec: KernelSpec) -> float:
-    """Squared MMD between a sampled model distribution and the exact target.
+def mmd_loss(counts, p: TargetDistribution, spec: KernelSpec) -> float:
+    """Squared MMD between a sampled model distribution, given as a 1-d
+    counts array over the basis states, and the exact target.
 
     The sample-sample expectation is the U-statistic over distinct sample
     pairs, so the estimate is unbiased.
     """
-    n = q.n_shots
+    n = counts.sum()
     if n < 2:
         raise ValueError("the unbiased estimator needs at least 2 shots")
-    c = q.counts.astype(float)
+    c = counts.astype(float)
     kc = spec.matrix @ c
     qq = (c @ kc - n) / (n * (n - 1))  # kernel diagonal is exactly 1
     qp = (c / n) @ (spec.matrix @ p.probs)

@@ -10,6 +10,12 @@ Every simulator accepts one angle vector of shape (P,) or a batch of shape
 exactly the floating-point operations it would go through alone, so batched
 and row-by-row results are identical to the last bit.
 
+Results are plain arrays, with the batch axis first when there is one:
+amplitudes (2^n,) from ``run_statevector``, density matrices (2^n, 2^n) from
+``evolve_density``, outcome distributions (2^n,) from
+``circuit_probabilities`` and int64 counts (2^n,) from the samplers.  The
+shot count of a counts row is its sum.
+
 Both simulators share one walk over the circuit (``_walk``), which hands
 each rotation and each entangler sub-covering to the path's own step.  A
 statevector is a batch of n-axis tensors: a rotation contracts its qubit's
@@ -37,7 +43,6 @@ noisy config's digest carries a ``density_path_version`` line.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -56,54 +61,6 @@ MAX_DENSITY_QUBITS = 10
 # circuit_probabilities simulates at most this many bytes of states at once,
 # which bounds memory for wide registers and long batches
 MAX_BATCH_BYTES = 2**25
-
-
-@dataclass(eq=False)
-class StateVector:
-    """Amplitudes of one state, shape (2^n,), or of a batch, shape (B, 2^n)."""
-
-    n_qubits: int
-    amplitudes: np.ndarray
-
-    def __post_init__(self) -> None:
-        amps = np.asarray(self.amplitudes, dtype=complex)
-        if amps.ndim not in (1, 2) or amps.shape[-1] != 2**self.n_qubits:
-            raise ValueError(f"expected {2**self.n_qubits} amplitudes, got {amps.shape}")
-        self.amplitudes = amps
-
-
-@dataclass(eq=False)
-class DensityMatrix:
-    """One density matrix, shape (2^n, 2^n), or a batch, shape (B, 2^n, 2^n)."""
-
-    n_qubits: int
-    entries: np.ndarray
-
-    def __post_init__(self) -> None:
-        dim = 2**self.n_qubits
-        entries = np.asarray(self.entries, dtype=complex)
-        if entries.ndim not in (2, 3) or entries.shape[-2:] != (dim, dim):
-            raise ValueError(f"expected {dim}x{dim} matrices, got {entries.shape}")
-        self.entries = entries
-
-
-@dataclass(eq=False)
-class Histogram:
-    """Counts of measured basis states from a fixed number of shots."""
-
-    counts: np.ndarray
-    n_shots: int
-
-    def __post_init__(self) -> None:
-        counts = np.asarray(self.counts, dtype=np.int64)
-        if counts.ndim != 1 or np.any(counts < 0):
-            raise ValueError("counts must be a 1-d nonnegative array")
-        if int(counts.sum()) != self.n_shots:
-            raise ValueError("counts must sum to n_shots")
-        self.counts = counts
-
-    def empirical(self) -> np.ndarray:
-        return self.counts / self.n_shots
 
 
 def _rotations(gate: str, angles: np.ndarray) -> np.ndarray:
@@ -150,18 +107,6 @@ def _check_theta(circuit: CircuitSpec, theta) -> np.ndarray:
     return theta.reshape(-1, circuit.parameter_count)
 
 
-def exact_probabilities(state: StateVector | DensityMatrix) -> np.ndarray:
-    """Outcome distribution over the 2^n basis states, one row per batch row."""
-    if isinstance(state, StateVector):
-        probs = np.abs(state.amplitudes) ** 2
-    else:
-        probs = np.diagonal(state.entries, axis1=-2, axis2=-1).real.copy()
-        if probs.min() < -1e-8:
-            raise ValueError("density matrix has significantly negative populations")
-        np.clip(probs, 0.0, None, out=probs)
-    return probs / probs.sum(axis=-1, keepdims=True)
-
-
 def sample_counts(probs, n_shots: int, streams) -> np.ndarray:
     """Draw ``n_shots`` basis-state samples from each row of ``probs``
     (shape (B, 2^n)), row k from generator ``streams[k]``; counts (B, 2^n)."""
@@ -180,10 +125,10 @@ def sample_counts(probs, n_shots: int, streams) -> np.ndarray:
     )
 
 
-def sample_histogram(probs, n_shots: int, rng: np.random.Generator) -> Histogram:
-    """Draw ``n_shots`` i.i.d. basis-state samples; deterministic given ``rng``."""
-    counts = sample_counts(np.asarray(probs, dtype=float)[None], n_shots, [rng])
-    return Histogram(counts[0], n_shots)
+def sample_histogram(probs, n_shots: int, rng: np.random.Generator) -> np.ndarray:
+    """Counts (2^n,) of ``n_shots`` i.i.d. basis-state samples; deterministic
+    given ``rng``."""
+    return sample_counts(np.asarray(probs, dtype=float)[None], n_shots, [rng])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -234,9 +179,9 @@ def _walk(circuit: CircuitSpec, theta, n_axes: int, rotate, entangle) -> np.ndar
     return state
 
 
-def run_statevector(circuit: CircuitSpec, theta) -> StateVector:
-    """Evolve |0...0> through the circuit at rotation angles ``theta``; a
-    batch of angle vectors gives a batch of states."""
+def run_statevector(circuit: CircuitSpec, theta) -> np.ndarray:
+    """Amplitudes of |0...0> evolved through the circuit at rotation angles
+    ``theta``: shape (2^n,) for one angle vector, (B, 2^n) for a batch."""
     n = circuit.n_qubits
     if n > MAX_STATEVECTOR_QUBITS:
         raise ValueError(f"statevector simulation capped at {MAX_STATEVECTOR_QUBITS} qubits")
@@ -246,15 +191,13 @@ def run_statevector(circuit: CircuitSpec, theta) -> StateVector:
         return psi.reshape(len(psi), -1)[:, index].reshape(psi.shape)
 
     psi = _walk(circuit, theta, n, lambda psi, q, u: contract_axes(psi, [q], u), entangle)
-    return StateVector(n, psi.reshape(np.shape(theta)[:-1] + (2**n,)))
+    return psi.reshape(np.shape(theta)[:-1] + (2**n,))
 
 
-def evolve_density(
-    circuit: CircuitSpec, theta, noise: NoiseModel | None = None
-) -> DensityMatrix:
-    """Density-matrix evolution; each gate is followed by its noise channel
-    and every entangler sub-covering by per-qubit amplitude damping.  A batch
-    of angle vectors gives a batch of density matrices."""
+def evolve_density(circuit: CircuitSpec, theta, noise: NoiseModel | None = None) -> np.ndarray:
+    """Density matrix of the circuit's output, shape (d, d) with d = 2^n, or
+    (B, d, d) for a batch of angle vectors; each gate is followed by its noise
+    channel and every entangler sub-covering by per-qubit amplitude damping."""
     n = circuit.n_qubits
     if n > MAX_DENSITY_QUBITS:
         raise ValueError(f"density-matrix simulation capped at {MAX_DENSITY_QUBITS} qubits")
@@ -276,25 +219,15 @@ def evolve_density(
 
     rho = _walk(circuit, theta, 2 * n, rotate, entangle)
     dim = 2**n
-    return DensityMatrix(n, rho.reshape(np.shape(theta)[:-1] + (dim, dim)))
-
-
-def evolve_noisy(circuit: CircuitSpec, theta, noise: NoiseModel) -> np.ndarray:
-    """Outcome distribution of the circuit under the noise model, readout
-    confusion included."""
-    noise.check_register(circuit.n_qubits)
-    rho = evolve_density(circuit, theta, noise)
-    probs = exact_probabilities(rho)
-    confusion = noise.confusion_matrices(circuit.n_qubits)
-    if confusion is not None:
-        probs = apply_readout(probs, confusion)
-    return probs
+    return rho.reshape(np.shape(theta)[:-1] + (dim, dim))
 
 
 def circuit_probabilities(
     circuit: CircuitSpec, theta, noise: NoiseModel | None = None
 ) -> np.ndarray:
-    """Outcome distribution, picking the statevector path when noiseless.
+    """Outcome distribution: |psi|^2 when noiseless, else the density
+    matrix's diagonal (negative rounding clipped) followed by the readout
+    confusion.
 
     ``theta`` of shape (P,) gives one distribution (2^n,); a batch (B, P)
     gives (B, 2^n), simulated at most ``MAX_BATCH_BYTES`` of states at a time.
@@ -311,5 +244,13 @@ def circuit_probabilities(
             ]
         )
     if noiseless:
-        return exact_probabilities(run_statevector(circuit, theta))
-    return evolve_noisy(circuit, theta, noise)
+        probs = np.abs(run_statevector(circuit, theta)) ** 2
+        return probs / probs.sum(axis=-1, keepdims=True)
+    noise.check_register(circuit.n_qubits)
+    probs = np.diagonal(evolve_density(circuit, theta, noise), axis1=-2, axis2=-1).real.copy()
+    if probs.min() < -1e-8:
+        raise ValueError("density matrix has significantly negative populations")
+    np.clip(probs, 0.0, None, out=probs)
+    probs = probs / probs.sum(axis=-1, keepdims=True)
+    confusion = noise.confusion_matrices(circuit.n_qubits)
+    return probs if confusion is None else apply_readout(probs, confusion)

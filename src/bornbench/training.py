@@ -79,7 +79,10 @@ def adam_step(
     v = beta2 * state.v + (1.0 - beta2) * grad**2
     m_hat = m / (1.0 - beta1**t)
     v_hat = v / (1.0 - beta2**t)
-    new_theta = theta - alpha * m_hat / (np.sqrt(v_hat) + epsilon)
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below, by name
+        new_theta = theta - alpha * m_hat / (np.sqrt(v_hat) + epsilon)
+    if not np.all(np.isfinite(new_theta)):
+        raise ValueError(f"alpha = {alpha!r} is too large: the Adam step left the float range")
     return AdamState(t, m, v), new_theta
 
 

@@ -28,20 +28,16 @@ from bornbench import (
     evolve_density,
     f1_per_state,
     kl_divergence,
-    mean_kl,
+    kl_sampling_summary,
     mmd_gradient,
     mmd_loss_exact,
     preset_graph,
     qbas_from_probs,
-    qbas_protocol,
     qbas_score,
     rng_stream,
-    run_statevector,
-    sample_histogram,
     train,
 )
 from bornbench.cli import main
-from bornbench.sim import Histogram, exact_probabilities
 
 SEEDS = (0, 1, 2, 3, 4)
 BAS22 = [0, 3, 5, 10, 12, 15]
@@ -152,8 +148,10 @@ def test_a5_qbas_scores():
             d_c=d_c, n_layers=2, n_shots_train=1024, n_steps=100, alpha=0.2, seed=0
         )
         record = train(config)
-        result = qbas_protocol(
-            config.circuit(), record.final_theta, BAS22, rng_stream(0, 50, d_c)
+        result = qbas_from_probs(
+            circuit_probabilities(config.circuit(), record.final_theta),
+            BAS22,
+            rng_stream(0, 50, d_c),
         )
         scores[d_c] = result.mean
 
@@ -161,10 +159,9 @@ def test_a5_qbas_scores():
     target = bas_target_distribution(ImageShape(2, 2))
     counts = np.zeros(16, dtype=np.int64)
     counts[BAS22] = 1  # exact uniform empirical distribution
-    hist = Histogram(counts, 6)
     oracle_rng = np.random.default_rng(2718)
     chunk_means = [
-        qbas_score(hist, BAS22, 15, 200_000, oracle_rng)[0] for _ in range(6)
+        qbas_score(counts, BAS22, 15, 200_000, oracle_rng)[0] for _ in range(6)
     ]
     oracle = float(np.mean(chunk_means))
 
@@ -212,9 +209,9 @@ def test_a7_metric_unit_values():
 
     counts = np.zeros(16, dtype=np.int64)
     counts[BAS22] = 341
-    checks.append(("KL(p, q~p) = 0", abs(kl_divergence(target, Histogram(counts, 2046))) < 1e-12))
+    checks.append(("KL(p, q~p) = 0", abs(kl_divergence(target, counts)) < 1e-12))
 
-    uniform16 = Histogram(np.full(16, 128, dtype=np.int64), 2048)
+    uniform16 = np.full(16, 128, dtype=np.int64)
     checks.append(
         (
             "KL(uniform-6, uniform-16) = ln(16/6)",
@@ -226,16 +223,16 @@ def test_a7_metric_unit_values():
     half[BAS22] = 200
     half[0] = 100
     half[1] = 100
-    f1 = f1_per_state(target, Histogram(half, 1200))
+    f1 = f1_per_state(target, half)
     checks.append(("F1 at q=p/2 is 2/3", abs(f1[0] - 2 / 3) < 1e-12))
     exact = np.zeros(16, dtype=np.int64)
     exact[BAS22] = 200
-    f1 = f1_per_state(target, Histogram(exact, 1200))
+    f1 = f1_per_state(target, exact)
     checks.append(("F1 at q=p is 1", all(abs(f1[s] - 1.0) < 1e-12 for s in BAS22)))
 
     point = np.zeros(16, dtype=np.int64)
     point[3] = 64
-    mean, variance = qbas_score(Histogram(point, 64), BAS22, 15, 4000, np.random.default_rng(0))
+    mean, variance = qbas_score(point, BAS22, 15, 4000, np.random.default_rng(0))
     checks.append(("qBAS single state = 2/7 (analytic)", abs(mean - 2 / 7) < 1e-12))
 
     # resampled agreement within 3 sigma against a binomial oracle
@@ -253,7 +250,7 @@ def test_a7_metric_unit_values():
     oracle_mean = sum(p * score(k) for k, p in enumerate(pmf))
     oracle_var = sum(p * score(k) ** 2 for k, p in enumerate(pmf)) - oracle_mean**2
     n_resamples = 20000
-    mean, _ = qbas_score(Histogram(mixed, 1000), BAS22, 15, n_resamples, np.random.default_rng(1))
+    mean, _ = qbas_score(mixed, BAS22, 15, n_resamples, np.random.default_rng(1))
     checks.append(
         (
             "qBAS resampled within 3 sigma of binomial oracle",
@@ -276,8 +273,8 @@ def test_a8_noise_model_properties(runs_dc2_L2_2048):
         d_c, layers = shapes[k % len(shapes)]
         circuit = TrainingConfig(d_c=d_c, n_layers=layers).circuit()
         theta = rng.uniform(0, 2 * np.pi, circuit.parameter_count)
-        sv = exact_probabilities(run_statevector(circuit, theta))
-        dm = exact_probabilities(evolve_density(circuit, theta, NoiseModel()))
+        sv = circuit_probabilities(circuit, theta)
+        dm = np.diagonal(evolve_density(circuit, theta, NoiseModel())).real
         agreement = max(agreement, float(np.abs(sv - dm).max()))
 
     completeness = 0.0
@@ -294,9 +291,8 @@ def test_a8_noise_model_properties(runs_dc2_L2_2048):
     estimates = []
     for k, p2 in enumerate((0.0, 0.01, 0.02, 0.04)):
         noise = NoiseModel(p2=p2)
-        estimates.append(
-            mean_kl(target, circuit, theta, rng_stream(77, k), noise=noise)
-        )
+        probs = circuit_probabilities(circuit, theta, noise)
+        estimates.append(kl_sampling_summary(target, probs, rng_stream(77, k)))
     monotone = all(
         b.mean >= a.mean - 3 * math.hypot(a.std, b.std) / math.sqrt(10)
         for a, b in zip(estimates, estimates[1:])
@@ -307,11 +303,13 @@ def test_a8_noise_model_properties(runs_dc2_L2_2048):
         d_c=4, n_layers=2, n_shots_train=2048, n_steps=100, alpha=0.2, seed=0
     )
     record4 = train(config4)
-    noisy2 = mean_kl(
-        target, circuit, theta, rng_stream(78, 2), noise=NOISE_PROFILE
+    noisy2 = kl_sampling_summary(
+        target, circuit_probabilities(circuit, theta, NOISE_PROFILE), rng_stream(78, 2)
     )
-    noisy4 = mean_kl(
-        target, config4.circuit(), record4.final_theta, rng_stream(78, 4), noise=NOISE_PROFILE
+    noisy4 = kl_sampling_summary(
+        target,
+        circuit_probabilities(config4.circuit(), record4.final_theta, NOISE_PROFILE),
+        rng_stream(78, 4),
     )
 
     ok = (

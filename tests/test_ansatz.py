@@ -23,6 +23,8 @@ from bornbench import (
     pairwise_mutual_information,
     preset_graph,
 )
+from bornbench import ansatz
+from bornbench.ansatz import entangler_layer
 
 PLAQUETTE_EDGES = {(0, 1), (1, 3), (2, 3), (0, 2)}
 
@@ -172,6 +174,34 @@ def test_build_circuit_deterministic(target22):
     a = build_circuit(4, 3, 2, chow_liu_source=target22)
     b = build_circuit(4, 3, 2, chow_liu_source=target22)
     assert a == b
+
+
+@pytest.mark.parametrize("layers", [1, 2, 3])
+@pytest.mark.parametrize("d_c", [0, 2, 3, 4])
+def test_build_circuit_matches_the_layer_by_layer_stack(d_c, layers, target22):
+    # the stack as built before each distinct layer was reused: one
+    # entangler_layer call per layer index
+    patterns = (("rx", "rz"),) + (("rz", "rx", "rz"),) * (layers - 1) + (("rz", "rx"),)
+    stack = tuple(entangler_layer(d_c, i, target22) for i in range(layers))
+    expected = CircuitSpec(4, patterns, stack)
+    assert build_circuit(4, d_c, layers, chow_liu_source=target22) == expected
+    edges = [(0, 2), (1, 2), (2, 3)]
+    if d_c == 3:  # explicit edges take the place of the Chow-Liu tree
+        stack = tuple(entangler_layer(3, i, dc3_edges=edges) for i in range(layers))
+        assert build_circuit(4, 3, layers, dc3_edges=edges) == CircuitSpec(4, patterns, stack)
+
+
+def test_chow_liu_tree_is_built_once_per_circuit(target22, monkeypatch):
+    calls = []
+
+    def counting(source):
+        calls.append(source)
+        return chow_liu_layer(source)
+
+    monkeypatch.setattr(ansatz, "chow_liu_layer", counting)
+    circuit = build_circuit(4, 3, 2, chow_liu_source=target22)
+    assert calls == [target22]
+    assert circuit.entangler_layers == (chow_liu_layer(target22),) * 2
 
 
 def test_build_circuit_errors(target22):

@@ -1,4 +1,5 @@
 import csv
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -488,6 +489,18 @@ def test_bad_float_fails_its_sweep_row(tmp_path):
     statuses = [r[rows[0].index("status")] for r in rows[1:]]
     assert statuses == ["ok", "failed: sigma must be finite and positive, got nan"]
     assert not (out / "row001").exists()
+
+
+def test_overflowing_alpha_fails_with_a_named_error(tmp_path, capsys):
+    # finite, so accepted at config time, but the Adam step leaves the float range
+    config = tmp_path / "big.cfg"
+    config.write_text(TINY_CONFIG.replace("alpha = 0.2", "alpha = 1e308"))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["train", "-c", str(config), "-o", str(tmp_path / "run")]) == 1
+    assert "alpha = 1e+308 is too large" in capsys.readouterr().err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert not (tmp_path / "run").exists()
 
 
 def test_readout_flip_outside_register_is_rejected(tiny_run, tmp_path, capsys):

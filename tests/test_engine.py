@@ -312,11 +312,11 @@ def test_batch_matches_rows_bit_for_bit(d_c, layers, noisy):
     assert batch.shape == (len(thetas), 16)
     assert batch.tobytes() == rows.tobytes()
     if noisy:
-        states = evolve_density(circuit, thetas, noise).entries
+        states = evolve_density(circuit, thetas, noise)
         expected = np.array([reference_density(circuit, t, noise) for t in thetas])
         assert np.max(np.abs(states - expected)) <= 1e-12
     else:
-        states = run_statevector(circuit, thetas).amplitudes
+        states = run_statevector(circuit, thetas)
         expected = np.array([reference_amplitudes(circuit, t) for t in thetas])
         assert states.tobytes() == expected.tobytes()
 
@@ -324,8 +324,8 @@ def test_batch_matches_rows_bit_for_bit(d_c, layers, noisy):
 def test_single_theta_keeps_unbatched_shapes():
     circuit = TrainingConfig(d_c=2, n_layers=1).circuit()
     theta = _random_thetas(circuit, 1)[2]
-    assert run_statevector(circuit, theta).amplitudes.shape == (16,)
-    assert evolve_density(circuit, theta).entries.shape == (16, 16)
+    assert run_statevector(circuit, theta).shape == (16,)
+    assert evolve_density(circuit, theta).shape == (16, 16)
     assert circuit_probabilities(circuit, theta).shape == (16,)
     with pytest.raises(ValueError):
         circuit_probabilities(circuit, np.zeros((2, 3, circuit.parameter_count)))
@@ -355,8 +355,7 @@ def test_sample_counts_draws_row_k_from_stream_k():
     probs = np.random.default_rng(4).dirichlet(np.ones(16), size=5)
     counts = sim.sample_counts(probs, 300, [np.random.default_rng(k) for k in range(5)])
     for k, row in enumerate(probs):
-        hist = sample_histogram(row, 300, np.random.default_rng(k))
-        assert np.array_equal(counts[k], hist.counts)
+        assert np.array_equal(counts[k], sample_histogram(row, 300, np.random.default_rng(k)))
     assert counts.dtype == np.int64 and np.all(counts.sum(axis=1) == 300)
     with pytest.raises(ValueError):
         sim.sample_counts(probs, 300, [np.random.default_rng(0)])  # one stream short

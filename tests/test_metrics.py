@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from bornbench import (
-    Histogram,
     QbasResult,
     TrainingConfig,
     bas_target_distribution,
@@ -14,44 +13,36 @@ from bornbench import (
     f1_per_state,
     kl_divergence,
     kl_sampling_summary,
-    mean_kl,
     qbas_from_probs,
-    qbas_protocol,
     qbas_score,
     sample_histogram,
 )
-from bornbench import metrics
+from bornbench import circuit_probabilities, metrics
 from bornbench.sim import sample_counts
 
 BAS22 = [0, 3, 5, 10, 12, 15]
 
 
-def histogram_from_counts(counts):
-    counts = np.asarray(counts, dtype=np.int64)
-    return Histogram(counts, int(counts.sum()))
-
-
 def test_kl_zero_when_proportional(target22):
     counts = np.zeros(16, dtype=int)
     counts[BAS22] = 100
-    assert kl_divergence(target22, histogram_from_counts(counts)) == pytest.approx(0.0, abs=1e-12)
+    assert kl_divergence(target22, counts) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_kl_uniform_sixteen(target22):
     counts = np.full(16, 100, dtype=int)
     expected = math.log(16.0 / 6.0)
-    assert kl_divergence(target22, histogram_from_counts(counts)) == pytest.approx(expected, abs=1e-12)
+    assert kl_divergence(target22, counts) == pytest.approx(expected, abs=1e-12)
 
 
 def test_kl_smoothing_floor(target22):
     counts = np.zeros(16, dtype=int)
     counts[BAS22[:-1]] = 100  # one support state unsampled
-    hist = histogram_from_counts(counts)
-    floored = kl_divergence(target22, hist, floor=1.0 / (100 * hist.n_shots))
+    floored = kl_divergence(target22, counts, floor=1.0 / (100 * counts.sum()))
     assert math.isfinite(floored)
-    assert kl_divergence(target22, hist, floor=0.0) == math.inf
-    # default floor is 1/(100 n_shots)
-    assert kl_divergence(target22, hist) == pytest.approx(floored, abs=1e-12)
+    assert kl_divergence(target22, counts, floor=0.0) == math.inf
+    # default floor is 1/(100 n_shots), n_shots the sum of the counts
+    assert kl_divergence(target22, counts) == pytest.approx(floored, abs=1e-12)
 
 
 def test_kl_summary_flags_smoothing(target22):
@@ -96,14 +87,13 @@ def test_kl_summary_deterministic(target22):
 def test_mean_kl_defaults_and_noise_path(trained_dc2_L2):
     import inspect
 
-    defaults = inspect.signature(mean_kl).parameters
+    defaults = inspect.signature(kl_sampling_summary).parameters
     assert defaults["n_repeats"].default == 10
-    assert defaults["kl_shots"].default == 2048
+    assert defaults["n_shots"].default == 2048
 
     config, record = trained_dc2_L2
-    estimate = mean_kl(
-        config.target(), config.circuit(), record.final_theta, np.random.default_rng(3)
-    )
+    probs = circuit_probabilities(config.circuit(), record.final_theta, config.noise)
+    estimate = kl_sampling_summary(config.target(), probs, np.random.default_rng(3))
     assert estimate.mean < 0.1  # converged circuit
     assert estimate.std > 0.0
 
@@ -111,7 +101,7 @@ def test_mean_kl_defaults_and_noise_path(trained_dc2_L2):
 def test_mean_kl_std_scaling(target22):
     # sample std should scale roughly like 1/sqrt(shots): each 4x increase in
     # shots should shrink it by about 2, within a factor of 2 either way
-    from bornbench import circuit_probabilities, train
+    from bornbench import train
 
     config = TrainingConfig(d_c=2, n_layers=2, n_steps=30, alpha=0.1, gradient_mode="exact", seed=1)
     record = train(config)
@@ -131,7 +121,7 @@ def test_f1_hand_cases(target22):
     # q == p -> 1
     counts = np.zeros(16, dtype=int)
     counts[BAS22] = 200
-    scores = f1_per_state(target22, histogram_from_counts(counts))
+    scores = f1_per_state(target22, counts)
     assert all(scores[s] == pytest.approx(1.0, abs=1e-12) for s in BAS22)
 
     # q = p/2 = 1/12: recall 1/2, precision 1, F1 = 2/3
@@ -139,7 +129,7 @@ def test_f1_hand_cases(target22):
     counts[BAS22] = 200
     counts[0] = 100
     counts[1] = 100  # dump the removed mass on a non-support state
-    scores = f1_per_state(target22, histogram_from_counts(counts))
+    scores = f1_per_state(target22, counts)
     assert scores[0] == pytest.approx(2.0 / 3.0, abs=1e-12)
 
     # q = 2p = 1/3: precision (1/3)/(1/2) = 2/3, recall 1, F1 = 4/5
@@ -147,7 +137,7 @@ def test_f1_hand_cases(target22):
     counts[BAS22] = 200
     counts[0] = 400
     counts[3] = 0  # keep the total fixed; only state 0 matters here
-    scores = f1_per_state(target22, histogram_from_counts(counts))
+    scores = f1_per_state(target22, counts)
     assert scores[0] == pytest.approx(4.0 / 5.0, abs=1e-12)
 
     # unsampled state -> 0
@@ -162,7 +152,7 @@ def test_f1_unimodal_in_q(target22):
         counts[BAS22] = 1200
         counts[0] = count
         counts[1] = n_shots - 1200 * 5 - count  # non-support filler
-        scores = f1_per_state(target22, Histogram(counts, n_shots))
+        scores = f1_per_state(target22, counts)
         values.append(scores[0])
         assert 0.0 <= scores[0] <= 1.0
     peak = 1600 // 200  # q == p
@@ -196,7 +186,6 @@ def test_qbas_binomial_oracle():
     counts = np.zeros(16, dtype=int)
     counts[3] = 500
     counts[1] = 500
-    hist = Histogram(counts, 1000)
 
     def score(k):
         if k == 0:
@@ -210,7 +199,7 @@ def test_qbas_binomial_oracle():
     oracle_var = sum(p * score(k) ** 2 for k, p in enumerate(pmf)) - oracle_mean**2
 
     n_resamples = 20000
-    mean, variance = qbas_score(hist, BAS22, 15, n_resamples, np.random.default_rng(2))
+    mean, variance = qbas_score(counts, BAS22, 15, n_resamples, np.random.default_rng(2))
     assert mean == pytest.approx(oracle_mean, abs=3 * math.sqrt(oracle_var / n_resamples))
     assert variance == pytest.approx(oracle_var, rel=0.1)
 
@@ -249,11 +238,14 @@ def test_qbas_protocol_degenerate_flag():
 
 def test_qbas_protocol_deterministic(trained_dc2_L2):
     config, record = trained_dc2_L2
-    a = qbas_protocol(
-        config.circuit(), record.final_theta, BAS22, np.random.default_rng(6), resamples=2000
-    )
-    b = qbas_protocol(
-        config.circuit(), record.final_theta, BAS22, np.random.default_rng(6), resamples=2000
+    a, b = (
+        qbas_from_probs(
+            circuit_probabilities(config.circuit(), record.final_theta),
+            BAS22,
+            np.random.default_rng(6),
+            resamples=2000,
+        )
+        for _ in range(2)
     )
     assert a == b
     assert 0.0 <= a.mean <= 1.0
@@ -272,10 +264,11 @@ def test_qbas_validation(target22):
 # kept as the reference the batched metrics must match bit for bit.
 
 
-def reference_kl(p, hist, floor=None):
+def reference_kl(p, counts, floor=None):
+    n_shots = int(counts.sum())
     if floor is None:
-        floor = 1.0 / (100.0 * hist.n_shots)
-    empirical = hist.counts[p.support] / hist.n_shots
+        floor = 1.0 / (100.0 * n_shots)
+    empirical = counts[p.support] / n_shots
     if floor <= 0.0:
         if np.any(empirical == 0.0):
             return math.inf
@@ -290,7 +283,7 @@ def reference_kl_summary(p, probs, rng, n_repeats, n_shots, floor):
     values, smoothed = [], False
     for stream in rng.spawn(n_repeats):
         hist = sample_histogram(probs, n_shots, stream)
-        smoothed |= bool(np.any(hist.counts[p.support] == 0))
+        smoothed |= bool(np.any(hist[p.support] == 0))
         value = kl_divergence(p, hist, floor)
         assert repr(value) == repr(reference_kl(p, hist, floor))
         values.append(value)

@@ -1,10 +1,10 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 from bornbench import (
-    Histogram,
     KernelSpec,
     TrainingConfig,
     circuit_probabilities,
@@ -39,6 +39,30 @@ def test_kernel_hamming_variant():
     spec = KernelSpec(4, sigma=0.1, distance="hamming-squared")
     # 0b0000 vs 0b0011 differ in 2 bits: exp(-4 / 0.2)
     assert spec.matrix[0b0000, 0b0011] == pytest.approx(math.exp(-20.0))
+
+
+def three_axis_kernel(n, sigma, distance, sigma_is_variance):
+    """The kernel as built before the distances were accumulated bit by bit:
+    hamming distances from a (2^n, 2^n, n) array of bit comparisons."""
+    denom = 2.0 * sigma if sigma_is_variance else 2.0 * sigma**2
+    index = np.arange(2**n)
+    if distance == "integer-squared":
+        d = (index[:, None] - index[None, :]).astype(float) ** 2
+    else:
+        bits = (index[:, None] >> np.arange(n)[None, :]) & 1
+        d = (bits[:, None, :] != bits[None, :, :]).sum(axis=2).astype(float) ** 2
+    with np.errstate(over="ignore"):
+        return np.exp(-d / denom)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_kernel_matrix_is_byte_equal_to_the_three_axis_construction(n):
+    for distance, sigma, as_variance in itertools.product(
+        ("integer-squared", "hamming-squared"), (1e-3, 0.1, 2.5, 1e6), (True, False)
+    ):
+        spec = KernelSpec(n, sigma, distance, as_variance)
+        expected = three_axis_kernel(n, sigma, distance, as_variance)
+        assert spec.matrix.tobytes() == expected.tobytes(), (distance, sigma, as_variance)
 
 
 def test_kernel_sigma_as_std():
@@ -81,9 +105,8 @@ def test_sampled_loss_unbiased(target22, kernel4):
 
 
 def test_sampled_loss_needs_two_shots(target22, kernel4):
-    hist = Histogram(np.eye(16, dtype=np.int64)[3], 1)
     with pytest.raises(ValueError):
-        mmd_loss(hist, target22, kernel4)
+        mmd_loss(np.eye(16, dtype=np.int64)[3], target22, kernel4)
 
 
 def finite_difference_gradient(circuit, theta, target, kernel, h=1e-5):

@@ -53,9 +53,9 @@ def noisy_circuits(draw):
 @given(noisy_circuits())
 def test_density_matrices_match_reference_and_are_states(case):
     circuit, noise, thetas = case
-    states = evolve_density(circuit, thetas, noise).entries
+    states = evolve_density(circuit, thetas, noise)
     for rho, theta in zip(states, thetas):
-        assert rho.tobytes() == evolve_density(circuit, theta, noise).entries.tobytes()
+        assert rho.tobytes() == evolve_density(circuit, theta, noise).tobytes()
         # fused superoperators round differently from the per-gate walk
         assert np.max(np.abs(rho - reference_density(circuit, theta, noise))) <= 1e-12
         assert abs(np.trace(rho) - 1.0) <= 1e-12
@@ -67,7 +67,7 @@ def test_density_matrices_match_reference_and_are_states(case):
 @given(noisy_circuits())
 def test_statevectors_match_reference_and_are_normalised(case):
     circuit, _, thetas = case  # the same shapes and angle rows, noise unused
-    states = run_statevector(circuit, thetas).amplitudes
+    states = run_statevector(circuit, thetas)
     for psi, theta in zip(states, thetas):
         assert psi.tobytes() == reference_amplitudes(circuit, theta).tobytes()
         assert abs(np.linalg.norm(psi) - 1.0) <= 1e-12

@@ -7,15 +7,12 @@ from scipy import stats
 from bornbench import (
     CircuitSpec,
     EntanglerLayer,
-    Histogram,
     NoiseModel,
     TrainingConfig,
     build_circuit,
     circuit_probabilities,
     evolve_density,
-    evolve_noisy,
-    exact_probabilities,
-    mean_kl,
+    kl_sampling_summary,
     rng_stream,
     run_statevector,
     sample_histogram,
@@ -28,8 +25,9 @@ def random_circuit_theta(d_c, layers, seed):
     return circuit, rng.uniform(0, 2 * np.pi, circuit.parameter_count)
 
 
-def amplitudes(circuit, theta):
-    return run_statevector(circuit, theta).amplitudes
+def density_populations(circuit, theta, noise=None):
+    """The diagonal of the circuit's output density matrix."""
+    return np.diagonal(evolve_density(circuit, theta, noise)).real
 
 
 def cnots(*sub_coverings):
@@ -47,31 +45,31 @@ def prepared_2q(pattern):
 
 
 def test_rx_half_turn():
-    probs = exact_probabilities(run_statevector(CircuitSpec(1, (("rx",),), ()), [math.pi / 2]))
+    probs = circuit_probabilities(CircuitSpec(1, (("rx",),), ()), [math.pi / 2])
     assert np.allclose(probs, [0.5, 0.5], rtol=0.0, atol=1e-15)
 
 
 def test_rx_identity_and_flip():
     circuit = prepared_2q(("rx",))
-    state = amplitudes(circuit, PREP_2Q + [0.0, 0.0])
-    assert np.allclose(state, amplitudes(prepared_2q(()), PREP_2Q), rtol=0.0, atol=1e-15)
-    flipped = run_statevector(CircuitSpec(1, (("rx",),), ()), [math.pi])
-    assert np.allclose(exact_probabilities(flipped), [0.0, 1.0], rtol=0.0, atol=1e-15)
+    state = run_statevector(circuit, PREP_2Q + [0.0, 0.0])
+    assert np.allclose(state, run_statevector(prepared_2q(()), PREP_2Q), rtol=0.0, atol=1e-15)
+    flipped = circuit_probabilities(CircuitSpec(1, (("rx",),), ()), [math.pi])
+    assert np.allclose(flipped, [0.0, 1.0], rtol=0.0, atol=1e-15)
 
 
 def test_rz_preserves_probabilities():
-    before = exact_probabilities(run_statevector(prepared_2q(()), PREP_2Q))
+    before = circuit_probabilities(prepared_2q(()), PREP_2Q)
     assert before.min() > 0.01  # a state where a wrong phase would show
     for angles in ([1.234, 0.0], [0.0, 1.234]):
-        rotated = run_statevector(prepared_2q(("rz",)), PREP_2Q + angles)
-        assert np.allclose(exact_probabilities(rotated), before, rtol=0.0, atol=1e-12)
-    zeros = run_statevector(CircuitSpec(2, (("rz",),), ()), [2.5, 0.0])
-    assert np.allclose(exact_probabilities(zeros), [1, 0, 0, 0], rtol=0.0, atol=1e-15)
+        rotated = circuit_probabilities(prepared_2q(("rz",)), PREP_2Q + angles)
+        assert np.allclose(rotated, before, rtol=0.0, atol=1e-12)
+    zeros = circuit_probabilities(CircuitSpec(2, (("rz",),), ()), [2.5, 0.0])
+    assert np.allclose(zeros, [1, 0, 0, 0], rtol=0.0, atol=1e-15)
 
 
 def test_rz_inverse_pair():
-    back = amplitudes(prepared_2q(("rz", "rz")), PREP_2Q + [math.pi, -math.pi, 0.0, 0.0])
-    assert np.allclose(back, amplitudes(prepared_2q(()), PREP_2Q), rtol=0.0, atol=1e-12)
+    back = run_statevector(prepared_2q(("rz", "rz")), PREP_2Q + [math.pi, -math.pi, 0.0, 0.0])
+    assert np.allclose(back, run_statevector(prepared_2q(()), PREP_2Q), rtol=0.0, atol=1e-12)
 
 
 def test_rz_changes_interference():
@@ -90,8 +88,8 @@ def test_rz_changes_interference():
     quarter = math.pi / 2
     expected_with_rz = rx(quarter) @ rz(quarter) @ rx(quarter) @ zero
     expected_without = rx(quarter) @ rx(quarter) @ zero
-    with_rz = amplitudes(circuit, [quarter] * 3)
-    without = amplitudes(circuit, [quarter, 0.0, quarter])
+    with_rz = run_statevector(circuit, [quarter] * 3)
+    without = run_statevector(circuit, [quarter, 0.0, quarter])
     assert np.allclose(with_rz, expected_with_rz, rtol=0.0, atol=1e-12)
     assert np.allclose(without, expected_without, rtol=0.0, atol=1e-12)
     assert not np.allclose(np.abs(expected_with_rz), np.abs(expected_without))
@@ -99,9 +97,9 @@ def test_rz_changes_interference():
 
 def test_cnot_basis_action():
     circuit = CircuitSpec(2, (("rx",), ()), (cnots(((0, 1),)),))
-    ten = amplitudes(circuit, [math.pi, 0.0])  # -i|10> before the CNOT
+    ten = run_statevector(circuit, [math.pi, 0.0])  # -i|10> before the CNOT
     assert np.allclose(np.abs(ten), [0, 0, 0, 1], rtol=0.0, atol=1e-15)  # -> |11>
-    assert np.array_equal(amplitudes(circuit, [0.0, 0.0]), [1, 0, 0, 0])
+    assert np.array_equal(run_statevector(circuit, [0.0, 0.0]), [1, 0, 0, 0])
 
 
 def test_cnot_involution(rng):
@@ -110,9 +108,9 @@ def test_cnot_involution(rng):
     layers = (("rx", "rz"), ("rx",), ())
     theta = rng.uniform(-7.0, 7.0, 12)
     matching = cnots(((0, 1), (2, 3)))
-    state = amplitudes(CircuitSpec(4, layers, (matching, cnots())), theta)
-    once = amplitudes(CircuitSpec(4, layers, (matching, cnots(((1, 3),)))), theta)
-    back = amplitudes(CircuitSpec(4, layers, (matching, twice)), theta)
+    state = run_statevector(CircuitSpec(4, layers, (matching, cnots())), theta)
+    once = run_statevector(CircuitSpec(4, layers, (matching, cnots(((1, 3),)))), theta)
+    back = run_statevector(CircuitSpec(4, layers, (matching, twice)), theta)
     assert not np.allclose(once, state)
     assert back.tobytes() == state.tobytes()
 
@@ -132,14 +130,14 @@ def test_norm_preserved_and_unitary_inverse(rng):
     # 3 qubits entangled by CNOT 0->1 and 1->2, then the gate on qubit 1
     prep = rng.uniform(-7.0, 7.0, 6)
     entangle = (cnots(((0, 1),), ((1, 2),)),)
-    state = amplitudes(CircuitSpec(3, (("rx", "rz"), ()), entangle), prep)
+    state = run_statevector(CircuitSpec(3, (("rx", "rz"), ()), entangle), prep)
     for angle in rng.uniform(-2 * np.pi, 2 * np.pi, 5):
         for gate in ("rx", "rz"):
             once = CircuitSpec(3, (("rx", "rz"), (gate,)), entangle)
-            out = amplitudes(once, [*prep, 0, angle, 0])
+            out = run_statevector(once, [*prep, 0, angle, 0])
             assert abs(np.linalg.norm(out) - 1.0) < 1e-12
             undo = CircuitSpec(3, (("rx", "rz"), (gate, gate)), entangle)
-            undone = amplitudes(undo, [*prep, 0, 0, angle, -angle, 0, 0])
+            undone = run_statevector(undo, [*prep, 0, 0, angle, -angle, 0, 0])
             assert np.allclose(undone, state, rtol=0.0, atol=1e-12)
 
 
@@ -153,8 +151,8 @@ def test_statevector_density_agreement():
         cfg = TrainingConfig(d_c=d_c, n_layers=layers)
         circuit = cfg.circuit()
         theta = rng.uniform(0, 2 * np.pi, circuit.parameter_count)
-        sv = exact_probabilities(run_statevector(circuit, theta))
-        dm = exact_probabilities(evolve_density(circuit, theta))
+        sv = circuit_probabilities(circuit, theta)
+        dm = density_populations(circuit, theta)
         assert np.abs(sv - dm).max() < 1e-12
         count += 1
 
@@ -168,16 +166,16 @@ def test_theta_length_checked():
 def test_sampling_point_mass(rng):
     probs = np.zeros(16)
     probs[3] = 1.0
-    hist = sample_histogram(probs, 100, rng)
-    assert hist.counts[3] == 100
-    assert hist.counts.sum() == hist.n_shots == 100
+    counts = sample_histogram(probs, 100, rng)
+    assert counts.shape == (16,) and counts.dtype == np.int64
+    assert counts[3] == counts.sum() == 100
 
 
 def test_sampling_determinism():
     probs = np.full(16, 1 / 16)
     a = sample_histogram(probs, 2048, np.random.default_rng(42))
     b = sample_histogram(probs, 2048, np.random.default_rng(42))
-    assert np.array_equal(a.counts, b.counts)
+    assert np.array_equal(a, b)
 
 
 def test_sampling_errors():
@@ -188,8 +186,6 @@ def test_sampling_errors():
     for bad in (np.nan, np.inf):  # rejected here, not by numpy's multinomial
         with pytest.raises(ValueError, match="nonnegative with positive sum"):
             sample_histogram(np.array([0.5, bad]), 10, np.random.default_rng(0))
-    with pytest.raises(ValueError):
-        Histogram(np.array([1, 2]), 4)  # counts do not sum to n_shots
 
 
 def test_sampling_chi_square():
@@ -201,36 +197,37 @@ def test_sampling_chi_square():
     below = 0
     n_seeds = 300
     for seed in range(n_seeds):
-        hist = sample_histogram(probs, 2048, np.random.default_rng(seed))
-        statistic = float(((hist.counts - expected) ** 2 / expected).sum())
+        counts = sample_histogram(probs, 2048, np.random.default_rng(seed))
+        statistic = float(((counts - expected) ** 2 / expected).sum())
         below += statistic < threshold
     assert below >= 0.99 * n_seeds
 
 
 def test_sampling_l1_convergence(rng):
     probs = rng.dirichlet(np.ones(16))
-    hist = sample_histogram(probs, 10**6, rng)
-    assert np.abs(hist.empirical() - probs).sum() < 0.01
+    counts = sample_histogram(probs, 10**6, rng)
+    assert np.abs(counts / 10**6 - probs).sum() < 0.01
 
 
-def test_evolve_noisy_zero_noise_matches_statevector():
+def test_zero_noise_density_matches_statevector():
     circuit, theta = random_circuit_theta(2, 2, 9)
-    noiseless = exact_probabilities(run_statevector(circuit, theta))
-    noisy = evolve_noisy(circuit, theta, NoiseModel())
+    noiseless = circuit_probabilities(circuit, theta)
+    assert circuit_probabilities(circuit, theta, NoiseModel()).tobytes() == noiseless.tobytes()
+    noisy = density_populations(circuit, theta, NoiseModel())
     assert np.abs(noisy - noiseless).max() < 1e-12
 
 
 def test_full_depolarizing_gives_uniform():
     for d_c, layers in ((2, 1), (4, 1)):
         circuit, theta = random_circuit_theta(d_c, layers, 13)
-        probs = evolve_noisy(circuit, theta, NoiseModel(p1=1.0, p2=1.0))
+        probs = circuit_probabilities(circuit, theta, NoiseModel(p1=1.0, p2=1.0))
         assert np.abs(probs - 1 / 16).max() < 1e-10
 
 
 def test_noisy_evolution_preserves_trace_and_hermiticity():
     circuit, theta = random_circuit_theta(4, 2, 21)
     noise = NoiseModel(p1=0.01, p2=0.05, t_damp=0.02)
-    rho = evolve_density(circuit, theta, noise).entries
+    rho = evolve_density(circuit, theta, noise)
     assert abs(np.trace(rho).real - 1.0) < 1e-10
     assert abs(np.trace(rho).imag) < 1e-10
     assert np.abs(rho - rho.conj().T).max() < 1e-10
@@ -241,15 +238,17 @@ def test_noise_degrades_trained_circuit(trained_dc2_L2):
     config, record = trained_dc2_L2
     noise = NoiseModel(p1=0.002, p2=0.02, readout_flip_all=0.03)
     target = config.target()
-    clean = mean_kl(target, config.circuit(), record.final_theta, rng_stream(1, 0))
-    noisy = mean_kl(
-        target, config.circuit(), record.final_theta, rng_stream(1, 1), noise=noise
+    clean = kl_sampling_summary(
+        target, circuit_probabilities(config.circuit(), record.final_theta), rng_stream(1, 0)
+    )
+    noisy = kl_sampling_summary(
+        target, circuit_probabilities(config.circuit(), record.final_theta, noise), rng_stream(1, 1)
     )
     assert noisy.mean > clean.mean
 
 
 def test_density_probabilities_with_readout():
     circuit, theta = random_circuit_theta(2, 1, 3)
-    flipped = evolve_noisy(circuit, theta, NoiseModel(readout_flip_all=0.5))
+    flipped = circuit_probabilities(circuit, theta, NoiseModel(readout_flip_all=0.5))
     assert np.abs(flipped - 1 / 16).max() < 1e-12  # symmetric half flip mixes fully
     assert circuit_probabilities(circuit, theta, None).shape == (16,)
