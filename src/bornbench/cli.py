@@ -67,9 +67,7 @@ def _fmt(value: float) -> str:
 
 
 def cmd_train(args) -> int:
-    config = load_config_file(args.config)
-    if args.seed is not None:
-        config = replace(config, seed=args.seed)
+    config = load_config_file(args.config, seed=args.seed)
     out_dir = Path(args.out) if args.out else Path("runs") / config.label
     record = train(config)
     path = write_run(out_dir, config, record, force=args.force)

@@ -15,6 +15,7 @@ Pauli products P.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import get_type_hints
 
 import numpy as np
@@ -53,20 +54,29 @@ def amplitude_damping_kraus(gamma: float) -> list[np.ndarray]:
     return [k0, k1]
 
 
-def contract_axes(t: np.ndarray, axes, m: np.ndarray) -> np.ndarray:
-    """Contract ``m`` (2^k x 2^k, shared or one per batch row) over k qubit
-    axes of each row of ``t``, shape (B, 2, ..., 2).
+@lru_cache(maxsize=256)
+def _axis_orders(ndim: int, axes: tuple, shared: bool) -> tuple:
+    """``contract_axes``' transpose order (gate axes first if shared), inverse."""
+    front = [1 + a for a in axes]
+    rest = [a for a in range(1, ndim) if a not in front]
+    order = front + [0] + rest if shared else [0] + front + rest
+    return tuple(order), tuple(np.argsort(order).tolist())
 
-    The gate axes move to the front and each row takes one
-    (2^k x 2^k) @ (2^k x rest) product, the arithmetic of a lone state.
+
+def contract_axes(t: np.ndarray, axes, m: np.ndarray) -> np.ndarray:
+    """Contract ``m`` over k qubit axes of each row of ``t`` (B, 2, ..., 2):
+    a shared matrix (2^k x 2^k) in one (2^k x 2^k) @ (2^k x B*rest) product,
+    a stack (B, 2^k, 2^k) in one (2^k x 2^k) @ (2^k x rest) product per row.
+    Either way each entry is the k-term dot product of a lone state.
     """
     k = len(axes)
-    src = [1 + a for a in axes]
-    front = list(range(1, k + 1))
-    t = np.moveaxis(t, src, front)
-    shape = t.shape
-    t = (m @ t.reshape(len(t), 2**k, -1)).reshape(shape)
-    return np.moveaxis(t, front, src)
+    # BLAS rounds each 4-column block of a product alike, but a lone row of 1
+    # or 2 columns takes another kernel: such narrow rows keep a product each
+    shared = m.ndim == 2 and t.ndim - k > 2
+    order, inverse = _axis_orders(t.ndim, tuple(axes), shared)
+    t = t.transpose(order)
+    flat = t.reshape(2**k, -1) if shared else t.reshape(len(t), 2**k, -1)
+    return (m @ flat).reshape(t.shape).transpose(inverse)
 
 
 def apply_readout(probs: np.ndarray, confusion) -> np.ndarray:

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import __version__
 from .bas import bitstring
-from .kv import format_kv, parse_kv_file, parse_value
+from .kv import format_kv, format_value, parse_kv_file, parse_value
 from .noise import load_noise, noise_from_items
 from .training import Checkpoint, RunConfig, RunRecord, load_checkpoint, save_checkpoint
 from .ansatz import parse_edge_list
@@ -95,9 +95,13 @@ def config_from_items(items: dict[str, str], base_dir: Path | None = None) -> Ru
     return RunConfig(**kwargs)
 
 
-def load_config_file(path) -> RunConfig:
+def load_config_file(path, seed: int | None = None) -> RunConfig:
+    """The config a file describes, with ``seed`` in place of its own."""
     path = Path(path)
-    return config_from_items(parse_kv_file(path), base_dir=path.parent)
+    items = parse_kv_file(path)
+    if seed is not None:
+        items["seed"] = format_value(seed)
+    return config_from_items(items, base_dir=path.parent)
 
 
 def config_echo_text(config: RunConfig) -> str:

@@ -6,9 +6,9 @@ pi/2 gives the exact parameter-shift derivative of outcome probabilities.
 All operations are pure; randomness enters only through explicit generators.
 
 Every simulator accepts one angle vector of shape (P,) or a batch of shape
-(B, P) and runs each gate once over the whole batch.  A batch row goes through
-exactly the floating-point operations it would go through alone, so batched
-and row-by-row results are identical to the last bit.
+(B, P), and a gate costs a few numpy calls whatever B is.  A batch row goes
+through exactly the floating-point operations it would go through alone, so
+batched and row-by-row results are identical to the last bit.
 
 Results are plain arrays, with the batch axis first when there is one:
 amplitudes (2^n,) from ``run_statevector``, density matrices (2^n, 2^n) from
@@ -16,18 +16,19 @@ amplitudes (2^n,) from ``run_statevector``, density matrices (2^n, 2^n) from
 ``circuit_probabilities`` and int64 counts (2^n,) from the samplers.  The
 shot count of a counts row is its sum.
 
-Both simulators share one walk over the circuit (``_walk``), which hands
-each rotation and each entangler sub-covering to the path's own step.  A
-statevector is a batch of n-axis tensors: a rotation contracts its qubit's
-axis with u by one BLAS matmul per batch row, and the CNOTs of a
-sub-covering act on disjoint qubits and only permute entries, so they become
+Both simulators share one walk over the circuit (``_walk``), which builds
+every rotation matrix before the first gate.  A rotation is one shared
+product at row 0's matrix; the rows whose angle differs from row 0's (2 of
+the 2P+1 rows of a parameter-shift batch) are then redone alone from their
+pre-gate state with their own matrices.  A statevector is a batch of n-axis
+tensors; the CNOTs of a sub-covering only permute entries, so they become
 one cached gather index.
 
 A density matrix is a batch of 2n-axis tensors, ket axes then bra axes, and
 each gate is one superoperator contraction (``_superoperators``) on its
 qubits' ket and bra axes, with its noise channel fused in:
 
-- a rotation u on qubit q: the per-row 4x4 ``D1 @ kron(u, u.conj())`` on axes
+- a rotation u on qubit q: the 4x4 ``D1 @ kron(u, u.conj())`` on axes
   [q, n+q], where D1 = sum K (x) K.conj() over the 1-qubit depolarizing set;
 - a CNOT edge (a, b): one 16x16 matrix on [a, b, n+a, n+b], the CNOT on both
   sides, then the 2-qubit depolarizing channel, then damping of a and b;
@@ -63,27 +64,6 @@ MAX_DENSITY_QUBITS = 10
 MAX_BATCH_BYTES = 2**25
 
 
-def _rotations(gate: str, angles: np.ndarray) -> np.ndarray:
-    """Stack of Rx or Rz matrices, shape (B, 2, 2), for a column of angles.
-
-    Rx entries come from the scalar ``math.cos`` and ``math.sin``: numpy's
-    vectorised versions may differ from them in the last bit on some
-    platforms.
-    """
-    u = np.zeros((len(angles), 2, 2), dtype=complex)
-    if gate == "rx":
-        half = (angles / 2.0).tolist()
-        c = [math.cos(a) for a in half]
-        s = [-math.sin(a) for a in half]
-        u[:, 0, 0] = u[:, 1, 1] = c
-        u.imag[:, 0, 1] = u.imag[:, 1, 0] = s
-    else:
-        phase = np.exp(-0.5j * angles)
-        u[:, 0, 0] = phase
-        u[:, 1, 1] = phase.conj()
-    return u
-
-
 @lru_cache(maxsize=64)
 def _cnot_permutation(n_qubits: int, edges: tuple[tuple[int, int], ...]) -> np.ndarray:
     """Gather index of a CNOT sequence: the state after the CNOTs is
@@ -95,16 +75,6 @@ def _cnot_permutation(n_qubits: int, edges: tuple[tuple[int, int], ...]) -> np.n
         index = index[basis ^ (control_bit << (n_qubits - 1 - target))]
     index.flags.writeable = False
     return index
-
-
-def _check_theta(circuit: CircuitSpec, theta) -> np.ndarray:
-    """Angles as a (B, P) batch; ``theta`` is one vector (P,) or a batch."""
-    theta = np.asarray(theta, dtype=float)
-    if theta.ndim not in (1, 2) or theta.shape[-1] != circuit.parameter_count:
-        raise ValueError(
-            f"circuit has {circuit.parameter_count} parameters, got {theta.shape}"
-        )
-    return theta.reshape(-1, circuit.parameter_count)
 
 
 def sample_counts(probs, n_shots: int, streams) -> np.ndarray:
@@ -158,24 +128,69 @@ def _superoperators(p1: float, p2: float, t_damp: float) -> tuple:
     return mats
 
 
-def _walk(circuit: CircuitSpec, theta, n_axes: int, rotate, entangle) -> np.ndarray:
-    """Evolve |0...0> on ``n_axes`` qubit axes through the circuit, where
-    ``rotate(state, qubit, u)`` applies a stack u (B, 2, 2) of rotations and
-    ``entangle(state, edges)`` the CNOTs of one sub-covering.  Returns a
-    (B, 2, ..., 2) batch."""
-    thetas = _check_theta(circuit, theta)
-    state = np.zeros((len(thetas),) + (2,) * n_axes, dtype=complex)
-    state[(slice(None),) + (0,) * n_axes] = 1.0
-    covering: list[tuple[int, int]] = []  # CNOTs of the current sub-covering
+@lru_cache(maxsize=64)
+def _plan(circuit: CircuitSpec) -> tuple:
+    """The circuit's steps in program order, (qubit, slot) for a rotation or
+    (None, edges) for the CNOTs of one sub-covering, and its Rx slots."""
+    steps, covering = [], []
+    rx = np.zeros(circuit.parameter_count, dtype=bool)
     for op, *args in circuit.instructions():
         if op == "cnot":
             covering.append((args[0], args[1]))
         elif op == "tick":
-            state = entangle(state, tuple(covering))
+            steps.append((None, tuple(covering)))
             covering = []
         else:
-            qubit, slot = args
-            state = rotate(state, qubit, _rotations(op, thetas[:, slot]))
+            steps.append((args[0], args[1]))
+            rx[args[1]] = op == "rx"
+    rx.flags.writeable = False
+    return tuple(steps), rx
+
+
+def _walk(circuit: CircuitSpec, theta, n_axes: int, gates, entangle) -> np.ndarray:
+    """Evolve |0...0> on ``n_axes`` qubit axes through the circuit for
+    ``theta`` (P,) or (B, P) into a (B, 2, ..., 2) batch.  ``gates(u)`` turns
+    a stack u (M, 2, 2) of rotations into the matrices on qubit q's axes
+    (q, q + n, ...); ``entangle(state, edges)`` applies one sub-covering.
+
+    Each slot gets a matrix at row 0's angle, then one per row whose angle
+    differs from it in bit pattern.  Rx entries come from the scalar
+    ``math.cos`` and ``math.sin``, which numpy's vectorised versions may
+    differ from in the last bit.
+    """
+    thetas = np.asarray(theta, dtype=float)
+    n_params = circuit.parameter_count
+    if thetas.ndim not in (1, 2) or thetas.shape[-1] != n_params or not len(thetas):
+        raise ValueError(f"need {n_params} angles or a nonempty batch of them, got {thetas.shape}")
+    thetas = thetas.reshape(-1, n_params)
+    steps, rx = _plan(circuit)
+    own = thetas.view(np.uint64) != thetas[:1].view(np.uint64)
+    own[:1] = True  # row 0 holds each slot's shared matrix
+    slots, rows = np.nonzero(own.T)  # by slot, row 0 first in each
+    bounds = np.searchsorted(slots, np.arange(n_params + 1)).tolist()
+    angles, is_rx = thetas[rows, slots], rx[slots]
+    u = np.zeros((len(angles), 2, 2), dtype=complex)
+    half = (angles[is_rx] / 2.0).tolist()
+    u[is_rx, 0, 0] = u[is_rx, 1, 1] = [math.cos(a) for a in half]
+    u.imag[is_rx, 0, 1] = u.imag[is_rx, 1, 0] = [-math.sin(a) for a in half]
+    phase = np.exp(-0.5j * angles[~is_rx])
+    u[~is_rx, 0, 0], u[~is_rx, 1, 1] = phase, phase.conj()
+    mats = gates(u)
+
+    state = np.zeros((len(thetas),) + (2,) * n_axes, dtype=complex)
+    state[(slice(None),) + (0,) * n_axes] = 1.0
+    for qubit, arg in steps:
+        if qubit is None:
+            state = entangle(state, arg)
+            continue
+        axes = range(qubit, n_axes, circuit.n_qubits)
+        lo, hi = bounds[arg], bounds[arg + 1]
+        # one product at row 0's matrix, then the rows that differ redone alone
+        out = contract_axes(state, axes, mats[lo])
+        if hi - lo > 1:
+            redo = rows[lo + 1 : hi]
+            out[redo] = contract_axes(state[redo], axes, mats[lo + 1 : hi])
+        state = out
     return state
 
 
@@ -190,7 +205,7 @@ def run_statevector(circuit: CircuitSpec, theta) -> np.ndarray:
         index = _cnot_permutation(n, edges)
         return psi.reshape(len(psi), -1)[:, index].reshape(psi.shape)
 
-    psi = _walk(circuit, theta, n, lambda psi, q, u: contract_axes(psi, [q], u), entangle)
+    psi = _walk(circuit, theta, n, lambda u: u, entangle)
     return psi.reshape(np.shape(theta)[:-1] + (2**n,))
 
 
@@ -205,9 +220,9 @@ def evolve_density(circuit: CircuitSpec, theta, noise: NoiseModel | None = None)
         noise = NoiseModel()
     depolarize, edge, damp = _superoperators(noise.p1, noise.p2, noise.t_damp)
 
-    def rotate(rho, qubit, u):
+    def gates(u):
         gate = (u[:, :, None, :, None] * u.conj()[:, None, :, None, :]).reshape(-1, 4, 4)
-        return contract_axes(rho, [qubit, n + qubit], depolarize @ gate)
+        return depolarize @ gate
 
     def entangle(rho, edges):
         for a, b in edges:
@@ -217,7 +232,7 @@ def evolve_density(circuit: CircuitSpec, theta, noise: NoiseModel | None = None)
             rho = contract_axes(rho, [qubit, n + qubit], damp)
         return rho
 
-    rho = _walk(circuit, theta, 2 * n, rotate, entangle)
+    rho = _walk(circuit, theta, 2 * n, gates, entangle)
     dim = 2**n
     return rho.reshape(np.shape(theta)[:-1] + (dim, dim))
 

@@ -97,6 +97,31 @@ def test_seed_override(tmp_path):
     assert "seed = 9" in (a / "config.txt").read_text()
 
 
+def test_train_seed_builds_the_config_once(tmp_path, monkeypatch):
+    """``train --seed`` puts the seed into the file's items, so the config is
+    built once and equals a file that sets that seed itself."""
+    from bornbench import training
+
+    calls = []
+    build_circuit = training.build_circuit
+
+    def counted_build(*args, **kwargs):
+        calls.append(args)
+        return build_circuit(*args, **kwargs)
+
+    monkeypatch.setattr(training, "build_circuit", counted_build)
+    config = tmp_path / "tiny.cfg"
+    config.write_text(TINY_CONFIG)
+    assert main(["train", "-c", str(config), "-o", str(tmp_path / "a"), "--seed", "5"]) == 0
+    assert len(calls) == 1
+    config.write_text(TINY_CONFIG.replace("seed = 3", "seed = 5"))
+    assert main(["train", "-c", str(config), "-o", str(tmp_path / "b")]) == 0
+    files = sorted(p.relative_to(tmp_path / "a") for p in (tmp_path / "a").rglob("*.*"))
+    assert len(files) > 4
+    for name in files:
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
 def test_embed_outputs(capsys):
     assert main(["embed", "--dc", "4", "--graph", "plaquette4"]) == 0
     out = capsys.readouterr().out
@@ -527,6 +552,24 @@ def test_readout_flip_outside_register_is_rejected(tiny_run, tmp_path, capsys):
     warm = ["warmstart", str(run), "--step", "0", "--noise", str(profile)]
     assert main(warm + ["-o", str(tmp_path / "ws")]) == 1
     assert message in capsys.readouterr().err
+
+
+def test_sweep_output_does_not_depend_on_jobs(tmp_path):
+    sweep = tmp_path / "grid.sweep"
+    sweep.write_text(
+        TINY_CONFIG.replace("n_steps = 4", "n_steps = 2")
+        .replace("d_c = 2", "d_c = 2 4")
+        .replace("n_layers = 1", "n_layers = 1 2")
+    )
+    for jobs in ("1", "2"):
+        assert main(["sweep", "-c", str(sweep), "-o", str(tmp_path / jobs), "--jobs", jobs]) == 0
+    summary = (tmp_path / "1" / "summary.csv").read_bytes()
+    assert summary == (tmp_path / "2" / "summary.csv").read_bytes()
+    assert summary.count(b",ok,") == 4
+    for row in range(4):
+        for name in ("metrics.csv", "theta_trajectory.csv", "final_theta.json"):
+            one = (tmp_path / "1" / f"row{row:03d}" / name).read_bytes()
+            assert one == (tmp_path / "2" / f"row{row:03d}" / name).read_bytes()
 
 
 def test_sweep_summary_bytes_do_not_depend_on_output_dir(tmp_path):

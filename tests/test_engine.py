@@ -331,6 +331,8 @@ def test_single_theta_keeps_unbatched_shapes():
         circuit_probabilities(circuit, np.zeros((2, 3, circuit.parameter_count)))
     with pytest.raises(ValueError):
         run_statevector(circuit, np.zeros((2, circuit.parameter_count - 1)))
+    with pytest.raises(ValueError, match="nonempty batch"):
+        evolve_density(circuit, np.zeros((0, circuit.parameter_count)))
 
 
 @pytest.mark.parametrize("noisy", [False, True], ids=["noiseless", "noisy"])
@@ -363,33 +365,128 @@ def test_sample_counts_draws_row_k_from_stream_k():
         sim.sample_counts(-probs, 300, [np.random.default_rng(k) for k in range(5)])
 
 
+def shift_batch(theta):
+    """The 2P+1 angle vectors ``mmd_gradient`` simulates: theta, then
+    theta_i + pi/2 and theta_i - pi/2 for each parameter i."""
+    index = np.arange(len(theta))
+    shifted = np.tile(theta, (2 * len(theta) + 1, 1))
+    shifted[1 + 2 * index, index] = theta + math.pi / 2.0
+    shifted[2 + 2 * index, index] = theta - math.pi / 2.0
+    return shifted
+
+
+def assert_batch_is_rows_alone(circuit, thetas, noise):
+    if noise is None:
+        states = [run_statevector(circuit, thetas)]
+        states += [run_statevector(circuit, theta) for theta in thetas]
+    else:
+        states = [evolve_density(circuit, thetas, noise)]
+        states += [evolve_density(circuit, theta, noise) for theta in thetas]
+    assert states[0].tobytes() == np.array(states[1:]).tobytes()
+    batch = circuit_probabilities(circuit, thetas, noise)
+    rows = np.array([circuit_probabilities(circuit, theta, noise) for theta in thetas])
+    assert batch.tobytes() == rows.tobytes()
+
+
+# (n_rows, n_cols, d_c, n_layers): every 2x2 shape, the 2x3 register, and a
+# 1- and a 2-qubit register, whose rows are too narrow for one shared product
+REGISTERS = [(2, 2, d_c, layers) for d_c, layers in SHAPES] + [
+    (2, 3, 0, 1),
+    (2, 3, 0, 2),
+    (1, 1, 0, 1),
+    (1, 2, 0, 2),
+]
+
+
+@pytest.mark.parametrize("rows, cols, d_c, layers", REGISTERS)
+@pytest.mark.parametrize("noisy", [False, True], ids=["noiseless", "noisy"])
+def test_shift_batch_matches_rows_bit_for_bit(rows, cols, d_c, layers, noisy):
+    """A gradient batch shares one product per gate and redoes its 2 shifted
+    rows alone; every row must still come out as it does alone."""
+    circuit = TrainingConfig(d_c=d_c, n_layers=layers, n_rows=rows, n_cols=cols).circuit()
+    theta = np.random.default_rng(rows * cols + 10 * d_c + layers).uniform(
+        0.0, 2.0 * math.pi, circuit.parameter_count
+    )
+    assert_batch_is_rows_alone(circuit, shift_batch(theta), load_noise(MODERATE) if noisy else None)
+
+
+@pytest.mark.parametrize("case", ["column_all_differ", "all_rows_equal", "signed_zero"])
+@pytest.mark.parametrize("noisy", [False, True], ids=["noiseless", "noisy"])
+def test_grouping_edge_cases_match_rows_bit_for_bit(case, noisy, monkeypatch):
+    circuit = TrainingConfig(d_c=2, n_layers=2).circuit()
+    rng = np.random.default_rng(11)
+    theta = rng.uniform(-7.0, 7.0, circuit.parameter_count)
+    zeros = [0, 5, 11]
+    if case == "column_all_differ":
+        thetas = shift_batch(theta)
+        thetas[:, 7] = rng.uniform(-7.0, 7.0, len(thetas))
+    elif case == "all_rows_equal":
+        thetas = np.tile(theta, (6, 1))
+    else:  # rows 1 and 3 hold -0.0 where rows 0 and 2 hold 0.0
+        thetas = np.tile(theta, (4, 1))
+        thetas[:, zeros] = 0.0
+        thetas[1::2, zeros] = -0.0
+    noise = load_noise(MODERATE) if noisy else None
+    assert_batch_is_rows_alone(circuit, thetas, noise)
+
+    stacks = []
+
+    def counting(t, axes, m):
+        if m.ndim == 3:
+            stacks.append(len(m))
+        return contract_axes(t, axes, m)
+
+    monkeypatch.setattr(sim, "contract_axes", counting)
+    circuit_probabilities(circuit, thetas, noise)
+    expected = {
+        "column_all_differ": [2] * 7 + [len(thetas) - 1] + [2] * (circuit.parameter_count - 8),
+        "all_rows_equal": [],
+        "signed_zero": [2] * len(zeros),  # angles are told apart by bit pattern
+    }[case]
+    assert stacks == expected
+
+
 @pytest.mark.parametrize("d_c", [3, 4])
 def test_density_path_makes_one_contraction_per_gate(d_c, monkeypatch):
     """A rotation (with its channel), a CNOT edge (with its channel and the
     damping of both qubits) and the damping of a qubit no edge of a
-    sub-covering touches each take one ``contract_axes`` call."""
+    sub-covering touches each take one shared ``contract_axes`` call; for a
+    lone angle vector that is all.  In a batch a rotation then takes one more
+    call for the rows whose angle differs from row 0's: 2 rows in a
+    parameter-shift batch, every other row in a random batch."""
     calls = []
 
     def counting(t, axes, m):
-        calls.append(list(axes))
+        calls.append((list(axes), m.shape))
         return contract_axes(t, axes, m)
 
     monkeypatch.setattr(sim, "contract_axes", counting)
     circuit = TrainingConfig(d_c=d_c, n_layers=2).circuit()
     n = circuit.n_qubits
-    expected, touched = [], set()
-    for op, *args in circuit.instructions():
-        if op == "cnot":
-            a, b = args
-            expected.append([a, b, n + a, n + b])
-            touched |= {a, b}
-        elif op == "tick":
-            expected.extend([q, n + q] for q in range(n) if q not in touched)
-            touched = set()
-        else:
-            expected.append([args[0], n + args[0]])
-    evolve_density(circuit, _random_thetas(circuit, 2), load_noise(MODERATE))
-    assert calls == expected
+    thetas = _random_thetas(circuit, 2)
+
+    def expected(rotation_calls):
+        out, touched = [], set()
+        for op, *args in circuit.instructions():
+            if op == "cnot":
+                a, b = args
+                out.append(([a, b, n + a, n + b], (16, 16)))
+                touched |= {a, b}
+            elif op == "tick":
+                out.extend(([q, n + q], (4, 4)) for q in range(n) if q not in touched)
+                touched = set()
+            else:
+                out.extend(([args[0], n + args[0]], shape) for shape in rotation_calls)
+        return out
+
+    for batch, rotation_calls in [
+        (thetas[2], [(4, 4)]),
+        (thetas, [(4, 4), (len(thetas) - 1, 4, 4)]),
+        (shift_batch(thetas[2]), [(4, 4), (2, 4, 4)]),
+    ]:
+        calls.clear()
+        evolve_density(circuit, batch, load_noise(MODERATE))
+        assert calls == expected(rotation_calls)
 
 
 # TrainingConfig.digest() of every shipped config (each sweep row labelled and
