@@ -13,7 +13,6 @@ import argparse
 import csv
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import replace
 from itertools import product
 from pathlib import Path
 
@@ -32,7 +31,7 @@ from .kv import format_value, parse_kv_file, parse_value
 from .metrics import kl_sampling_summary
 from .noise import load_noise
 from .runio import (
-    config_fields,
+    CONFIG_FILE,
     config_from_items,
     is_sweep_axis,
     load_config_file,
@@ -43,7 +42,7 @@ from .runio import (
     write_run,
 )
 from .sim import circuit_probabilities
-from .training import TAG_DEPLOY, resume, rng_stream, train
+from .training import TAG_DEPLOY, RunConfig, resume, rng_stream, train
 
 
 class CliError(Exception):
@@ -120,17 +119,29 @@ def cmd_deploy(args) -> int:
     return 0
 
 
+def _override(items: dict[str, str], overrides: dict[str, str], base_dir: Path) -> None:
+    """Put ``overrides``, read from a file in ``base_dir``, into config ``items``;
+    noise among them replaces the items' noise."""
+    if any(key.startswith("noise_") for key in overrides):
+        for key in [key for key in items if key.startswith("noise_")]:
+            del items[key]
+    items.update(overrides)
+    if "noise_profile" in overrides:
+        items["noise_profile"] = str(base_dir / overrides["noise_profile"])
+
+
 def cmd_warmstart(args) -> int:
     run_dir = Path(args.run_dir)
-    config = read_run_config(run_dir)
+    items: dict[str, str] = {}
+    _override(items, parse_kv_file(run_dir / CONFIG_FILE), run_dir)
     checkpoint = read_checkpoint(run_dir, args.step)
-    overrides = {"label": f"{config.label}-ws{args.step}"}  # unless -c sets one
+    items["label"] = f"{items.get('label', RunConfig.label)}-ws{args.step}"  # unless -c sets one
     if args.config:
-        overrides.update(config_fields(parse_kv_file(args.config), Path(args.config).parent))
+        _override(items, parse_kv_file(args.config), Path(args.config).parent)
     if args.noise:
-        overrides["noise"] = load_noise(args.noise)
-    overrides["n_steps"] = args.steps
-    new_config = replace(config, **overrides)
+        _override(items, {"noise_profile": args.noise}, Path())
+    items["n_steps"] = format_value(args.steps)
+    new_config = config_from_items(items)
 
     record = resume(new_config, checkpoint, args.steps)
     out_dir = Path(args.out) if args.out else run_dir.parent / new_config.label

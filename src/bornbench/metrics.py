@@ -23,6 +23,7 @@ aggregates 11 independent histograms by inverse-variance weighting.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from statistics import fmean
 from typing import NamedTuple
@@ -32,6 +33,8 @@ import numpy as np
 from .bas import TargetDistribution
 # circuit_probabilities is unused here, but perfbench traces it at this module
 from .sim import circuit_probabilities, sample_counts  # noqa: F401
+
+RESAMPLE_CHUNK = 1024  # rows per draw in qbas_score; bounds its memory
 
 
 class KlEstimate(NamedTuple):
@@ -140,19 +143,23 @@ def qbas_score(
 
     Each batch draws ``n_samples`` states with replacement from the empirical
     distribution; the score is the harmonic mean of batch precision and batch
-    recall, taken as 0 when both vanish.
+    recall, taken as 0 when both vanish.  Batches are drawn ``RESAMPLE_CHUNK``
+    at a time, which gives the same rows as one draw of all of them.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be positive")
     if n_resamples < 1:
         raise ValueError("n_resamples must be positive")
     bas_states = np.asarray(list(bas_states), dtype=int)
-    draws = rng.multinomial(n_samples, counts / counts.sum(), size=n_resamples)
-    bas_counts = draws[:, bas_states]
-    precision = bas_counts.sum(axis=1) / n_samples
-    recall = (bas_counts > 0).sum(axis=1) / len(bas_states)
-    denom = precision + recall
-    scores = np.where(denom > 0.0, 2.0 * precision * recall / np.where(denom > 0.0, denom, 1.0), 0.0)
+    pvals = counts / counts.sum()
+    scores = np.empty(n_resamples)
+    for start in range(0, n_resamples, RESAMPLE_CHUNK):
+        chunk = scores[start : start + RESAMPLE_CHUNK]
+        bas_counts = rng.multinomial(n_samples, pvals, size=len(chunk))[:, bas_states]
+        precision = bas_counts.sum(axis=1) / n_samples
+        recall = (bas_counts > 0).sum(axis=1) / len(bas_states)
+        denom = precision + recall
+        chunk[:] = np.where(denom > 0.0, 2.0 * precision * recall / np.where(denom > 0.0, denom, 1.0), 0.0)
     return float(scores.mean()), float(scores.var())
 
 
@@ -168,7 +175,9 @@ def qbas_from_probs(
     """qBAS protocol on an outcome distribution: ``repeats`` independent
     histograms, scored by resampling, aggregated by inverse-variance weights.
     Counts row k is drawn from, then resampled on, the k-th generator spawned
-    off ``rng``.
+    off ``rng``; the histograms are scored concurrently, one thread per CPU
+    (``Generator.multinomial`` releases the GIL), with the same result as one
+    after another.
 
     The reported variance is that of the weighted mean, 1 / sum(1/var_i).
     When any per-histogram variance is zero the unweighted mean is returned
@@ -177,10 +186,16 @@ def qbas_from_probs(
     """
     streams = rng.spawn(repeats)
     counts = sample_counts(np.broadcast_to(probs, (repeats,) + np.shape(probs)), shots, streams)
-    scores = [
-        qbas_score(row, bas_states, sample_size, resamples, stream)
-        for row, stream in zip(counts, streams)
-    ]
+
+    # imported here, so that importing the package loads no concurrent.futures
+    # (and logging); the command line imports it anyway
+    from concurrent.futures import ThreadPoolExecutor
+
+    def score(row, stream):
+        return qbas_score(row, bas_states, sample_size, resamples, stream)
+
+    with ThreadPoolExecutor(min(repeats, len(os.sched_getaffinity(0)))) as pool:
+        scores = list(pool.map(score, counts, streams))
     # fresh contiguous arrays: weights @ means on a strided view rounds differently
     means, variances = map(np.array, zip(*scores))
     if np.any(variances <= 1e-24):  # constant scores up to float rounding

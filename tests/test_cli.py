@@ -122,6 +122,28 @@ def test_train_seed_builds_the_config_once(tmp_path, monkeypatch):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
+def test_warmstart_builds_the_config_once(tiny_run, tmp_path, monkeypatch):
+    """``warmstart`` puts its overrides into the run's config items, so the
+    config is built once."""
+    from bornbench import training
+
+    calls = []
+    build_circuit = training.build_circuit
+
+    def counted_build(*args, **kwargs):
+        calls.append(args)
+        return build_circuit(*args, **kwargs)
+
+    monkeypatch.setattr(training, "build_circuit", counted_build)
+    _, run = tiny_run
+    (tmp_path / "over.cfg").write_text("alpha = 0.1\nnoise_p1 = 0.01\n")
+    ws = ["warmstart", str(run), "--step", "0", "--steps", "1", "-c", str(tmp_path / "over.cfg")]
+    assert main(ws + ["-o", str(tmp_path / "ws")]) == 0
+    assert len(calls) == 1
+    text = (tmp_path / "ws" / "config.txt").read_text()
+    assert "label = tiny-ws0\n" in text and "alpha = 0.1\n" in text and "n_steps = 1\n" in text
+
+
 def test_embed_outputs(capsys):
     assert main(["embed", "--dc", "4", "--graph", "plaquette4"]) == 0
     out = capsys.readouterr().out

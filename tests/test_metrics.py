@@ -1,4 +1,8 @@
 import math
+import subprocess
+import sys
+import tracemalloc
+from concurrent import futures
 from statistics import fmean
 
 import numpy as np
@@ -366,3 +370,77 @@ def test_each_metric_draws_its_histograms_in_one_batch(target22, monkeypatch):
     assert calls == [((10, 16), 100, 10)]
     qbas_from_probs(target22.probs, BAS22, np.random.default_rng(0), resamples=100)
     assert calls[1:] == [((11, 16), 1024, 11)]
+
+
+def one_shot_qbas(counts, bas_states, n_samples, n_resamples, rng):
+    """qBAS score from a single draw of every resample at once."""
+    bas_states = np.asarray(bas_states)
+    draws = rng.multinomial(n_samples, counts / counts.sum(), size=n_resamples)
+    bas_counts = draws[:, bas_states]
+    precision = bas_counts.sum(axis=1) / n_samples
+    recall = (bas_counts > 0).sum(axis=1) / len(bas_states)
+    denom = precision + recall
+    scores = np.where(denom > 0.0, 2.0 * precision * recall / np.where(denom > 0.0, denom, 1.0), 0.0)
+    return float(scores.mean()), float(scores.var())
+
+
+def qbas_counts(kind):
+    counts = np.random.default_rng(11).integers(1, 200, size=16)
+    if kind == "zeros":
+        counts[[0, 1, 6, 12]] = 0
+    elif kind == "no_bas":
+        counts[BAS22] = 0
+    elif kind == "one_bas":
+        counts = np.zeros(16, dtype=int)
+        counts[5] = 1024
+    return counts
+
+
+@pytest.mark.parametrize("n_resamples", [1, 1023, 1024, 1025, 2048, 10000])
+@pytest.mark.parametrize("kind", ["random", "zeros", "no_bas", "one_bas"])
+def test_qbas_score_chunks_match_one_draw(n_resamples, kind):
+    counts = qbas_counts(kind)
+    got = qbas_score(counts, BAS22, 15, n_resamples, np.random.default_rng(21))
+    expected = one_shot_qbas(counts, BAS22, 15, n_resamples, np.random.default_rng(21))
+    assert got[0] == expected[0] and got[1] == expected[1]
+
+
+@pytest.mark.parametrize("n_cpus", [None, 1, 4])
+def test_qbas_from_probs_does_not_depend_on_threads(target22, monkeypatch, n_cpus):
+    workers = []
+
+    class Recording(futures.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            workers.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(futures, "ThreadPoolExecutor", Recording)
+    if n_cpus is not None:
+        monkeypatch.setattr(metrics.os, "sched_getaffinity", lambda pid: set(range(n_cpus)))
+    _, probs = noisy_target(ImageShape(2, 2), 3)
+    for case, repeats in ((probs, 11), (target22.probs, 3)):
+        got = qbas_from_probs(case, BAS22, np.random.default_rng(9), repeats=repeats, resamples=3000)
+        expected = reference_qbas(case, BAS22, np.random.default_rng(9), 1024, repeats, 15, 3000)
+        assert repr(got) == repr(expected)
+    cpus = len(metrics.os.sched_getaffinity(0))
+    assert workers == [min(11, cpus), min(3, cpus)]
+
+
+def test_qbas_score_memory_is_bounded():
+    # 200,000 resamples, as A5's oracle draws; one draw of them all peaks at 40+ MB
+    counts = qbas_counts("random")
+    tracemalloc.start()
+    try:
+        qbas_score(counts, BAS22, 15, 200_000, np.random.default_rng(2))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+
+
+def test_package_import_loads_no_thread_pool():
+    # qbas_from_probs imports concurrent.futures when it runs: loading it (and
+    # logging) with the package adds about 0.6 MB to every importing process
+    code = "import sys, bornbench; print('concurrent.futures' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
