@@ -32,7 +32,7 @@ import numpy as np
 
 from .bas import TargetDistribution
 # circuit_probabilities is unused here, but perfbench traces it at this module
-from .sim import circuit_probabilities, sample_counts  # noqa: F401
+from .sim import circuit_probabilities, sample_counts, spawn  # noqa: F401
 
 RESAMPLE_CHUNK = 1024  # rows per draw in qbas_score; bounds its memory
 
@@ -98,12 +98,15 @@ def kl_sampling_summary(
     floor: float | None = None,
 ) -> KlEstimate:
     """Mean and sample standard deviation of KL over independent histograms
-    drawn from an outcome distribution, histogram k from the k-th generator
-    spawned off ``rng``.  An infinite repeat makes both infinite."""
+    drawn from an outcome distribution, histogram k from the k-th child of
+    ``rng`` as ``sim.spawn`` computes it, which equals numpy's
+    ``Generator.spawn`` (a test pins this).  ``rng`` acts as a seed and is
+    not advanced; it must be a fresh ``PCG64`` generator.  An infinite
+    repeat makes both infinite."""
     if n_repeats < 2:
         raise ValueError("need at least 2 repeats for a standard deviation")
     rows = np.broadcast_to(probs, (n_repeats,) + np.shape(probs))
-    counts = sample_counts(rows, n_shots, rng.spawn(n_repeats))
+    counts = sample_counts(rows, n_shots, spawn(rng, n_repeats))
     values = _kl_rows(p, counts, n_shots, floor)
     smoothed = bool(np.any(counts[:, p.support] == 0))
     std = math.inf if math.inf in values else float(np.std(values, ddof=1))
@@ -174,17 +177,21 @@ def qbas_from_probs(
 ) -> QbasResult:
     """qBAS protocol on an outcome distribution: ``repeats`` independent
     histograms, scored by resampling, aggregated by inverse-variance weights.
-    Counts row k is drawn from, then resampled on, the k-th generator spawned
-    off ``rng``; the histograms are scored concurrently, one thread per CPU
-    (``Generator.multinomial`` releases the GIL), with the same result as one
-    after another.
+    Counts row k is drawn from, then resampled on, the k-th child of ``rng``
+    as ``sim.spawn`` computes it, which equals numpy's ``Generator.spawn`` (a
+    test pins this); ``rng`` acts as a seed and is not advanced, and it must
+    be a fresh ``PCG64`` generator.  The histograms are scored concurrently,
+    one thread per CPU (``Generator.multinomial`` releases the GIL), with the
+    same result as one after another.
 
     The reported variance is that of the weighted mean, 1 / sum(1/var_i).
     When any per-histogram variance is zero the unweighted mean is returned
     with ``degenerate_weights`` set, with the spread of the per-histogram
     means as the variance.
     """
-    streams = rng.spawn(repeats)
+    if repeats < 1:
+        raise ValueError(f"repeats must be positive, got {repeats}")
+    streams = spawn(rng, repeats)
     counts = sample_counts(np.broadcast_to(probs, (repeats,) + np.shape(probs)), shots, streams)
 
     # imported here, so that importing the package loads no concurrent.futures

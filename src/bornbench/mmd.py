@@ -26,7 +26,7 @@ import numpy as np
 from .ansatz import CircuitSpec
 from .bas import TargetDistribution
 from .noise import NoiseModel
-from .sim import circuit_probabilities, sample_counts
+from .sim import circuit_probabilities, sample_counts, spawn
 
 MAX_KERNEL_BITS = 12
 
@@ -114,8 +114,11 @@ def mmd_gradient(
     All 2P+1 circuits (theta, then theta_i + pi/2 and theta_i - pi/2 for each
     parameter i) are simulated in one batch.  In ``sampled`` mode each of
     their distributions is estimated from a fresh independent ``n_shots``
-    histogram, evaluation k drawing from the k-th generator spawned off
-    ``rng``.  ``exact`` mode uses exact output distributions throughout.
+    histogram, evaluation k drawing from the k-th child of ``rng`` as
+    ``sim.spawn`` computes it, which equals numpy's ``Generator.spawn`` (a
+    test pins this).  ``rng`` acts as a seed and is not advanced; it must be
+    a fresh ``PCG64`` generator.  ``exact`` mode uses exact output
+    distributions throughout.
     """
     theta = np.asarray(theta, dtype=float)
     n_params = circuit.parameter_count
@@ -133,7 +136,7 @@ def mmd_gradient(
     shifted[2 + 2 * index, index] = theta - math.pi / 2.0
     q = circuit_probabilities(circuit, shifted, noise)
     if sampled:
-        q = sample_counts(q, n_shots, rng.spawn(len(q))) / n_shots
+        q = sample_counts(q, n_shots, spawn(rng, len(q))) / n_shots
     weight = spec.matrix @ (q[0] - p.probs)
     # a dot product per parameter: one matrix-vector product would round differently
     return np.array([(plus - minus) @ weight for plus, minus in zip(q[1::2], q[2::2])])

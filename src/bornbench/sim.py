@@ -77,6 +77,118 @@ def _cnot_permutation(n_qubits: int, edges: tuple[tuple[int, int], ...]) -> np.n
     return index
 
 
+# numpy's SeedSequence hash (after O'Neill's seed_seq_fe): the initial hash
+# constants and their multipliers, the two mix multipliers, and a 4-word pool
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFFFFFF
+_POOL_SIZE = 4
+
+
+def _uint32_words(value) -> list[int]:
+    """The 32-bit words, least significant first, that ``SeedSequence``
+    assembles from an int or a (nested) sequence of ints."""
+    if isinstance(value, (int, np.integer)):
+        value = int(value)
+        words = [value & _MASK32]
+        while value := value >> 32:
+            words.append(value & _MASK32)
+        return words
+    return [word for item in value for word in _uint32_words(item)]
+
+
+def _hash_constants(const: int, mult: int):
+    """``SeedSequence``'s running hash constant as (current, next) pairs, one
+    per hashed word, endlessly."""
+    while True:
+        step = const * mult & _MASK32
+        yield const, step
+        const = step
+
+
+def _hash(value, xor, mul):
+    """``SeedSequence``'s hash of one word (its hashmix) with the constant
+    pair (xor, mul); on ints or uint32 arrays, which wrap silently."""
+    value = (value ^ xor) * mul & _MASK32
+    return value ^ value >> 16
+
+
+def _mix(x, y):
+    """``SeedSequence``'s mix of two words; on ints or uint32 arrays."""
+    result = (_MIX_L * x & _MASK32) - (_MIX_R * y & _MASK32) & _MASK32
+    return result ^ result >> 16
+
+
+@lru_cache(maxsize=1)
+def _seed_type() -> type:
+    """A seed sequence holding one spawned stream's seed words: all that
+    ``PCG64`` asks of one.  Built on first use, as importing numpy.random
+    with the package would add about 2.5 MB to every process that imports
+    it, sampling or not."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class Seed(ISeedSequence):
+        def __init__(self, words: np.ndarray) -> None:
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            if n_words != len(self.words) or np.dtype(dtype) != np.uint64:
+                raise ValueError(f"a spawned stream holds {len(self.words)} uint64 words")
+            return self.words
+
+    return Seed
+
+
+def spawn(rng: np.random.Generator, n: int) -> list[np.random.Generator]:
+    """``n`` independent generators whose ``PCG64`` states are exactly those
+    of ``rng.spawn(n)``, computed in one vectorised pass.
+
+    numpy's ``SeedSequence`` seeds child k from the parent's entropy and
+    spawn key followed by the word k.  Everything before that word is hashed
+    into the pool once, the word k is mixed in for all children at once, and
+    each child's ``PCG64`` gets its seed words directly.  ``rng`` acts as a
+    seed: its spawn counter is not advanced, so equal generators spawn equal
+    children.  Only a ``PCG64`` generator seeded by a 4-word ``SeedSequence``
+    that has spawned nothing is accepted.
+    """
+    bit_generator = rng.bit_generator
+    seq = bit_generator.seed_seq
+    if type(bit_generator) is not np.random.PCG64:
+        raise ValueError(f"spawn needs a PCG64 generator, got {type(bit_generator).__name__}")
+    if type(seq) is not np.random.SeedSequence or seq.pool_size != _POOL_SIZE:
+        raise ValueError(f"spawn needs a SeedSequence with a {_POOL_SIZE}-word pool")
+    if seq.n_children_spawned:
+        raise ValueError("spawn needs a generator that has not spawned yet")
+    if n < 0:
+        raise ValueError(f"cannot spawn {n} generators")
+
+    # the entropy is padded to the pool size, as a child's spawn key is nonempty
+    words = _uint32_words(seq.entropy)
+    words += [0] * (_POOL_SIZE - len(words)) + _uint32_words(seq.spawn_key)
+    constants = _hash_constants(_INIT_A, _MULT_A)
+    pool = [_hash(word, *next(constants)) for word in words[:_POOL_SIZE]]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hash(pool[src], *next(constants)))
+    for word in words[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = _mix(pool[dst], _hash(word, *next(constants)))
+    # the child index, the last word: one row of (n, 4) pool words per child
+    xor, mul = np.array([next(constants) for _ in range(_POOL_SIZE)], dtype=np.uint32).T
+    index = np.arange(n, dtype=np.uint32)[:, None]
+    pool = _mix(np.array(pool, dtype=np.uint32), _hash(index, xor, mul))
+    # generate_state(4, np.uint64): 8 words hashed from the pool in turn,
+    # paired little-endian into 64-bit words
+    constants = _hash_constants(_INIT_B, _MULT_B)
+    xor, mul = np.array([next(constants) for _ in range(8)], dtype=np.uint32).T
+    state = _hash(np.tile(pool, 2), xor, mul)
+    seeds = state.astype("<u4").view("<u8").astype(np.uint64)
+    seed = _seed_type()
+    return [np.random.Generator(np.random.PCG64(seed(row))) for row in seeds]
+
+
 def sample_counts(probs, n_shots: int, streams) -> np.ndarray:
     """Draw ``n_shots`` basis-state samples from each row of ``probs``
     (shape (B, 2^n)), row k from generator ``streams[k]``; counts (B, 2^n)."""

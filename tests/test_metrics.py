@@ -426,6 +426,12 @@ def test_qbas_from_probs_does_not_depend_on_threads(target22, monkeypatch, n_cpu
     assert workers == [min(11, cpus), min(3, cpus)]
 
 
+def test_qbas_from_probs_rejects_no_repeats(target22):
+    for repeats in (0, -1):
+        with pytest.raises(ValueError, match="repeats"):
+            qbas_from_probs(target22.probs, BAS22, np.random.default_rng(0), repeats=repeats)
+
+
 def test_qbas_score_memory_is_bounded():
     # 200,000 resamples, as A5's oracle draws; one draw of them all peaks at 40+ MB
     counts = qbas_counts("random")

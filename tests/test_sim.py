@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 from scipy import stats
 
 from bornbench import (
@@ -13,10 +14,15 @@ from bornbench import (
     circuit_probabilities,
     evolve_density,
     kl_sampling_summary,
+    mmd_gradient,
     rng_stream,
     run_statevector,
     sample_histogram,
 )
+from bornbench.sim import spawn
+from bornbench.training import TAG_DEPLOY, TAG_GRAD
+from test_engine import shift_batch
+from test_properties import PROPERTY
 
 
 def random_circuit_theta(d_c, layers, seed):
@@ -252,3 +258,90 @@ def test_density_probabilities_with_readout():
     flipped = circuit_probabilities(circuit, theta, NoiseModel(readout_flip_all=0.5))
     assert np.abs(flipped - 1 / 16).max() < 1e-12  # symmetric half flip mixes fully
     assert circuit_probabilities(circuit, theta, None).shape == (16,)
+
+
+# Seed ints around the word boundaries SeedSequence splits them at
+seed_int = (
+    st.sampled_from([0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**64 + 1])
+    | st.integers(0, 2**32 - 1)
+    | st.integers(2**32, 2**64 - 1)
+    | st.integers(2**64, 2**96)
+)
+deploy_key = st.tuples(st.integers(0, 2**31), st.just(TAG_DEPLOY), st.integers(0, 500), st.integers(0, 1))
+SPAWN_COUNTS = [0, 1, 2, 10, 57, 113, 1025]
+
+
+def assert_spawns_like_numpy(seq_args, n):
+    """``spawn`` gives each child the state, and so the draws, of numpy's
+    ``Generator.spawn`` on an equal generator."""
+    entropy, spawn_key = seq_args
+    ours = spawn(np.random.default_rng(np.random.SeedSequence(entropy, spawn_key=spawn_key)), n)
+    theirs = np.random.default_rng(np.random.SeedSequence(entropy, spawn_key=spawn_key)).spawn(n)
+    assert len(ours) == len(theirs) == n
+    probs = np.full(16, 1 / 16)
+    for a, b in zip(ours, theirs):
+        assert a.bit_generator.state == b.bit_generator.state
+        assert np.array_equal(a.multinomial(100, probs), b.multinomial(100, probs))
+
+
+@PROPERTY
+@given(
+    st.tuples(st.lists(seed_int, min_size=1, max_size=5), st.lists(seed_int, max_size=2))
+    | st.tuples(deploy_key, st.just(())),
+    st.sampled_from(SPAWN_COUNTS),
+)
+def test_spawn_matches_numpy_spawn(seq_args, n):
+    assert_spawns_like_numpy(seq_args, n)
+
+
+@pytest.mark.parametrize("n", SPAWN_COUNTS)
+def test_spawn_matches_numpy_spawn_on_stream_keys(n):
+    for entropy in ((0, TAG_GRAD, 0), (7, TAG_DEPLOY, 100, 1), 12345):
+        assert_spawns_like_numpy((entropy, ()), n)
+
+
+def test_spawn_reads_rng_as_a_seed():
+    rng = rng_stream(3, TAG_GRAD, 9)
+    state = rng.bit_generator.state
+    first = [g.bit_generator.state for g in spawn(rng, 5)]
+    assert [g.bit_generator.state for g in spawn(rng, 5)] == first
+    assert rng.bit_generator.seed_seq.n_children_spawned == 0
+    assert rng.bit_generator.state == state
+    assert [g.bit_generator.state for g in rng.spawn(5)] == first
+
+
+def test_spawn_refusals():
+    spawned = np.random.default_rng(1)
+    spawned.spawn(2)
+    cases = {
+        "has already spawned": spawned,
+        "MT19937": np.random.Generator(np.random.MT19937(1)),
+        "PCG64DXSM": np.random.Generator(np.random.PCG64DXSM(1)),
+        "pool of 8 words": np.random.Generator(np.random.PCG64(np.random.SeedSequence(1, pool_size=8))),
+        "child of spawn": spawn(np.random.default_rng(1), 1)[0],
+    }
+    for rng in cases.values():
+        with pytest.raises(ValueError):
+            spawn(rng, 3)
+    with pytest.raises(ValueError):
+        spawn(np.random.default_rng(1), -1)
+
+
+@pytest.mark.parametrize("d_c", [2, 3, 4])
+def test_sampled_gradient_matches_per_row_reference(d_c):
+    config = TrainingConfig(d_c=d_c, n_layers=2, n_shots_train=512)
+    circuit, target, kernel = config.circuit(), config.target(), config.kernel()
+    theta = np.random.default_rng(d_c).uniform(0, 2 * np.pi, circuit.parameter_count)
+    rows = shift_batch(theta)
+    # one simulation and one histogram per row, from numpy's own spawn
+    streams = rng_stream(5, TAG_GRAD, d_c).spawn(len(rows))
+    q = [
+        sample_histogram(circuit_probabilities(circuit, row), 512, stream) / 512
+        for row, stream in zip(rows, streams)
+    ]
+    weight = kernel.matrix @ (q[0] - target.probs)
+    expected = np.array([(plus - minus) @ weight for plus, minus in zip(q[1::2], q[2::2])])
+    got = mmd_gradient(
+        circuit, theta, target, kernel, "sampled", n_shots=512, rng=rng_stream(5, TAG_GRAD, d_c)
+    )
+    assert got.tobytes() == expected.tobytes()
