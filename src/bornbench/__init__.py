@@ -40,7 +40,7 @@ from .metrics import (
     qbas_from_probs,
     qbas_score,
 )
-from .mmd import KernelSpec, mmd_gradient, mmd_loss, mmd_loss_exact
+from .mmd import KernelSpec, mmd_gradient, mmd_loss, mmd_loss_exact, shift_probabilities
 from .noise import (
     NoiseModel,
     amplitude_damping_kraus,

@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from itertools import product
 from pathlib import Path
 
@@ -229,6 +228,8 @@ SUMMARY_KEYS = ("label", "d_c", "n_layers", "n_shots_train", "seed")
 
 
 def cmd_sweep(args) -> int:
+    if args.jobs < 1:
+        raise CliError(f"sweep: --jobs must be at least 1, got {args.jobs}")
     sweep_path = Path(args.config)
     items = parse_kv_file(sweep_path)
     out_dir = prepare_run_dir(args.out or "sweep", force=args.force)
@@ -265,6 +266,8 @@ def cmd_sweep(args) -> int:
             return index, row_items, None, f"failed: {exc}"
 
     if args.jobs > 1:
+        from concurrent.futures import ThreadPoolExecutor  # only sweeps with threads need it
+
         with ThreadPoolExecutor(max_workers=args.jobs) as pool:
             results = list(pool.map(run_row, range(len(combos))))
     else:

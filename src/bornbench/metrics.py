@@ -25,7 +25,6 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from statistics import fmean
 from typing import NamedTuple
 
 import numpy as np
@@ -110,7 +109,7 @@ def kl_sampling_summary(
     values = _kl_rows(p, counts, n_shots, floor)
     smoothed = bool(np.any(counts[:, p.support] == 0))
     std = math.inf if math.inf in values else float(np.std(values, ddof=1))
-    return KlEstimate(fmean(values), std, smoothed)
+    return KlEstimate(math.fsum(values) / len(values), std, smoothed)
 
 
 def f1_per_state(p: TargetDistribution, counts) -> dict[int, float]:
@@ -194,8 +193,8 @@ def qbas_from_probs(
     streams = spawn(rng, repeats)
     counts = sample_counts(np.broadcast_to(probs, (repeats,) + np.shape(probs)), shots, streams)
 
-    # imported here, so that importing the package loads no concurrent.futures
-    # (and logging); the command line imports it anyway
+    # imported here, so that importing the package or the command line loads
+    # no concurrent.futures (and logging)
     from concurrent.futures import ThreadPoolExecutor
 
     def score(row, stream):

@@ -8,7 +8,7 @@ Hamming distance, and sigma is treated as the kernel variance.  Set
 The sampled loss uses the unbiased U-statistic for the model-model term; the
 target distribution is exact, so the cross and target-target terms need no
 estimator.  Gradients come from the parameter-shift rule: with q+- the output
-distributions at theta_i +- pi/2,
+distributions at theta_i +- pi/2, which ``shift_probabilities`` simulates,
 
     grad_i = <K>_{q+,q} - <K>_{q-,q} - <K>_{q+,p} + <K>_{q-,p}
 
@@ -99,42 +99,52 @@ def mmd_loss_exact(q_probs, p: TargetDistribution, spec: KernelSpec) -> float:
     return float(diff @ spec.matrix @ diff)
 
 
+def shift_batch(theta) -> np.ndarray:
+    """The 2P+1 angle vectors of a parameter-shift gradient: theta, then
+    theta_i + pi/2 and theta_i - pi/2 for each parameter i."""
+    theta = np.asarray(theta, dtype=float)
+    if theta.ndim != 1:
+        raise ValueError(f"need one angle vector, got shape {theta.shape}")
+    index = np.arange(len(theta))
+    shifted = np.tile(theta, (2 * len(theta) + 1, 1))
+    shifted[1 + 2 * index, index] = theta + math.pi / 2.0
+    shifted[2 + 2 * index, index] = theta - math.pi / 2.0
+    return shifted
+
+
+def shift_probabilities(circuit: CircuitSpec, theta, noise: NoiseModel | None = None):
+    """Outcome distributions (2P+1, 2^n) of ``shift_batch(theta)``, simulated
+    in one batch.  Row 0 is bit for bit ``circuit_probabilities(circuit,
+    theta, noise)``, as a batch row comes out exactly as it does alone."""
+    return circuit_probabilities(circuit, shift_batch(theta), noise)
+
+
 def mmd_gradient(
-    circuit: CircuitSpec,
-    theta,
+    q,
     p: TargetDistribution,
     spec: KernelSpec,
     mode: str = "exact",
     n_shots: int | None = None,
     rng: np.random.Generator | None = None,
-    noise: NoiseModel | None = None,
 ) -> np.ndarray:
-    """Parameter-shift gradient of the MMD loss.
+    """Parameter-shift gradient of the MMD loss from the outcome
+    distributions (2P+1, 2^n) that ``shift_probabilities`` returns.
 
-    All 2P+1 circuits (theta, then theta_i + pi/2 and theta_i - pi/2 for each
-    parameter i) are simulated in one batch.  In ``sampled`` mode each of
-    their distributions is estimated from a fresh independent ``n_shots``
-    histogram, evaluation k drawing from the k-th child of ``rng`` as
+    In ``sampled`` mode each row is estimated from a fresh independent
+    ``n_shots`` histogram, row k drawing from the k-th child of ``rng`` as
     ``sim.spawn`` computes it, which equals numpy's ``Generator.spawn`` (a
     test pins this).  ``rng`` acts as a seed and is not advanced; it must be
-    a fresh ``PCG64`` generator.  ``exact`` mode uses exact output
-    distributions throughout.
+    a fresh ``PCG64`` generator.  ``exact`` mode uses the distributions
+    themselves.
     """
-    theta = np.asarray(theta, dtype=float)
-    n_params = circuit.parameter_count
+    q = np.asarray(q, dtype=float)
     sampled = mode == "sampled"
     if mode not in ("sampled", "exact"):
         raise ValueError(f"unknown gradient mode {mode!r}")
     if sampled and (n_shots is None or rng is None):
         raise ValueError("sampled mode needs n_shots and rng")
-    if theta.shape != (n_params,):
-        raise ValueError(f"circuit has {n_params} parameters, got {theta.shape}")
-
-    index = np.arange(n_params)
-    shifted = np.tile(theta, (2 * n_params + 1, 1))
-    shifted[1 + 2 * index, index] = theta + math.pi / 2.0
-    shifted[2 + 2 * index, index] = theta - math.pi / 2.0
-    q = circuit_probabilities(circuit, shifted, noise)
+    if q.ndim != 2 or len(q) % 2 == 0 or q.shape[1] != len(p.probs):
+        raise ValueError(f"need the distributions of a shift batch, got shape {q.shape}")
     if sampled:
         q = sample_counts(q, n_shots, spawn(rng, len(q))) / n_shots
     weight = spec.matrix @ (q[0] - p.probs)

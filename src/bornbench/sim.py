@@ -86,36 +86,30 @@ _MASK32 = 0xFFFFFFFF
 _POOL_SIZE = 4
 
 
-def _uint32_words(value) -> list[int]:
-    """The 32-bit words, least significant first, that ``SeedSequence``
-    assembles from an int or a (nested) sequence of ints."""
+def _word_count(value) -> int:
+    """How many 32-bit words ``SeedSequence`` assembles from an int or a
+    (nested) sequence of ints."""
     if isinstance(value, (int, np.integer)):
-        value = int(value)
-        words = [value & _MASK32]
-        while value := value >> 32:
-            words.append(value & _MASK32)
-        return words
-    return [word for item in value for word in _uint32_words(item)]
+        return max(1, -(-int(value).bit_length() // 32))
+    return sum(map(_word_count, value))
 
 
-def _hash_constants(const: int, mult: int):
-    """``SeedSequence``'s running hash constant as (current, next) pairs, one
-    per hashed word, endlessly."""
-    while True:
-        step = const * mult & _MASK32
-        yield const, step
-        const = step
+def _hash_constants(const: int, mult: int, skip: int, n: int) -> np.ndarray:
+    """``SeedSequence``'s running hash constant as uint32 rows (current,
+    next) for the ``n`` words hashed after the first ``skip``."""
+    consts = [const * pow(mult, skip + i, 1 << 32) & _MASK32 for i in range(n + 1)]
+    return np.array([consts[:-1], consts[1:]], dtype=np.uint32)
 
 
 def _hash(value, xor, mul):
     """``SeedSequence``'s hash of one word (its hashmix) with the constant
-    pair (xor, mul); on ints or uint32 arrays, which wrap silently."""
+    pair (xor, mul); on uint32 arrays, which wrap silently."""
     value = (value ^ xor) * mul & _MASK32
     return value ^ value >> 16
 
 
 def _mix(x, y):
-    """``SeedSequence``'s mix of two words; on ints or uint32 arrays."""
+    """``SeedSequence``'s mix of two words; on uint32 arrays."""
     result = (_MIX_L * x & _MASK32) - (_MIX_R * y & _MASK32) & _MASK32
     return result ^ result >> 16
 
@@ -145,12 +139,13 @@ def spawn(rng: np.random.Generator, n: int) -> list[np.random.Generator]:
     of ``rng.spawn(n)``, computed in one vectorised pass.
 
     numpy's ``SeedSequence`` seeds child k from the parent's entropy and
-    spawn key followed by the word k.  Everything before that word is hashed
-    into the pool once, the word k is mixed in for all children at once, and
-    each child's ``PCG64`` gets its seed words directly.  ``rng`` acts as a
-    seed: its spawn counter is not advanced, so equal generators spawn equal
-    children.  Only a ``PCG64`` generator seeded by a 4-word ``SeedSequence``
-    that has spawned nothing is accepted.
+    spawn key followed by the word k.  Everything before that word is what
+    numpy already hashed into the parent's pool, so the word k is mixed into
+    that pool for all children at once, and each child's ``PCG64`` gets its
+    seed words directly.  ``rng`` acts as a seed: its spawn counter is not
+    advanced, so equal generators spawn equal children.  Only a ``PCG64``
+    generator seeded by a 4-word ``SeedSequence`` that has spawned nothing is
+    accepted.
     """
     bit_generator = rng.bit_generator
     seq = bit_generator.seed_seq
@@ -163,26 +158,17 @@ def spawn(rng: np.random.Generator, n: int) -> list[np.random.Generator]:
     if n < 0:
         raise ValueError(f"cannot spawn {n} generators")
 
-    # the entropy is padded to the pool size, as a child's spawn key is nonempty
-    words = _uint32_words(seq.entropy)
-    words += [0] * (_POOL_SIZE - len(words)) + _uint32_words(seq.spawn_key)
-    constants = _hash_constants(_INIT_A, _MULT_A)
-    pool = [_hash(word, *next(constants)) for word in words[:_POOL_SIZE]]
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], _hash(pool[src], *next(constants)))
-    for word in words[_POOL_SIZE:]:
-        for dst in range(_POOL_SIZE):
-            pool[dst] = _mix(pool[dst], _hash(word, *next(constants)))
-    # the child index, the last word: one row of (n, 4) pool words per child
-    xor, mul = np.array([next(constants) for _ in range(_POOL_SIZE)], dtype=np.uint32).T
+    # The parent's pool took one hash per pool word, 12 to mix them, and 4
+    # per word past the pool size, counting the entropy padded to the pool
+    # size when the spawn key is nonempty; the child's word k continues the
+    # hash constant from there, one row of (n, 4) pool words per child.
+    extra = max(0, _word_count(seq.entropy) - _POOL_SIZE) + _word_count(seq.spawn_key)
+    xor, mul = _hash_constants(_INIT_A, _MULT_A, _POOL_SIZE * (_POOL_SIZE + extra), _POOL_SIZE)
     index = np.arange(n, dtype=np.uint32)[:, None]
-    pool = _mix(np.array(pool, dtype=np.uint32), _hash(index, xor, mul))
+    pool = _mix(seq.pool, _hash(index, xor, mul))
     # generate_state(4, np.uint64): 8 words hashed from the pool in turn,
     # paired little-endian into 64-bit words
-    constants = _hash_constants(_INIT_B, _MULT_B)
-    xor, mul = np.array([next(constants) for _ in range(8)], dtype=np.uint32).T
+    xor, mul = _hash_constants(_INIT_B, _MULT_B, 0, 8)
     state = _hash(np.tile(pool, 2), xor, mul)
     seeds = state.astype("<u4").view("<u8").astype(np.uint64)
     seed = _seed_type()

@@ -20,7 +20,7 @@ from .ansatz import CircuitSpec, build_circuit, format_edge_list
 from .bas import ImageShape, TargetDistribution, bas_target_distribution, enumerate_bas
 from .kv import format_value
 from .metrics import MetricRecord, f1_per_state, kl_sampling_summary, qbas_from_probs
-from .mmd import KernelSpec, mmd_loss, mmd_loss_exact, mmd_gradient
+from .mmd import KernelSpec, mmd_gradient, mmd_loss, mmd_loss_exact, shift_probabilities
 from .noise import NoiseModel
 from .sim import circuit_probabilities, sample_histogram
 
@@ -375,8 +375,12 @@ def _run(
     checkpoints: list[Checkpoint] = []
     for step in range(start_step, last_step + 1):
         boundary = step in (start_step, last_step)
-        if boundary or step % config.metric_every == 0:
+        if step < last_step:  # row 0 of the gradient's batch is theta's distribution
+            q = shift_probabilities(circuit, theta, config.noise)
+            probs = q[0]
+        else:
             probs = circuit_probabilities(circuit, theta, config.noise)
+        if boundary or step % config.metric_every == 0:
             losses[step] = _loss_at(config, kernel, target, probs, step)
             metrics.append(_evaluate_metrics(config, probs, step, target, bas_states))
         if boundary or step % config.checkpoint_every == 0:
@@ -386,14 +390,12 @@ def _run(
         if step == last_step:
             break
         grad = mmd_gradient(
-            circuit,
-            theta,
+            q,
             target,
             kernel,
             mode=config.gradient_mode,
             n_shots=config.n_shots_train,
             rng=rng_stream(config.seed, TAG_GRAD, step),
-            noise=config.noise,
         )
         adam, theta = adam_step(
             adam, grad, theta, config.alpha, config.beta1, config.beta2, config.epsilon

@@ -35,6 +35,7 @@ from bornbench import (
     qbas_from_probs,
     qbas_score,
     rng_stream,
+    shift_probabilities,
     train,
 )
 from bornbench.cli import main
@@ -183,7 +184,7 @@ def test_a6_gradient_correctness():
         rng = np.random.default_rng(1000 * d_c + layers)
         for _ in range(20):
             theta = rng.uniform(0, 2 * np.pi, circuit.parameter_count)
-            grad = mmd_gradient(circuit, theta, target, kernel, mode="exact")
+            grad = mmd_gradient(shift_probabilities(circuit, theta), target, kernel, mode="exact")
             for i in range(len(theta)):
                 plus = theta.copy()
                 plus[i] += h

@@ -1,4 +1,7 @@
 import csv
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -592,6 +595,33 @@ def test_sweep_output_does_not_depend_on_jobs(tmp_path):
         for name in ("metrics.csv", "theta_trajectory.csv", "final_theta.json"):
             one = (tmp_path / "1" / f"row{row:03d}" / name).read_bytes()
             assert one == (tmp_path / "2" / f"row{row:03d}" / name).read_bytes()
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_sweep_jobs_below_one_is_a_usage_error(tmp_path, capsys, jobs):
+    sweep = tmp_path / "grid.sweep"
+    sweep.write_text(TINY_CONFIG.replace("n_steps = 4", "n_steps = 1"))
+    out = tmp_path / "sweep"
+    assert main(["sweep", "-c", str(sweep), "-o", str(out), "--jobs", jobs]) == 1
+    assert "--jobs must be at least 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_importing_the_command_line_loads_only_what_it_uses():
+    # a sweep with --jobs above 1 and qBAS load concurrent.futures (and with
+    # it logging) on first use; statistics would bring fractions and decimal
+    unused = ["concurrent.futures", "logging", "statistics", "fractions", "decimal"]
+    code = f"import sys, bornbench.cli; print([m for m in {unused!r} if m in sys.modules])"
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=60,
+    )
+    assert done.stdout.strip() == "[]"
 
 
 def test_sweep_summary_bytes_do_not_depend_on_output_dir(tmp_path):

@@ -30,10 +30,12 @@ from bornbench import (
     rng_stream,
     run_statevector,
     sample_histogram,
+    shift_probabilities,
     train,
 )
 from bornbench import sim, training
 from bornbench.kv import parse_kv_file
+from bornbench.mmd import shift_batch
 from bornbench.noise import contract_axes
 from bornbench.runio import config_from_items, is_sweep_axis, load_config_file, write_run
 from bornbench.training import TAG_GRAD, RunConfig
@@ -186,14 +188,12 @@ def noisy_gradient(mode: str) -> np.ndarray:
     circuit = config.circuit()
     theta = np.linspace(0.1, 6.2, circuit.parameter_count)
     return mmd_gradient(
-        circuit,
-        theta,
+        shift_probabilities(circuit, theta, config.noise),
         config.target(),
         config.kernel(),
         mode=mode,
         n_shots=config.n_shots_train,
         rng=rng_stream(0, TAG_GRAD, 0),
-        noise=config.noise,
     )
 
 
@@ -363,16 +363,6 @@ def test_sample_counts_draws_row_k_from_stream_k():
         sim.sample_counts(probs, 300, [np.random.default_rng(0)])  # one stream short
     with pytest.raises(ValueError):
         sim.sample_counts(-probs, 300, [np.random.default_rng(k) for k in range(5)])
-
-
-def shift_batch(theta):
-    """The 2P+1 angle vectors ``mmd_gradient`` simulates: theta, then
-    theta_i + pi/2 and theta_i - pi/2 for each parameter i."""
-    index = np.arange(len(theta))
-    shifted = np.tile(theta, (2 * len(theta) + 1, 1))
-    shifted[1 + 2 * index, index] = theta + math.pi / 2.0
-    shifted[2 + 2 * index, index] = theta - math.pi / 2.0
-    return shifted
 
 
 def assert_batch_is_rows_alone(circuit, thetas, noise):

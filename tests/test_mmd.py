@@ -12,6 +12,7 @@ from bornbench import (
     mmd_loss,
     mmd_loss_exact,
     sample_histogram,
+    shift_probabilities,
 )
 
 
@@ -130,7 +131,7 @@ def test_exact_gradient_matches_finite_differences(d_c, layers):
     rng = np.random.default_rng(d_c * 10 + layers)
     for _ in range(3):
         theta = rng.uniform(0, 2 * np.pi, circuit.parameter_count)
-        exact = mmd_gradient(circuit, theta, target, kernel, mode="exact")
+        exact = mmd_gradient(shift_probabilities(circuit, theta), target, kernel, mode="exact")
         fd = finite_difference_gradient(circuit, theta, target, kernel)
         assert np.abs(exact - fd).max() < 1e-6
 
@@ -145,7 +146,7 @@ def test_gradient_zero_at_product_stationary_point():
     theta[[0, 2, 4, 6]] = math.pi / 2  # first-layer Rx(pi/2) per qubit, everything else 0
     probs = circuit_probabilities(circuit, theta)
     assert np.allclose(probs, 1 / 16, atol=1e-12)
-    grad = mmd_gradient(circuit, theta, target, kernel, mode="exact")
+    grad = mmd_gradient(shift_probabilities(circuit, theta), target, kernel, mode="exact")
     assert np.linalg.norm(grad) < 1e-8
 
 
@@ -154,12 +155,12 @@ def test_sampled_gradient_unbiased(target22):
     circuit, kernel = config.circuit(), config.kernel()
     rng = np.random.default_rng(123)
     theta = rng.uniform(0, 2 * np.pi, circuit.parameter_count)
-    exact = mmd_gradient(circuit, theta, target22, kernel, mode="exact")
+    q = shift_probabilities(circuit, theta)
+    exact = mmd_gradient(q, target22, kernel, mode="exact")
     draws = np.array(
         [
             mmd_gradient(
-                circuit,
-                theta,
+                q,
                 target22,
                 kernel,
                 mode="sampled",
@@ -177,13 +178,12 @@ def test_sampled_gradient_deterministic(target22):
     config = TrainingConfig(d_c=2, n_layers=1)
     circuit, kernel = config.circuit(), config.kernel()
     theta = np.linspace(0, 2 * np.pi, circuit.parameter_count)
+    q = shift_probabilities(circuit, theta)
     a = mmd_gradient(
-        circuit, theta, target22, kernel, mode="sampled", n_shots=256,
-        rng=np.random.default_rng(5),
+        q, target22, kernel, mode="sampled", n_shots=256, rng=np.random.default_rng(5)
     )
     b = mmd_gradient(
-        circuit, theta, target22, kernel, mode="sampled", n_shots=256,
-        rng=np.random.default_rng(5),
+        q, target22, kernel, mode="sampled", n_shots=256, rng=np.random.default_rng(5)
     )
     assert np.array_equal(a, b)
 
@@ -191,10 +191,17 @@ def test_sampled_gradient_deterministic(target22):
 def test_gradient_mode_validation(target22, kernel4):
     circuit = TrainingConfig(d_c=2, n_layers=1).circuit()
     theta = np.zeros(circuit.parameter_count)
+    q = shift_probabilities(circuit, theta)
     with pytest.raises(ValueError):
-        mmd_gradient(circuit, theta, target22, kernel4, mode="spsa")
+        mmd_gradient(q, target22, kernel4, mode="spsa")
     with pytest.raises(ValueError):
-        mmd_gradient(circuit, theta, target22, kernel4, mode="sampled")  # no shots/rng
+        mmd_gradient(q, target22, kernel4, mode="sampled")  # no shots/rng
+    for bad in (q[1:], q[0], q[:, :8]):  # an even row count, one row, a narrow row
+        with pytest.raises(ValueError):
+            mmd_gradient(bad, target22, kernel4)
+    for bad in (theta[1:], np.tile(theta, (2, 1))):  # one angle short, a batch
+        with pytest.raises(ValueError):
+            shift_probabilities(circuit, bad)
 
 
 def test_loss_periodic_in_2pi(target22, kernel4, rng):

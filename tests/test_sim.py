@@ -18,10 +18,11 @@ from bornbench import (
     rng_stream,
     run_statevector,
     sample_histogram,
+    shift_probabilities,
 )
+from bornbench.mmd import shift_batch
 from bornbench.sim import spawn
 from bornbench.training import TAG_DEPLOY, TAG_GRAD
-from test_engine import shift_batch
 from test_properties import PROPERTY
 
 
@@ -342,6 +343,11 @@ def test_sampled_gradient_matches_per_row_reference(d_c):
     weight = kernel.matrix @ (q[0] - target.probs)
     expected = np.array([(plus - minus) @ weight for plus, minus in zip(q[1::2], q[2::2])])
     got = mmd_gradient(
-        circuit, theta, target, kernel, "sampled", n_shots=512, rng=rng_stream(5, TAG_GRAD, d_c)
+        shift_probabilities(circuit, theta),
+        target,
+        kernel,
+        "sampled",
+        n_shots=512,
+        rng=rng_stream(5, TAG_GRAD, d_c),
     )
     assert got.tobytes() == expected.tobytes()

@@ -16,8 +16,10 @@ from bornbench import (
     mmd_loss_exact,
     resume,
     save_checkpoint,
+    shift_probabilities,
     train,
 )
+from bornbench import sim, training
 from bornbench.runio import config_from_items
 
 
@@ -216,6 +218,41 @@ def test_metric_schedule_and_checkpoints():
     assert sorted(c.step for c in record.checkpoints) == [0, 10, 20]
     assert set(record.losses) == {0, 5, 10, 15, 20}
     assert record.theta_trajectory.shape == (21, 16)
+
+
+@pytest.mark.parametrize("noisy", [False, True], ids=["noiseless", "noisy"])
+def test_each_step_simulates_once_and_scores_row_0_of_its_batch(noisy, monkeypatch):
+    """A step that takes a gradient simulates its 2P+1 shifted circuits in one
+    batch and scores the loss and metrics on row 0, theta itself; only the
+    last step, which takes no gradient, simulates theta alone."""
+    noise = NoiseModel(p1=0.002, p2=0.02, readout_flip_all=0.03) if noisy else None
+    config = TrainingConfig(d_c=2, n_layers=1, n_steps=5, kl_repeats=2, noise=noise)
+    simulator = "evolve_density" if noisy else "run_statevector"
+    simulate, summarise = getattr(sim, simulator), training.kl_sampling_summary
+    calls, batches, scored = [], [], []
+
+    def counting(*args):
+        calls.append(args)
+        return simulate(*args)
+
+    def recording(*args):
+        batches.append(shift_probabilities(*args))
+        return batches[-1]
+
+    def scoring(target, probs, *args, **kwargs):
+        scored.append(probs.copy())
+        return summarise(target, probs, *args, **kwargs)
+
+    monkeypatch.setattr(sim, simulator, counting)
+    monkeypatch.setattr(training, "shift_probabilities", recording)
+    monkeypatch.setattr(training, "kl_sampling_summary", scoring)
+    record = train(config)
+    assert len(calls) == 6  # 5 batches and the last step's theta
+    assert len(batches) == 5 and len(scored) == 6
+    for probs, batch in zip(scored, batches):
+        assert probs.tobytes() == batch[0].tobytes()
+    last = circuit_probabilities(config.circuit(), record.final_theta, noise)
+    assert scored[-1].tobytes() == last.tobytes()
 
 
 def checkpoint_at(record, step):
