@@ -11,8 +11,8 @@ through exactly the floating-point operations it would go through alone, so
 batched and row-by-row results are identical to the last bit.
 
 Results are plain arrays, with the batch axis first when there is one:
-amplitudes (2^n,) from ``run_statevector``, density matrices (2^n, 2^n) from
-``evolve_density``, outcome distributions (2^n,) from
+amplitudes (2^n,) from ``run_statevector``, real density-matrix coordinates
+(2^n, 2^n) from ``evolve_density``, outcome distributions (2^n,) from
 ``circuit_probabilities`` and int64 counts (2^n,) from the samplers.  The
 shot count of a counts row is its sum.
 
@@ -24,12 +24,15 @@ pre-gate state with their own matrices.  A statevector is a batch of n-axis
 tensors; the CNOTs of a sub-covering only permute entries, so they become
 one cached gather index.
 
-A density matrix is a batch of 2n-axis tensors, ket axes then bra axes, and
-each gate is one superoperator contraction (``_superoperators``) on its
-qubits' ket and bra axes, with its noise channel fused in:
+A density matrix is a batch of 2n-axis float64 tensors, ket axes then bra
+axes, in real coordinates: qubit q's axis pair (q, n+q) holds the
+coefficients of |0><0|, X, Y and |1><1| at (0, 0), (0, 1), (1, 0), (1, 1), so
+the diagonal of the (2^n, 2^n) coordinates is exactly the populations.  Each
+gate is one contraction of a real F S T (``_in_coordinates``, S a
+superoperator on matrix entries) on its qubits' axis pairs, noise fused in:
 
-- a rotation u on qubit q: the 4x4 ``D1 @ kron(u, u.conj())`` on axes
-  [q, n+q], where D1 = sum K (x) K.conj() over the 1-qubit depolarizing set;
+- a rotation u on qubit q: the 4x4 ``D1 @ F kron(u, u.conj()) T`` on axes
+  [q, n+q], where D1 is the 1-qubit depolarizing channel;
 - a CNOT edge (a, b): one 16x16 matrix on [a, b, n+a, n+b], the CNOT on both
   sides, then the 2-qubit depolarizing channel, then damping of a and b;
 - a qubit no edge of the sub-covering touches: the 4x4 damping matrix.
@@ -37,8 +40,8 @@ qubits' ket and bra axes, with its noise channel fused in:
 Channels on disjoint qubits commute, so this is the gate-by-gate order
 (gate, its channel, damping after each sub-covering) up to rounding: entries
 stay within 1e-12 of a walk that applies every gate and Kraus operator by
-its own matmuls (at most 2.6e-15 measured, strengths 0 to 1).  That is why a
-noisy config's digest carries a ``density_path_version`` line.
+its own complex matmuls (at most 8.9e-16 measured, strengths 0 to 1).  As
+real products round otherwise, noisy digests say ``density_path_version = 3``.
 """
 
 from __future__ import annotations
@@ -203,6 +206,14 @@ def sample_histogram(probs, n_shots: int, rng: np.random.Generator) -> np.ndarra
 # The circuit walk and the density path's superoperators
 
 _CNOT = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex)
+# T maps one qubit's real coordinates to its density-matrix entries; F = T^-1
+_T = np.array([[1, 0, 0, 0], [0, 1, -1j, 0], [0, 1, 1j, 0], [0, 0, 0, 1]])
+_F = np.array([[1, 0, 0, 0], [0, 0.5, 0.5, 0], [0, 0.5j, -0.5j, 0], [0, 0, 0, 1]])
+
+
+def _pair(m: np.ndarray) -> np.ndarray:
+    """A one-qubit basis change (4x4) on two qubits' axes [a, b, n+a, n+b]."""
+    return np.kron(m, m).reshape((2,) * 8).transpose(0, 2, 1, 3, 4, 6, 5, 7).reshape(16, 16)
 
 
 def _superoperator(kraus) -> np.ndarray:
@@ -211,16 +222,25 @@ def _superoperator(kraus) -> np.ndarray:
     return sum(np.kron(k, k.conj()) for k in kraus)
 
 
+def _in_coordinates(s: np.ndarray) -> np.ndarray:
+    """F s T, a superoperator s (4x4 or a stack, or 16x16 on [a, b, n+a, n+b])
+    on real coordinates; s keeps matrices Hermitian, so the dropped imaginary
+    part is rounding."""
+    f, t = (_F, _T) if s.shape[-1] == 4 else (_pair(_F), _pair(_T))
+    return np.ascontiguousarray((f @ s @ t).real)
+
+
 @lru_cache(maxsize=32)
 def _superoperators(p1: float, p2: float, t_damp: float) -> tuple:
-    """The density path's fixed matrices at one noise strength: the 1-qubit
-    depolarizing channel (4x4); a CNOT edge followed by the 2-qubit
+    """The density path's fixed real matrices at one noise strength: the
+    1-qubit depolarizing channel (4x4); a CNOT edge followed by the 2-qubit
     depolarizing channel and the damping of both qubits (16x16); and the
     damping of one qubit (4x4).  A zero strength gives an identity."""
     damp = amplitude_damping_kraus(t_damp)
     damp_pair = _superoperator([np.kron(a, b) for a in damp for b in damp])
     edge = damp_pair @ _superoperator(depolarizing_kraus(p2, 2)) @ np.kron(_CNOT, _CNOT)
     mats = (_superoperator(depolarizing_kraus(p1, 1)), edge, _superoperator(damp))
+    mats = tuple(map(_in_coordinates, mats))
     for m in mats:
         m.flags.writeable = False
     return mats
@@ -275,7 +295,7 @@ def _walk(circuit: CircuitSpec, theta, n_axes: int, gates, entangle) -> np.ndarr
     u[~is_rx, 0, 0], u[~is_rx, 1, 1] = phase, phase.conj()
     mats = gates(u)
 
-    state = np.zeros((len(thetas),) + (2,) * n_axes, dtype=complex)
+    state = np.zeros((len(thetas),) + (2,) * n_axes, dtype=mats.dtype)
     state[(slice(None),) + (0,) * n_axes] = 1.0
     for qubit, arg in steps:
         if qubit is None:
@@ -308,9 +328,9 @@ def run_statevector(circuit: CircuitSpec, theta) -> np.ndarray:
 
 
 def evolve_density(circuit: CircuitSpec, theta, noise: NoiseModel | None = None) -> np.ndarray:
-    """Density matrix of the circuit's output, shape (d, d) with d = 2^n, or
-    (B, d, d) for a batch of angle vectors; each gate is followed by its noise
-    channel and every entangler sub-covering by per-qubit amplitude damping."""
+    """Real coordinates (module docstring) of the output density matrix, (d, d)
+    with d = 2^n or (B, d, d), diagonal the populations; each gate is followed
+    by its noise channel, each entangler sub-covering by amplitude damping."""
     n = circuit.n_qubits
     if n > MAX_DENSITY_QUBITS:
         raise ValueError(f"density-matrix simulation capped at {MAX_DENSITY_QUBITS} qubits")
@@ -320,7 +340,7 @@ def evolve_density(circuit: CircuitSpec, theta, noise: NoiseModel | None = None)
 
     def gates(u):
         gate = (u[:, :, None, :, None] * u.conj()[:, None, :, None, :]).reshape(-1, 4, 4)
-        return depolarize @ gate
+        return depolarize @ _in_coordinates(gate)
 
     def entangle(rho, edges):
         for a, b in edges:
@@ -339,7 +359,7 @@ def circuit_probabilities(
     circuit: CircuitSpec, theta, noise: NoiseModel | None = None
 ) -> np.ndarray:
     """Outcome distribution: |psi|^2 when noiseless, else the density
-    matrix's diagonal (negative rounding clipped) followed by the readout
+    matrix's populations (negative rounding clipped) followed by the readout
     confusion.
 
     ``theta`` of shape (P,) gives one distribution (2^n,); a batch (B, P)
@@ -347,7 +367,7 @@ def circuit_probabilities(
     """
     noiseless = noise is None or noise.is_noiseless()
     theta = np.asarray(theta, dtype=float)
-    state_bytes = 16 * 2 ** (circuit.n_qubits * (1 if noiseless else 2))
+    state_bytes = 16 * 2**circuit.n_qubits if noiseless else 8 * 4**circuit.n_qubits
     rows = max(1, MAX_BATCH_BYTES // state_bytes)
     if theta.ndim == 2 and len(theta) > rows:
         return np.concatenate(
@@ -360,7 +380,7 @@ def circuit_probabilities(
         probs = np.abs(run_statevector(circuit, theta)) ** 2
         return probs / probs.sum(axis=-1, keepdims=True)
     noise.check_register(circuit.n_qubits)
-    probs = np.diagonal(evolve_density(circuit, theta, noise), axis1=-2, axis2=-1).real.copy()
+    probs = np.diagonal(evolve_density(circuit, theta, noise), axis1=-2, axis2=-1).copy()
     if probs.min() < -1e-8:
         raise ValueError("density matrix has significantly negative populations")
     np.clip(probs, 0.0, None, out=probs)

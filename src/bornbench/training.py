@@ -37,7 +37,7 @@ CHECKPOINT_VERSION = 1
 CONFIG_DIGEST_VERSION = 1
 # Output version of the density-matrix path; only noisy configs hash it, so
 # a change to noisy bytes leaves every noiseless digest and checkpoint alone.
-DENSITY_PATH_VERSION = 2
+DENSITY_PATH_VERSION = 3
 
 
 def rng_stream(seed: int, *path: int) -> np.random.Generator:

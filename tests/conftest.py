@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from bornbench import ImageShape, TrainingConfig, bas_target_distribution, train
+from bornbench import ImageShape, TrainingConfig, bas_target_distribution, sim, train
+from bornbench.noise import contract_axes
 
 
 @pytest.fixture(scope="session")
@@ -34,3 +35,20 @@ def trained_dc4_L2():
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240811)
+
+
+def on_qubit_pairs(t, m):
+    """``m`` (4x4) applied on each qubit's (ket bit, bra bit) axis pair of a
+    (d, d) or (B, d, d) array."""
+    t = np.asarray(t)
+    n = t.shape[-1].bit_length() - 1
+    out = t.reshape((-1,) + (2,) * (2 * n))
+    for q in range(n):
+        out = contract_axes(out, [q, n + q], m)
+    return out.reshape(t.shape)
+
+
+def density_matrix(coords):
+    """The complex density matrix whose real coordinates ``evolve_density``
+    returned."""
+    return on_qubit_pairs(coords, sim._T)

@@ -2,9 +2,9 @@
 
 The noiseless digests were recorded with the per-circuit, per-gate simulator
 that preceded batching; every batched path must reproduce its bytes exactly.
-The noisy digests were recorded with the fused-superoperator density path
-(``density_path_version = 2``), which stays within 1e-12 of the per-gate
-reference walk below.
+The noisy digests were recorded with the fused-superoperator density path in
+real coordinates (``density_path_version = 3``), whose density matrices stay
+within 1e-12 of the complex per-gate reference walk below.
 """
 
 import hashlib
@@ -39,6 +39,7 @@ from bornbench.mmd import shift_batch
 from bornbench.noise import contract_axes
 from bornbench.runio import config_from_items, is_sweep_axis, load_config_file, write_run
 from bornbench.training import TAG_GRAD, RunConfig
+from conftest import density_matrix
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 MODERATE = CONFIGS / "noise" / "moderate.profile"
@@ -115,7 +116,7 @@ GOLDEN_RUNS = {
 # SHA-256 of the float64 bytes of a noisy d_c=4, L=2 gradient (moderate
 # profile) at the angles of ``noisy_gradient``, drawn from
 # rng_stream(0, TAG_GRAD, 0).  The sampled gradient kept its bytes through the
-# fused density path: its histograms come out the same.
+# fused density path and its real coordinates: its histograms come out the same.
 GOLDEN_GRADIENTS = {
     "exact": "3b1e901386bac03e331bbed4bbd381e0fbcbc435f5928eda802d16527eacdda8",
     "sampled": "2becfeb50b43c308b6a35e89cf39a06e77b899a2d42c8d4d88c7d7f907c67b3c",
@@ -126,7 +127,7 @@ GOLDEN_GRADIENTS = {
 # under the moderate noise profile, keyed by (d_c, n_layers, gradient_mode).
 # The sampled runs' metrics.csv, trajectory and final_theta.json bytes date
 # from the per-gate density path; only their checkpoints moved, through the
-# config digest they embed.
+# config digest they embed (density_path_version 2, then 3).
 GOLDEN_NOISY_RUNS = {
     (2, 1, "exact"): {
         "checkpoints/step_000000.json": "e4910a59d308350706d42df004e95a341af18246e8de40fc5ff2f40c279d2f70",
@@ -312,7 +313,7 @@ def test_batch_matches_rows_bit_for_bit(d_c, layers, noisy):
     assert batch.shape == (len(thetas), 16)
     assert batch.tobytes() == rows.tobytes()
     if noisy:
-        states = evolve_density(circuit, thetas, noise)
+        states = density_matrix(evolve_density(circuit, thetas, noise))
         expected = np.array([reference_density(circuit, t, noise) for t in thetas])
         assert np.max(np.abs(states - expected)) <= 1e-12
     else:
@@ -341,7 +342,7 @@ def test_chunked_batch_matches_one_batch(noisy, monkeypatch):
     noise = load_noise(MODERATE) if noisy else None
     thetas = _random_thetas(circuit, 5, rows=7)
     whole = circuit_probabilities(circuit, thetas, noise)
-    state_bytes = 16 * (256 if noisy else 16)
+    state_bytes = 8 * 256 if noisy else 16 * 16
     monkeypatch.setattr(sim, "MAX_BATCH_BYTES", 3 * state_bytes)  # chunks of 3, 3, 1
     assert circuit_probabilities(circuit, thetas, noise).tobytes() == whole.tobytes()
 
@@ -447,6 +448,7 @@ def test_density_path_makes_one_contraction_per_gate(d_c, monkeypatch):
     calls = []
 
     def counting(t, axes, m):
+        assert m.dtype == t.dtype == np.float64
         calls.append((list(axes), m.shape))
         return contract_axes(t, axes, m)
 
@@ -553,10 +555,10 @@ def test_noisy_digest_adds_only_the_density_path_version(monkeypatch):
     noiseless = load_config_file(CONFIGS / "dc4_L1_2048.cfg")
     noisy = replace(noiseless, noise=load_noise(MODERATE))
     assert noiseless.digest() == _v1_digest(noiseless)
-    assert noisy.digest() == _v1_digest(noisy, "density_path_version = 2")
+    assert noisy.digest() == _v1_digest(noisy, "density_path_version = 3")
     readout_only = replace(noiseless, noise=NoiseModel(readout_flip_all=0.03))
-    assert readout_only.digest() == _v1_digest(readout_only, "density_path_version = 2")
+    assert readout_only.digest() == _v1_digest(readout_only, "density_path_version = 3")
     before = (noiseless.digest(), noisy.digest())
-    monkeypatch.setattr(training, "DENSITY_PATH_VERSION", 3)
+    monkeypatch.setattr(training, "DENSITY_PATH_VERSION", 4)
     assert noiseless.digest() == before[0]
     assert noisy.digest() not in (before[1], _v1_digest(noisy))

@@ -7,6 +7,7 @@ import sys
 from dataclasses import fields
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from bornbench import (
@@ -17,10 +18,12 @@ from bornbench import (
     evolve_density,
     run_statevector,
 )
+from bornbench import sim
 from bornbench.kv import format_kv, parse_kv_text
 from bornbench.mmd import DISTANCE_KINDS
 from bornbench.runio import config_from_items
 from bornbench.training import RunConfig
+from conftest import density_matrix, on_qubit_pairs
 from test_engine import reference_amplitudes, reference_density
 
 # reproducible from run to run, and no example database left on disk
@@ -54,13 +57,48 @@ def noisy_circuits(draw):
 def test_density_matrices_match_reference_and_are_states(case):
     circuit, noise, thetas = case
     states = evolve_density(circuit, thetas, noise)
-    for rho, theta in zip(states, thetas):
-        assert rho.tobytes() == evolve_density(circuit, theta, noise).tobytes()
+    for coords, theta in zip(states, thetas):
+        assert coords.tobytes() == evolve_density(circuit, theta, noise).tobytes()
+        rho = density_matrix(coords)
         # fused superoperators round differently from the per-gate walk
         assert np.max(np.abs(rho - reference_density(circuit, theta, noise))) <= 1e-12
         assert abs(np.trace(rho) - 1.0) <= 1e-12
         assert np.allclose(rho, rho.conj().T, rtol=0.0, atol=1e-12)
         assert np.linalg.eigvalsh(rho).min() >= -1e-12
+
+
+@PROPERTY
+@given(noisy_circuits(), st.integers(0, 2**32 - 1))
+def test_real_coordinates_drop_only_rounding(case, seed):
+    """Every transfer matrix F S T the density path builds is real to 1e-15
+    before its imaginary part is dropped; a density matrix's coordinates are
+    real, hold its populations exactly on their diagonal and map back to it
+    within 1e-15."""
+    circuit, noise, thetas = case
+    built, in_coordinates = [], sim._in_coordinates
+
+    def recording(s):
+        built.append((s, in_coordinates(s)))
+        return built[-1][1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sim, "_in_coordinates", recording)
+        sim._superoperators.cache_clear()
+        evolve_density(circuit, thetas, noise)
+    assert [s.shape for s, _ in built] == [(4, 4), (16, 16), (4, 4), built[-1][0].shape]
+    for s, real in built:
+        f, t = (sim._F, sim._T) if s.shape[-1] == 4 else (sim._pair(sim._F), sim._pair(sim._T))
+        product = f @ s @ t
+        assert np.max(np.abs(product.imag)) <= 1e-15
+        assert real.dtype == np.float64 and np.array_equal(real, product.real)
+
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
+    rho = a @ a.conj().T / np.sum(np.abs(a) ** 2)
+    coords = on_qubit_pairs(rho, sim._F)
+    assert np.max(np.abs(coords.imag)) <= 1e-15
+    assert np.array_equal(np.diagonal(coords.real), np.diagonal(rho).real)
+    assert np.max(np.abs(density_matrix(coords.real) - rho)) <= 1e-15
 
 
 @PROPERTY

@@ -23,6 +23,7 @@ from bornbench import (
 from bornbench.mmd import shift_batch
 from bornbench.sim import spawn
 from bornbench.training import TAG_DEPLOY, TAG_GRAD
+from conftest import density_matrix
 from test_properties import PROPERTY
 
 
@@ -234,7 +235,7 @@ def test_full_depolarizing_gives_uniform():
 def test_noisy_evolution_preserves_trace_and_hermiticity():
     circuit, theta = random_circuit_theta(4, 2, 21)
     noise = NoiseModel(p1=0.01, p2=0.05, t_damp=0.02)
-    rho = evolve_density(circuit, theta, noise)
+    rho = density_matrix(evolve_density(circuit, theta, noise))
     assert abs(np.trace(rho).real - 1.0) < 1e-10
     assert abs(np.trace(rho).imag) < 1e-10
     assert np.abs(rho - rho.conj().T).max() < 1e-10
