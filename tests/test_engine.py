@@ -118,7 +118,7 @@ GOLDEN_RUNS = {
 # rng_stream(0, TAG_GRAD, 0).  The sampled gradient kept its bytes through the
 # fused density path and its real coordinates: its histograms come out the same.
 GOLDEN_GRADIENTS = {
-    "exact": "3b1e901386bac03e331bbed4bbd381e0fbcbc435f5928eda802d16527eacdda8",
+    "exact": "917e6de65d2d62d2ecf28e499ab2f4c7cce6b7623571196afb8ff16ec47db304",
     "sampled": "2becfeb50b43c308b6a35e89cf39a06e77b899a2d42c8d4d88c7d7f907c67b3c",
 }
 
@@ -130,29 +130,29 @@ GOLDEN_GRADIENTS = {
 # config digest they embed (density_path_version 2, then 3).
 GOLDEN_NOISY_RUNS = {
     (2, 1, "exact"): {
-        "checkpoints/step_000000.json": "e4910a59d308350706d42df004e95a341af18246e8de40fc5ff2f40c279d2f70",
-        "checkpoints/step_000003.json": "faff19b8949d9396cb40ede0ac01a7bd86955f3bed6681eba184d385aa0735b4",
-        "final_theta.json": "6f67000f2706c4bd2d37f2f0be0040614434fbd4f55fc2027a4b7cfb6f119a15",
-        "metrics.csv": "7f07b80f141cf5b126bf13d87d69c084591ccc5bfc280d3c5601e0ad0af89261",
-        "theta_trajectory.csv": "22b80beca5355cdf44b839cb98375c3f7863cf6e936223f47b5683a4196b0fd0",
+        "checkpoints/step_000000.json": "fc17ee3cae413df9a3a870c6833b49e5e590eaa4703604249dfff7b57df3bd87",
+        "checkpoints/step_000003.json": "ced3e9bb3777afdc0b3bbc08e12dce7b1108d5fdc6e043b9facdc5f56143e9ca",
+        "final_theta.json": "758ea27ad264c085139a259742450e315d9d0401e20899fb2e521e17016e3b94",
+        "metrics.csv": "d078c749ca0cc3cb3d0df9eb85a13d8384f939563999b8706ee5b2f174dfb1fe",
+        "theta_trajectory.csv": "55f05dab9e2fcda3acf11a740d38ccad0c8378ce7523a0479e648a6759f0fd37",
     },
     (2, 1, "sampled"): {
-        "checkpoints/step_000000.json": "3f809b0c3c93573abfaea57ba199d7a388d7533e7ec77db52411f450e396dea2",
-        "checkpoints/step_000003.json": "3fa06c2c65f25b6e6695333738ebd8fccc6ce9c49199fd6199c249df830df326",
+        "checkpoints/step_000000.json": "03d5259f20e5fcb7a026271830a341d9afe0e0c5374525708d807ff43df1ffd6",
+        "checkpoints/step_000003.json": "868e230857b090b0e7f223303aeacd0f4a4e24ab30ce4fbc7e43d968e60c9279",
         "final_theta.json": "fb55740fea6f21daecc4097f6f913665b504f78db61e5b92b2855ae159ed7188",
         "metrics.csv": "194dc3bb2d9f93fcb0e30d75552049d396531ae83922e04fb829d80237886bc9",
         "theta_trajectory.csv": "b9e3d9381263dc1d0ba2c186694f4cee67c7965587090e3d485e1917d2a3d8fb",
     },
     (4, 2, "exact"): {
-        "checkpoints/step_000000.json": "0baff023cccc5ea73aa716cee744d04dd8361f1988678625f09b0dbafdeda8c3",
-        "checkpoints/step_000003.json": "1743f01740fddbaf612acf7148cd46505afdf5a8a93a7e05d5ff1096b80534d8",
-        "final_theta.json": "a81becae344281ff7ea1628acd6d6c0423a60ac7bf6c795fe76acb7bdb449ce1",
-        "metrics.csv": "0e8a808acdb72f5ba52fbddb11426d31933b6decffd7fca69041a1fb7ca046b3",
-        "theta_trajectory.csv": "0716518388123cd78061a881a237230fe010cfdb5e88ce9b2469f8224ef4263a",
+        "checkpoints/step_000000.json": "0bd2354ed9941089e50d0f316a09767241dfd79b0a5f9945c0c7c59c5efb71b8",
+        "checkpoints/step_000003.json": "4a3d8fb9cb61dcd3a038376b36ce034ee8baf52b8d27d9e536dabeca989257c2",
+        "final_theta.json": "631fbc9e182b683dc9aced8230890c20287c79d6a20bc76a71951d24d573e7b3",
+        "metrics.csv": "6637d40db331644e61913c7bdc7efd0c6ba4e96852f418a2813ecabd90c38f30",
+        "theta_trajectory.csv": "8969a5a66349261c06059d2faa5812cb53ee81823aaf0329e3b825a5b375cc66",
     },
     (4, 2, "sampled"): {
-        "checkpoints/step_000000.json": "7e42134f8bd62d6ae0ee25b4a870223e83ddcbf5a971130af0a24219f33f95dd",
-        "checkpoints/step_000003.json": "635432b530444fda249a13847082acfc6d1ef82b1fb29a7ad27d3c1ff0cefa23",
+        "checkpoints/step_000000.json": "cc79d8a1bb818fa79d4b1f73324feb2f910c480cba2da2c51aa9c22b80d9f3d4",
+        "checkpoints/step_000003.json": "44530dc233d1ce3ac25ed33526a72972ed673ff63aa18f645fa3bd4c3777d655",
         "final_theta.json": "2522ea5f87c57dd15b5c4214b6aa4d3c58d631be6d6078e7ce59a4d3b0db1ae0",
         "metrics.csv": "a9951f48bb1ab61bbea2c41eb37ee2bf6185785620b655256593f46863bea4b2",
         "theta_trajectory.csv": "28cac7b3dec1241c1752acff93488abd3842e9a6f5687a693465124aed34ed25",
