@@ -7,6 +7,7 @@ Seeds are fixed at 0..4 throughout; no seed is chosen by outcome.
 import itertools
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from bornbench import (
     f1_per_state,
     kl_divergence,
     kl_sampling_summary,
+    load_noise,
     mmd_gradient,
     mmd_loss_exact,
     preset_graph,
@@ -407,3 +409,23 @@ def test_a10_byte_identical_reruns(tmp_path):
     identical = [n for n in names if (first / n).read_bytes() == (second / n).read_bytes()]
     ok = identical == names
     report("A10", ok, f"{len(identical)}/{len(names)} output files byte-identical across reruns")
+
+
+def test_a11_sparse_beats_dense_under_noise():
+    """Stated in advance (ROADMAP item 2(a)): trained under the moderate
+    noise profile at 1,024 shots for 100 steps, d_c=2, L=2 ends with a lower
+    mean final KL over seeds 0..4 than d_c=4, L=2."""
+    noise = load_noise(Path(__file__).resolve().parent.parent / "configs/noise/moderate.profile")
+    finals = {}
+    for d_c in (2, 4):
+        runs = train_seeds(d_c, 2, 1024, noise=noise, metric_every=100)
+        finals[d_c] = np.array([record.metrics[-1].kl_mean for _, record in runs.values()])
+    mean = {d_c: float(np.mean(v)) for d_c, v in finals.items()}
+    se = {d_c: float(np.std(v, ddof=1)) / math.sqrt(len(v)) for d_c, v in finals.items()}
+    difference, difference_se = mean[2] - mean[4], math.hypot(se[2], se[4])
+    detail = (
+        f"final KL d_c=2, L=2: {mean[2]:.4f} +- {se[2]:.4f}; "
+        f"d_c=4, L=2: {mean[4]:.4f} +- {se[4]:.4f}; "
+        f"difference {difference:+.4f} +- {difference_se:.4f}"
+    )
+    report("A11", difference < 0.0, detail)

@@ -35,7 +35,7 @@ def random_circuit_theta(d_c, layers, seed):
 
 def density_populations(circuit, theta, noise=None):
     """The diagonal of the circuit's output density matrix."""
-    return np.diagonal(evolve_density(circuit, theta, noise)).real
+    return np.diagonal(evolve_density(circuit, theta, noise))
 
 
 def cnots(*sub_coverings):
