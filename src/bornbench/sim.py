@@ -40,7 +40,7 @@ superoperator on matrix entries) on its qubits' axis pairs, noise fused in:
 Channels on disjoint qubits commute, so this is the gate-by-gate order
 (gate, its channel, damping after each sub-covering) up to rounding: entries
 stay within 1e-12 of a walk that applies every gate and Kraus operator by
-its own complex matmuls (at most 8.9e-16 measured, strengths 0 to 1).  As
+its own complex matmuls (at most 7.8e-16 measured, strengths 0 to 1).  As
 real products round otherwise, noisy digests say ``density_path_version = 3``.
 """
 

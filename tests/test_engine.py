@@ -342,9 +342,19 @@ def test_chunked_batch_matches_one_batch(noisy, monkeypatch):
     noise = load_noise(MODERATE) if noisy else None
     thetas = _random_thetas(circuit, 5, rows=7)
     whole = circuit_probabilities(circuit, thetas, noise)
+    # a noisy row holds 4^n float64 coordinates, a noiseless one 2^n complex amplitudes
     state_bytes = 8 * 256 if noisy else 16 * 16
-    monkeypatch.setattr(sim, "MAX_BATCH_BYTES", 3 * state_bytes)  # chunks of 3, 3, 1
+    monkeypatch.setattr(sim, "MAX_BATCH_BYTES", 3 * state_bytes)
+    simulator = "evolve_density" if noisy else "run_statevector"
+    chunks, simulate = [], getattr(sim, simulator)
+
+    def counting(circuit, thetas, *noise):
+        chunks.append(len(thetas))
+        return simulate(circuit, thetas, *noise)
+
+    monkeypatch.setattr(sim, simulator, counting)
     assert circuit_probabilities(circuit, thetas, noise).tobytes() == whole.tobytes()
+    assert chunks == [3, 3, 1]
 
 
 def test_readout_batch_matches_rows():
