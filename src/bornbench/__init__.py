@@ -62,9 +62,7 @@ from .training import (
     TrainingConfig,
     adam_step,
     initial_theta,
-    load_checkpoint,
     resume,
     rng_stream,
-    save_checkpoint,
     train,
 )

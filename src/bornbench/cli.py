@@ -10,7 +10,6 @@ states).  Exit codes: 0 success, 1 usage or config error, 2 runtime failure.
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 from itertools import product
 from pathlib import Path
@@ -31,13 +30,16 @@ from .metrics import kl_sampling_summary
 from .noise import load_noise
 from .runio import (
     CONFIG_FILE,
+    check_run_dir,
     config_from_items,
+    fmt_float,
     is_sweep_axis,
     load_config_file,
     prepare_run_dir,
     read_checkpoint,
     read_run_config,
     read_trajectory,
+    write_csv,
     write_run,
 )
 from .sim import circuit_probabilities
@@ -53,22 +55,11 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(f"{self.prog}: {message}")
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list[str]]) -> None:
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
-def _fmt(value: float) -> str:
-    return repr(float(value))
-
-
 def cmd_train(args) -> int:
     config = load_config_file(args.config, seed=args.seed)
-    out_dir = Path(args.out) if args.out else Path("runs") / config.label
+    out_dir = check_run_dir(args.out or Path("runs") / config.label, args.force)
     record = train(config)
-    path = write_run(out_dir, config, record, force=args.force)
+    path = write_run(out_dir, record, force=args.force)
     best = min(m.kl_mean for m in record.metrics)
     print(f"{config.label}: {len(record.steps) - 1} steps, min mean KL {best:.4f}")
     print(f"run written to {path}")
@@ -85,35 +76,23 @@ def cmd_deploy(args) -> int:
     steps, thetas = read_trajectory(run_dir)
     circuit = config.circuit()
     target = config.target()
-    clean_probs = circuit_probabilities(circuit, thetas)
-    noisy_probs = circuit_probabilities(circuit, thetas, noise)
+    both = (circuit_probabilities(circuit, thetas), circuit_probabilities(circuit, thetas, noise))
     rows = []
-    for step, clean_row, noisy_row in zip(steps, clean_probs, noisy_probs):
-        clean = kl_sampling_summary(
-            target,
-            clean_row,
-            rng_stream(config.seed, TAG_DEPLOY, step, 0),
-            n_repeats=config.kl_repeats,
-            n_shots=config.kl_shots,
-        )
-        noisy = kl_sampling_summary(
-            target,
-            noisy_row,
-            rng_stream(config.seed, TAG_DEPLOY, step, 1),
-            n_repeats=config.kl_repeats,
-            n_shots=config.kl_shots,
-        )
-        rows.append(
-            [
-                str(step),
-                _fmt(clean.mean),
-                _fmt(clean.std),
-                _fmt(noisy.mean),
-                _fmt(noisy.std),
-            ]
-        )
+    for step, *pair in zip(steps, *both):
+        row = [str(step)]
+        # TAG_DEPLOY's last stream coordinate: 0 noiseless, 1 noisy
+        for stream, probs in enumerate(pair):
+            kl = kl_sampling_summary(
+                target,
+                probs,
+                rng_stream(config.seed, TAG_DEPLOY, step, stream),
+                n_repeats=config.kl_repeats,
+                n_shots=config.kl_shots,
+            )
+            row += [fmt_float(kl.mean), fmt_float(kl.std)]
+        rows.append(row)
     header = ["step", "kl_mean_noiseless", "kl_std_noiseless", "kl_mean_noisy", "kl_std_noisy"]
-    _write_csv(out_path, header, rows)
+    write_csv(out_path, header, rows)
     print(f"deploy evaluation written to {out_path}")
     return 0
 
@@ -141,39 +120,19 @@ def cmd_warmstart(args) -> int:
         _override(items, {"noise_profile": args.noise}, Path())
     items["n_steps"] = format_value(args.steps)
     new_config = config_from_items(items)
+    out_dir = check_run_dir(args.out or run_dir.parent / new_config.label, args.force)
 
     record = resume(new_config, checkpoint, args.steps)
-    out_dir = Path(args.out) if args.out else run_dir.parent / new_config.label
-    out_dir = write_run(out_dir, new_config, record, force=args.force)
-
-    initial = record.metrics[0]
-    final = record.metrics[-1]
+    write_run(out_dir, record, force=args.force)
     best = min(record.metrics, key=lambda m: m.kl_mean)
-    header = [
-        "start_step",
-        "steps",
-        "kl_initial_mean",
-        "kl_initial_std",
-        "kl_final_mean",
-        "kl_final_std",
-        "kl_min_mean",
-        "kl_min_std",
-    ]
-    row = [
-        str(args.step),
-        str(args.steps),
-        _fmt(initial.kl_mean),
-        _fmt(initial.kl_std),
-        _fmt(final.kl_mean),
-        _fmt(final.kl_std),
-        _fmt(best.kl_mean),
-        _fmt(best.kl_std),
-    ]
-    _write_csv(out_dir / "warmstart_summary.csv", header, [row])
+    named = {"initial": record.metrics[0], "final": record.metrics[-1], "min": best}
+    header = ["start_step", "steps", *(f"kl_{n}_{s}" for n in named for s in ("mean", "std"))]
+    row = [str(args.step), str(args.steps)]
+    row += [fmt_float(x) for m in named.values() for x in (m.kl_mean, m.kl_std)]
+    write_csv(out_dir / "warmstart_summary.csv", header, [row])
     print(
-        f"S={args.step}: initial {initial.kl_mean:.3f}+-{initial.kl_std:.3f}, "
-        f"final {final.kl_mean:.3f}+-{final.kl_std:.3f}, "
-        f"min {best.kl_mean:.3f}+-{best.kl_std:.3f}"
+        f"S={args.step}: "
+        + ", ".join(f"{n} {m.kl_mean:.3f}+-{m.kl_std:.3f}" for n, m in named.items())
     )
     print(f"run written to {out_dir}")
     return 0
@@ -218,7 +177,7 @@ def _run_sweep_row(
     config = config_from_items(items, base_dir=base_dir)
     row_dir = out_dir / f"row{index:03d}"
     record = train(config)
-    write_run(row_dir, config, record, force=force)
+    write_run(row_dir, record, force=force)
     best = min(record.metrics, key=lambda m: m.kl_mean)
     return config, best
 
@@ -236,7 +195,7 @@ def cmd_sweep(args) -> int:
 
     header = ["row", *SUMMARY_KEYS, "status", "min_kl_mean", "min_kl_std", "min_kl_step"]
     if not items:
-        _write_csv(out_dir / "summary.csv", header, [])
+        write_csv(out_dir / "summary.csv", header, [])
         print("empty sweep; nothing to run")
         return 0
 
@@ -280,7 +239,7 @@ def cmd_sweep(args) -> int:
         used = dict(config.kv_items()) if status == "ok" else config
         row = [str(index), *(used.get(key, "") for key in SUMMARY_KEYS), status]
         if status == "ok":
-            row += [_fmt(best.kl_mean), _fmt(best.kl_std), str(best.step)]
+            row += [fmt_float(best.kl_mean), fmt_float(best.kl_std), str(best.step)]
             cell = f"{best.kl_mean:.3f}+-{best.kl_std:.3f}"
             table.setdefault((config.n_layers, config.n_shots_train), {})[config.d_c] = cell
         else:
@@ -288,7 +247,7 @@ def cmd_sweep(args) -> int:
             print(f"row {index}: {status}", file=sys.stderr)
         rows.append(row)
 
-    _write_csv(out_dir / "summary.csv", header, rows)
+    write_csv(out_dir / "summary.csv", header, rows)
     if table:
         dcs = sorted({dc for cells in table.values() for dc in cells})
         print("min mean KL by (L, n_shots) x d_c:")

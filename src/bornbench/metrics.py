@@ -200,7 +200,9 @@ def qbas_from_probs(
     def score(row, stream):
         return qbas_score(row, bas_states, sample_size, resamples, stream)
 
-    with ThreadPoolExecutor(min(repeats, len(os.sched_getaffinity(0)))) as pool:
+    # sched_getaffinity is Linux-only; cpu_count may be None
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    with ThreadPoolExecutor(min(repeats, cpus or 1)) as pool:
         scores = list(pool.map(score, counts, streams))
     # fresh contiguous arrays: weights @ means on a strided view rounds differently
     means, variances = map(np.array, zip(*scores))

@@ -1,18 +1,27 @@
-"""On-disk layout of a run directory.
+"""Every file a command writes, and how it is read back.
+
+``train`` and ``warmstart`` write a run directory:
 
     <run>/config.txt               full config echo plus tool version and digest
     <run>/metrics.csv              one row per evaluated step
     <run>/theta_trajectory.csv     rotation angles at every step
     <run>/final_theta.json         angles after the last step
     <run>/checkpoints/step_NNNNNN.json
+    <run>/warmstart_summary.csv    warmstart only: initial, final and min KL
 
-Floats are written with ``repr`` so files round-trip bit-exactly and reruns
-with the same config digest and seed are byte-identical.
+``deploy`` adds ``<run>/deploy.csv`` (noiseless and noisy KL at every step),
+and ``sweep`` writes ``<out>/summary.csv`` plus one run directory
+``<out>/rowNNN`` per grid point.
+
+Floats are written with ``repr`` (``fmt_float``) so files round-trip
+bit-exactly and reruns with the same config digest and seed are
+byte-identical.
 """
 
 from __future__ import annotations
 
 import csv
+import json
 import shutil
 from dataclasses import fields
 from pathlib import Path
@@ -24,7 +33,7 @@ from . import __version__
 from .bas import bitstring
 from .kv import format_kv, format_value, parse_kv_file, parse_value
 from .noise import load_noise, noise_from_items
-from .training import Checkpoint, RunConfig, RunRecord, load_checkpoint, save_checkpoint
+from .training import AdamState, Checkpoint, RunConfig, RunRecord
 from .ansatz import parse_edge_list
 
 CONFIG_FILE = "config.txt"
@@ -32,6 +41,7 @@ METRICS_FILE = "metrics.csv"
 TRAJECTORY_FILE = "theta_trajectory.csv"
 FINAL_THETA_FILE = "final_theta.json"
 CHECKPOINT_DIR = "checkpoints"
+CHECKPOINT_VERSION = 1
 
 # Declared type of every config field a file sets as one bool, int, float or
 # str value; edge lists and noise have their own syntax.
@@ -115,80 +125,86 @@ def metric_columns(config: RunConfig) -> list[str]:
     return ["step", "loss", "kl_mean", "kl_std", *f1_cols, "qbas_mean", "qbas_var", "smoothing_flag"]
 
 
-def _fmt(value: float | None) -> str:
+def fmt_float(value: float | None) -> str:
+    """A float as every file writes it: ``repr``, or empty when missing."""
     return "" if value is None else repr(float(value))
 
 
-def write_metrics_csv(path, config: RunConfig, record: RunRecord) -> None:
-    states = config.bas_states()
+def write_csv(path, header: list[str], rows) -> None:
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(metric_columns(config))
-        for metric in record.metrics:
-            row = [
-                str(metric.step),
-                _fmt(record.losses.get(metric.step)),
-                _fmt(metric.kl_mean),
-                _fmt(metric.kl_std),
-            ]
-            row.extend(_fmt(metric.f1.get(s, 0.0)) for s in states)
-            row.append(_fmt(metric.qbas_mean))
-            row.append(_fmt(metric.qbas_var))
-            row.append("1" if metric.smoothing_used else "0")
-            writer.writerow(row)
-
-
-def write_trajectory_csv(path, record: RunRecord) -> None:
-    n_params = record.theta_trajectory.shape[1]
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["step", *(f"theta_{i}" for i in range(n_params))])
-        for step, theta in zip(record.steps, record.theta_trajectory):
-            writer.writerow([str(step), *(repr(float(t)) for t in theta)])
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def read_trajectory(run_dir) -> tuple[list[int], np.ndarray]:
-    path = Path(run_dir) / TRAJECTORY_FILE
-    steps: list[int] = []
-    rows: list[list[float]] = []
-    with open(path, newline="") as handle:
-        reader = csv.reader(handle)
-        next(reader)
-        for row in reader:
-            steps.append(int(row[0]))
-            rows.append([float(x) for x in row[1:]])
-    return steps, np.asarray(rows)
+    data = np.loadtxt(Path(run_dir) / TRAJECTORY_FILE, delimiter=",", skiprows=1, ndmin=2)
+    return data[:, 0].astype(int).tolist(), data[:, 1:]
 
 
 def checkpoint_path(run_dir, step: int) -> Path:
     return Path(run_dir) / CHECKPOINT_DIR / f"step_{step:06d}.json"
 
 
-def prepare_run_dir(out_dir, force: bool = False) -> Path:
+def check_run_dir(out_dir, force: bool = False) -> Path:
+    """``out_dir``, refused if it holds files and ``force`` is off.  Commands
+    call this before they train; ``--force`` replaces the files only when
+    ``write_run`` writes the new ones."""
     out_dir = Path(out_dir)
-    if out_dir.exists() and any(out_dir.iterdir()):
-        if not force:
-            raise FileExistsError(
-                f"output directory {out_dir} already exists; pass --force to overwrite"
-            )
+    if not force and out_dir.exists() and any(out_dir.iterdir()):
+        raise FileExistsError(
+            f"output directory {out_dir} already exists; pass --force to overwrite"
+        )
+    return out_dir
+
+
+def prepare_run_dir(out_dir, force: bool = False) -> Path:
+    out_dir = check_run_dir(out_dir, force)
+    if force and out_dir.exists():
         shutil.rmtree(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     return out_dir
 
 
-def write_run(out_dir, config: RunConfig, record: RunRecord, force: bool = False) -> Path:
+def write_run(out_dir, record: RunRecord, force: bool = False) -> Path:
+    config = record.config
     out_dir = prepare_run_dir(out_dir, force=force)
     (out_dir / CONFIG_FILE).write_text(config_echo_text(config))
-    write_metrics_csv(out_dir / METRICS_FILE, config, record)
-    write_trajectory_csv(out_dir / TRAJECTORY_FILE, record)
-    final = record.final_theta
-    (out_dir / FINAL_THETA_FILE).write_text(
-        '{"step": %d, "theta": [%s]}\n'
-        % (record.final_step, ", ".join(repr(float(t)) for t in final))
+    states = config.bas_states()
+    metric_rows = [
+        [
+            str(m.step),
+            *map(fmt_float, (record.losses.get(m.step), m.kl_mean, m.kl_std)),
+            *(fmt_float(m.f1.get(s, 0.0)) for s in states),
+            *map(fmt_float, (m.qbas_mean, m.qbas_var)),
+            "1" if m.smoothing_used else "0",
+        ]
+        for m in record.metrics
+    ]
+    write_csv(out_dir / METRICS_FILE, metric_columns(config), metric_rows)
+    n_params = record.theta_trajectory.shape[1]
+    trajectory = zip(record.steps, record.theta_trajectory)
+    write_csv(
+        out_dir / TRAJECTORY_FILE,
+        ["step", *(f"theta_{i}" for i in range(n_params))],
+        ([str(step), *map(fmt_float, theta)] for step, theta in trajectory),
     )
+    final = {"step": record.final_step, "theta": record.final_theta.tolist()}
+    (out_dir / FINAL_THETA_FILE).write_text(json.dumps(final) + "\n")
     (out_dir / CHECKPOINT_DIR).mkdir(exist_ok=True)
     for checkpoint in record.checkpoints:
-        save_checkpoint(checkpoint, checkpoint_path(out_dir, checkpoint.step))
+        payload = {
+            "version": CHECKPOINT_VERSION,
+            "step": checkpoint.step,
+            "theta": checkpoint.theta.tolist(),
+            "adam_t": checkpoint.adam.t,
+            "adam_m": checkpoint.adam.m.tolist(),
+            "adam_v": checkpoint.adam.v.tolist(),
+            "seed": checkpoint.seed,
+            "config_digest": checkpoint.config_digest,
+        }
+        path = checkpoint_path(out_dir, checkpoint.step)
+        path.write_text(json.dumps(payload, indent=1) + "\n")
     return out_dir
 
 
@@ -206,4 +222,10 @@ def read_checkpoint(run_dir, step: int) -> Checkpoint:
         raise FileNotFoundError(
             f"no checkpoint at step {step} in {run_dir}; available: {available}"
         )
-    return load_checkpoint(path)
+    payload = json.loads(path.read_text())
+    if payload.get("version") != CHECKPOINT_VERSION:
+        raise ValueError(f"unsupported checkpoint version {payload.get('version')!r} in {path}")
+    m, v, theta = (np.asarray(payload[key], dtype=float) for key in ("adam_m", "adam_v", "theta"))
+    adam = AdamState(int(payload["adam_t"]), m, v)
+    digest = str(payload["config_digest"])
+    return Checkpoint(int(payload["step"]), theta, adam, int(payload["seed"]), digest)

@@ -10,7 +10,6 @@ reproduces the original run bit-exactly when the config is unchanged.
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 from dataclasses import dataclass, fields
 
@@ -33,7 +32,6 @@ TAG_F1 = 4
 TAG_QBAS = 5
 TAG_DEPLOY = 6
 
-CHECKPOINT_VERSION = 1
 CONFIG_DIGEST_VERSION = 1
 # Output version of the density-matrix path; only noisy configs hash it, so
 # a change to noisy bytes leaves every noiseless digest and checkpoint alone.
@@ -240,42 +238,6 @@ class Checkpoint:
     adam: AdamState
     seed: int
     config_digest: str
-
-
-def save_checkpoint(checkpoint: Checkpoint, path) -> None:
-    payload = {
-        "version": CHECKPOINT_VERSION,
-        "step": checkpoint.step,
-        "theta": checkpoint.theta.tolist(),
-        "adam_t": checkpoint.adam.t,
-        "adam_m": checkpoint.adam.m.tolist(),
-        "adam_v": checkpoint.adam.v.tolist(),
-        "seed": checkpoint.seed,
-        "config_digest": checkpoint.config_digest,
-    }
-    with open(path, "w") as handle:
-        json.dump(payload, handle, indent=1)
-        handle.write("\n")
-
-
-def load_checkpoint(path) -> Checkpoint:
-    with open(path) as handle:
-        payload = json.load(handle)
-    version = payload.get("version")
-    if version != CHECKPOINT_VERSION:
-        raise ValueError(f"unsupported checkpoint version {version!r}")
-    adam = AdamState(
-        int(payload["adam_t"]),
-        np.asarray(payload["adam_m"], dtype=float),
-        np.asarray(payload["adam_v"], dtype=float),
-    )
-    return Checkpoint(
-        int(payload["step"]),
-        np.asarray(payload["theta"], dtype=float),
-        adam,
-        int(payload["seed"]),
-        str(payload["config_digest"]),
-    )
 
 
 @dataclass

@@ -1,4 +1,6 @@
 import csv
+import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -23,6 +25,20 @@ kl_repeats = 4
 """
 
 NOISE_PROFILE = "p1 = 0.002\np2 = 0.02\nreadout_flip_all = 0.03\nt_damp = 0.01\n"
+MODERATE = Path(__file__).resolve().parent.parent / "configs" / "noise" / "moderate.profile"
+
+# SHA-256 of what `deploy` and `warmstart --step 4 --steps 3` write for tiny_run
+# under the moderate profile.
+GOLDEN_DEPLOY = "6f2bec3f81d231cea2e7be749a8316dd73ac93eef300c095175e8e2e05916b37"
+GOLDEN_WARMSTART = {
+    "checkpoints/step_000004.json": "ea7f73060da40b4051815d21d755e68511b7338c27f50f0723314392185124a9",
+    "checkpoints/step_000007.json": "7df38246faf590819f32840b693824664985307cb335ec6ef1ea3e3e38ab7e59",
+    "config.txt": "9ceca944845aa69f7cbbc981291700ca2b6239d0ff9650a8609b56e55ee54e78",
+    "final_theta.json": "3b0bef92276ff0d4dda00003a01c82c7ae78c8f42960efc05176309efbed6b22",
+    "metrics.csv": "16c4c238b3c80c0e13fed7a6c985d79554a71b873bb0c460cf87c32ca7148690",
+    "theta_trajectory.csv": "5056bd71c60713393c9cf9c1dcdcbb05486abc2548e236480f2d153826d6f217",
+    "warmstart_summary.csv": "495147498da2562773f4c9b49bd676e4793a00541e48496a29f2da43e7964582",
+}
 
 
 @pytest.fixture
@@ -70,10 +86,39 @@ def test_train_rerun_byte_identical(tiny_run, tmp_path):
         assert (out / name).read_bytes() == (second / name).read_bytes()
 
 
-def test_train_collision_refused(tiny_run):
+def spy_on_training(monkeypatch, out):
+    """Record each call of the command line's ``train`` and ``resume``, with
+    whether ``out`` still held its metrics at that moment."""
+    from bornbench import cli
+
+    calls = []
+    for name in ("train", "resume"):
+        def spied(*args, name=name, real=getattr(cli, name)):
+            calls.append((name, (out / "metrics.csv").exists()))
+            return real(*args)
+
+        monkeypatch.setattr(cli, name, spied)
+    return calls
+
+
+def test_train_collision_refused(tiny_run, monkeypatch):
     config, out = tiny_run
+    calls = spy_on_training(monkeypatch, out)
     assert main(["train", "-c", str(config), "-o", str(out)]) == 1
+    assert calls == []  # refused before training
     assert main(["train", "-c", str(config), "-o", str(out), "--force"]) == 0
+    assert calls == [("train", True)]  # the old run stays until the new one is written
+
+
+def test_warmstart_collision_refused(tiny_run, tmp_path, monkeypatch):
+    _, run = tiny_run
+    ws = ["warmstart", str(run), "--step", "0", "--steps", "1", "-o", str(tmp_path / "ws")]
+    assert main(ws) == 0
+    calls = spy_on_training(monkeypatch, tmp_path / "ws")
+    assert main(ws) == 1
+    assert calls == []
+    assert main(ws + ["--force"]) == 0
+    assert calls == [("resume", True)]
 
 
 def test_train_invalid_config(tmp_path):
@@ -190,6 +235,41 @@ def test_deploy_zero_noise_matches(tiny_run, tmp_path):
     # second run without --force is refused
     assert main(["deploy", str(out), "--noise", str(profile)]) == 1
     assert main(["deploy", str(out), "--noise", str(profile), "--force"]) == 0
+
+
+def sha_of(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_deploy_and_warmstart_bytes(tiny_run, tmp_path):
+    _, run = tiny_run
+    assert main(["deploy", str(run), "--noise", str(MODERATE)]) == 0
+    assert sha_of(run / "deploy.csv") == GOLDEN_DEPLOY
+    ws = tmp_path / "ws"
+    assert main(
+        ["warmstart", str(run), "--step", "4", "--steps", "3", "--noise", str(MODERATE), "-o", str(ws)]
+    ) == 0
+    files = {p.relative_to(ws).as_posix(): sha_of(p) for p in ws.rglob("*") if p.is_file()}
+    assert files == GOLDEN_WARMSTART
+
+
+def test_checkpoint_version_is_checked(tiny_run, tmp_path, capsys):
+    from bornbench.runio import CHECKPOINT_VERSION, read_checkpoint
+
+    _, run = tiny_run
+    path = run / "checkpoints" / "step_000004.json"
+    payload = json.loads(path.read_text())
+    assert payload["version"] == CHECKPOINT_VERSION
+    read_checkpoint(run, 4)
+    for version in (CHECKPOINT_VERSION + 1, "1", None):
+        payload["version"] = version
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match=f"unsupported checkpoint version {version!r}"):
+            read_checkpoint(run, 4)
+        out = tmp_path / f"ws{version}"
+        assert main(["warmstart", str(run), "--step", "4", "-o", str(out)]) == 1
+        assert "unsupported checkpoint version" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_deploy_noise_degrades(tmp_path):
@@ -501,7 +581,7 @@ def test_a_built_config_is_not_rebuilt(tmp_path, monkeypatch):
     training.resume(config, record.checkpoints[-1], 1)
     assert calls == []
 
-    run = write_run(tmp_path / "run", config, record)
+    run = write_run(tmp_path / "run", record)
     built = read_run_config(run)
     monkeypatch.setattr(cli, "read_run_config", lambda run_dir: built)
     profile = tmp_path / "noise.profile"

@@ -165,7 +165,7 @@ def _sha(data: bytes) -> str:
 
 
 def run_digests(config: RunConfig, out_dir: Path) -> dict[str, str]:
-    run_dir = write_run(out_dir, config, train(config))
+    run_dir = write_run(out_dir, train(config))
     return {
         path.relative_to(run_dir).as_posix(): _sha(path.read_bytes())
         for path in sorted(run_dir.rglob("*"))

@@ -1,0 +1,58 @@
+"""Only ``runio`` writes files.
+
+Every on-disk format lives in ``bornbench.runio``, so a change to how a run
+is written (for example, writing it step by step) touches one module.  The
+sources are parsed, not imported.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "bornbench"
+MODULES = sorted(SRC.glob("*.py"))
+
+
+def file_writes(tree):
+    """Line numbers of ``open`` in a writing mode, ``write_text`` /
+    ``write_bytes`` and ``json.dump`` calls."""
+    lines = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        if name == "open":
+            modes = node.args[1:2] + [k.value for k in node.keywords if k.arg == "mode"]
+            if any(not isinstance(m, ast.Constant) or set(str(m.value)) & set("wax+") for m in modes):
+                lines.append(node.lineno)
+        elif name in ("write_text", "write_bytes", "dump"):
+            lines.append(node.lineno)
+    return lines
+
+
+def imports(tree):
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module)
+    return names
+
+
+def test_the_sources_were_found():
+    assert {p.stem for p in MODULES} >= {"cli", "runio", "training"}
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.stem != "runio"], ids=lambda p: p.stem)
+def test_only_runio_writes_files(path):
+    tree = ast.parse(path.read_text())
+    assert file_writes(tree) == [], f"{path.name} writes a file; move the format into runio"
+    assert not imports(tree) & {"csv", "json"}, f"{path.name} imports a file format"
+
+
+def test_the_check_sees_runio_write():
+    tree = ast.parse((SRC / "runio.py").read_text())
+    assert len(file_writes(tree)) >= 3 and {"csv", "json"} <= imports(tree)

@@ -405,7 +405,7 @@ def test_qbas_score_chunks_match_one_draw(n_resamples, kind):
     assert got[0] == expected[0] and got[1] == expected[1]
 
 
-@pytest.mark.parametrize("n_cpus", [None, 1, 4])
+@pytest.mark.parametrize("n_cpus", [None, 1, 4, "absent"])
 def test_qbas_from_probs_does_not_depend_on_threads(target22, monkeypatch, n_cpus):
     workers = []
 
@@ -415,14 +415,17 @@ def test_qbas_from_probs_does_not_depend_on_threads(target22, monkeypatch, n_cpu
             super().__init__(max_workers)
 
     monkeypatch.setattr(futures, "ThreadPoolExecutor", Recording)
-    if n_cpus is not None:
+    if n_cpus == "absent":  # macOS and Windows have no sched_getaffinity
+        monkeypatch.delattr(metrics.os, "sched_getaffinity")
+        monkeypatch.setattr(metrics.os, "cpu_count", lambda: 3)
+    elif n_cpus is not None:
         monkeypatch.setattr(metrics.os, "sched_getaffinity", lambda pid: set(range(n_cpus)))
     _, probs = noisy_target(ImageShape(2, 2), 3)
     for case, repeats in ((probs, 11), (target22.probs, 3)):
         got = qbas_from_probs(case, BAS22, np.random.default_rng(9), repeats=repeats, resamples=3000)
         expected = reference_qbas(case, BAS22, np.random.default_rng(9), 1024, repeats, 15, 3000)
         assert repr(got) == repr(expected)
-    cpus = len(metrics.os.sched_getaffinity(0))
+    cpus = 3 if n_cpus == "absent" else len(metrics.os.sched_getaffinity(0))
     assert workers == [min(11, cpus), min(3, cpus)]
 
 

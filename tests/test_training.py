@@ -12,15 +12,13 @@ from bornbench import (
     adam_step,
     circuit_probabilities,
     initial_theta,
-    load_checkpoint,
     mmd_loss_exact,
     resume,
-    save_checkpoint,
     shift_probabilities,
     train,
 )
 from bornbench import sim, training
-from bornbench.runio import config_from_items
+from bornbench.runio import config_from_items, read_checkpoint, write_run
 
 
 def test_adam_first_step_magnitude():
@@ -264,9 +262,7 @@ def test_checkpoint_file_roundtrip(tmp_path):
     config = TrainingConfig(d_c=2, n_layers=2, n_steps=10, seed=2)
     record = train(config)
     checkpoint = checkpoint_at(record, 10)
-    path = tmp_path / "cp.json"
-    save_checkpoint(checkpoint, path)
-    loaded = load_checkpoint(path)
+    loaded = read_checkpoint(write_run(tmp_path / "run", record), 10)
     assert loaded.step == checkpoint.step
     assert np.array_equal(loaded.theta, checkpoint.theta)
     assert np.array_equal(loaded.adam.m, checkpoint.adam.m)
