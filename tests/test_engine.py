@@ -411,6 +411,59 @@ def test_shift_batch_matches_rows_bit_for_bit(rows, cols, d_c, layers, noisy):
     assert_batch_is_rows_alone(circuit, shift_batch(theta), load_noise(MODERATE) if noisy else None)
 
 
+# SHA-256 of the bytes of ``evolve_density`` on a parameter-shift batch and
+# then on a lone angle vector, for every register of REGISTERS and the
+# rotation-only 2x2 circuit, at the moderate profile and at full strength
+# (p1 = p2 = t_damp = 1).  Recorded with the density path whose state held
+# ket axes then bra axes, so any later layout keeps every byte.
+PIN_NOISE = {"moderate": load_noise(MODERATE), "full": NoiseModel(p1=1.0, p2=1.0, t_damp=1.0)}
+PIN_REGISTERS = [(2, 2, 0, 0)] + REGISTERS
+DENSITY_PINS = {
+    "2x2_dc0_L0/full": "6fb6d644c86942f00ebd0e4f6afb9ee209e444ae4874bffcd223811c8d358e53",
+    "2x2_dc0_L0/moderate": "ada76efcb5db6c9d56e18c2c3d2fc6b685736932cad4516b1dbbd78b16a19833",
+    "2x2_dc0_L1/full": "7a07e1d7f6fdedbdf2c25e9fdc4a52d51219acf5c6259a9ad9da272dfa728afe",
+    "2x2_dc0_L1/moderate": "9b7168e1b756d01dac13e5f03f511ab6412ce0dbeee45081a599f9dfaca9adfa",
+    "2x2_dc0_L2/full": "caf75400761943cb5ed2ecfdc689e2d7d599da50e86b8c5330fed64bbd73af9e",
+    "2x2_dc0_L2/moderate": "41a5de218e4a5c6b722b4abd4e0f88e6be0330fb739bd197c25320e1d1abecb3",
+    "2x2_dc2_L1/full": "ada15aea29d131725e427a93c00d2ca30810e375e15d67be0b8ee9df617e103f",
+    "2x2_dc2_L1/moderate": "8e2aad6fc2dcc448561d90ffbd20c352cf12bbc087c664af6745291c593f05e4",
+    "2x2_dc2_L2/full": "ef7a372fce58e78db19c40132cc68feca0dd17ac35c576979318edec42ef85e6",
+    "2x2_dc2_L2/moderate": "79a58ab323db1469a8c91506da34361f5be91a6ac3b108fa138091bd5b0e3b61",
+    "2x2_dc3_L1/full": "26c3ab6c15d7fad915a2c454c61139db595c93e9af5b807e2a0e308c0540aeb8",
+    "2x2_dc3_L1/moderate": "a95f61211b7cc3dccc34067af2c98f6b4ff1496b5f804c9aade581239ed5f8f4",
+    "2x2_dc3_L2/full": "7e59dae1c043f34ebeef7c053478a78e6de49117ce892072e2602c22ca6853b0",
+    "2x2_dc3_L2/moderate": "4326138895e3ed79be18265529bf39aaebe3495ada3c1ff7de4b8a7169c52fa4",
+    "2x2_dc4_L1/full": "688498d4847fd0f71a1e3310a1666432562f8eb556e42d201e0fb116bf8d5ae9",
+    "2x2_dc4_L1/moderate": "2a3534f54b45ad7207a85a81a34b74e007ef1d89dda7c43e3ab21662b320af11",
+    "2x2_dc4_L2/full": "66d02096b7eb4d637b76e4749f97afa410864cbdb96da779734e8d8352f28a72",
+    "2x2_dc4_L2/moderate": "62f7aa8a59e7b7fffcf3c963122609e7393f4ffc8a84951eb76fc657b98dc60c",
+    "2x3_dc0_L1/full": "ea2c2a8902a249783643a9ae79237de64ccf66a114a071bba1491effe6058c93",
+    "2x3_dc0_L1/moderate": "1b2714b477069f3e36b3989a98f53b2e9a9b4610f58f08aa0647c9e40a953906",
+    "2x3_dc0_L2/full": "8d00897f20c83bd4c53497d7d6465b3e3fe60d27f06870b03e130359f2c85c6f",
+    "2x3_dc0_L2/moderate": "7c04f32653700b51846336504ed775da315fb9f3f107d2f07267b9a5dd7b9a16",
+    "1x1_dc0_L1/full": "a30711f9fda4744c05376439270d8cfceae0b894de92cefe70b35dfcd2e4d600",
+    "1x1_dc0_L1/moderate": "11387a7375aa0c07d25ccb60e5381dc61d529d867c46acb34228ba40b99b6b67",
+    "1x2_dc0_L2/full": "341dce305634dc984e08deae42c95b37cf012446f970ea08d7f9bec41c10aae3",
+    "1x2_dc0_L2/moderate": "c9a2268a6f8cfd0174df485209a7ac764242049a9846879ebec484f7951d6837",
+}
+
+
+def density_pin(rows, cols, d_c, layers, noise):
+    circuit = TrainingConfig(d_c=d_c, n_layers=layers, n_rows=rows, n_cols=cols).circuit()
+    rng = np.random.default_rng([rows, cols, d_c, layers])
+    theta, lone = rng.uniform(0.0, 2.0 * math.pi, (2, circuit.parameter_count))
+    digest = hashlib.sha256(evolve_density(circuit, shift_batch(theta), noise).tobytes())
+    digest.update(evolve_density(circuit, lone, noise).tobytes())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("noise", sorted(PIN_NOISE))
+@pytest.mark.parametrize("register", PIN_REGISTERS, ids=lambda r: "%dx%d_dc%d_L%d" % r)
+def test_density_bytes_unchanged_on_every_register(register, noise):
+    key = "%dx%d_dc%d_L%d/%s" % (*register, noise)
+    assert density_pin(*register, PIN_NOISE[noise]) == DENSITY_PINS[key]
+
+
 @pytest.mark.parametrize("case", ["column_all_differ", "all_rows_equal", "signed_zero"])
 @pytest.mark.parametrize("noisy", [False, True], ids=["noiseless", "noisy"])
 def test_grouping_edge_cases_match_rows_bit_for_bit(case, noisy, monkeypatch):
