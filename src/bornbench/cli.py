@@ -16,6 +16,7 @@ from pathlib import Path
 
 from . import __version__
 from .ansatz import (
+    build_circuit,
     classify_pixel_pair,
     embed_layer,
     entangler_layer,
@@ -146,16 +147,16 @@ def _resolve_graph(spec: str):
 
 
 def cmd_embed(args) -> int:
+    shape = ImageShape(args.rows, args.cols)
     if args.edges:
         layer = layer_from_edges(parse_edge_list(args.edges))
     elif args.dc:
-        target = bas_target_distribution(ImageShape(2, 2))
+        target = bas_target_distribution(shape)
+        build_circuit(shape.n_bits, args.dc, 1, target)  # rejects the registers train rejects
         layer = entangler_layer(args.dc, args.layer_index, chow_liu_source=target)
     else:
         raise CliError("embed: give --dc {2,3,4} or --edges")
     graph = _resolve_graph(args.graph)
-
-    shape = ImageShape(args.rows, args.cols)
     kinds = [classify_pixel_pair(shape, c, t) for c, t in layer.edges]
     print(f"layer: d_c={layer.d_c}, edges " + ", ".join(f"{c}->{t}" for c, t in layer.edges))
     print(

@@ -64,11 +64,11 @@ def _axis_orders(ndim: int, axes: tuple, shared: bool) -> tuple:
 
 
 def contract_axes(t: np.ndarray, axes, m: np.ndarray) -> np.ndarray:
-    """Contract ``m`` over k qubit axes of each row of ``t`` (B, 2, ..., 2):
-    a shared matrix (2^k x 2^k) in one (2^k x 2^k) @ (2^k x B*rest) product,
-    a stack (B, 2^k, 2^k) in one (2^k x 2^k) @ (2^k x rest) product per row.
-    Either way each entry is the k-term dot product of a lone state.
-    """
+    """Contract ``m`` over k qubit axes of each row of ``t`` (B, 2, ..., 2),
+    a statevector batch or outcome distributions (the density path keeps its
+    own layout): a shared matrix (2^k x 2^k) in one (2^k x B*rest) product, a
+    stack (B, 2^k, 2^k) in one (2^k x rest) product per row.  Either way each
+    entry is the 2^k-term dot product of a lone state."""
     k = len(axes)
     # BLAS rounds each 4-column block of a product alike, but a lone row of 1
     # or 2 columns takes another kernel: such narrow rows keep a product each

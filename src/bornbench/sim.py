@@ -16,26 +16,26 @@ amplitudes (2^n,) from ``run_statevector``, real density-matrix coordinates
 ``circuit_probabilities`` and int64 counts (2^n,) from the samplers.  The
 shot count of a counts row is its sum.
 
-Both simulators share one walk over the circuit (``_walk``), which builds
-every rotation matrix before the first gate.  A rotation is one shared
-product at row 0's matrix; the rows whose angle differs from row 0's (2 of
-the 2P+1 rows of a parameter-shift batch) are then redone alone from their
-pre-gate state with their own matrices.  A statevector is a batch of n-axis
-tensors; the CNOTs of a sub-covering only permute entries, so they become
-one cached gather index.
+Both simulators build every rotation matrix before the first gate
+(``_rotations``).  A rotation is one shared product at row 0's matrix; the
+rows whose angle differs from row 0's (2 of the 2P+1 rows of a
+parameter-shift batch) are then redone alone from their pre-gate state with
+their own matrices.  A statevector is a batch of n-axis tensors; the CNOTs of
+a sub-covering only permute entries, so they become one cached gather index.
 
-A density matrix is a batch of 2n-axis float64 tensors, ket axes then bra
-axes, in real coordinates: qubit q's axis pair (q, n+q) holds the
-coefficients of |0><0|, X, Y and |1><1| at (0, 0), (0, 1), (1, 0), (1, 1), so
-the diagonal of the (2^n, 2^n) coordinates is exactly the populations.  Each
-gate is one contraction of a real F S T (``_in_coordinates``, S a
-superoperator on matrix entries) on its qubits' axis pairs, noise fused in:
-
-- a rotation u on qubit q: the 4x4 ``D1 @ F kron(u, u.conj()) T`` on axes
-  [q, n+q], where D1 is the 1-qubit depolarizing channel;
-- a CNOT edge (a, b): one 16x16 matrix on [a, b, n+a, n+b], the CNOT on both
-  sides, then the 2-qubit depolarizing channel, then damping of a and b;
-- a qubit no edge of the sub-covering touches: the 4x4 damping matrix.
+A density matrix is held in real coordinates: qubit q's (ket bit, bra bit)
+pair holds the coefficients of |0><0|, X, Y and |1><1| at 0, 1, 2, 3, so the
+diagonal of the (2^n, 2^n) coordinates is exactly the populations.  Each
+gate is one product of a real F S T (``_in_coordinates``, S a superoperator
+on matrix entries) with its noise fused in: a rotation u is the 4x4
+``D1 @ F kron(u, u.conj()) T``, D1 the 1-qubit depolarizing channel; a CNOT
+edge is one 16x16 matrix, the CNOT on both sides, the 2-qubit depolarizing
+channel and the damping of its qubits; a qubit no edge of a sub-covering
+touches is damped.  The state is one (4,) * n + (B,) array whose axis order
+follows the circuit (``_schedule``): a gate on the leading qubits is one
+product ``m @ x``, or ``x.T @ m.T`` to move them to the back and so bring
+the next gate's to the front; only where that order breaks is the state
+copied (6 times in the 36 gates of d_c = 4, L = 2).
 
 Channels on disjoint qubits commute, so this is the gate-by-gate order
 (gate, its channel, damping after each sub-covering) up to rounding: entries
@@ -203,7 +203,7 @@ def sample_histogram(probs, n_shots: int, rng: np.random.Generator) -> np.ndarra
 
 
 # ---------------------------------------------------------------------------
-# The circuit walk and the density path's superoperators
+# The circuit's rotations, the two simulators and the density path's matrices
 
 _CNOT = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex)
 # T maps one qubit's real coordinates to its density-matrix entries; F = T^-1
@@ -211,9 +211,13 @@ _T = np.array([[1, 0, 0, 0], [0, 1, -1j, 0], [0, 1, 1j, 0], [0, 0, 0, 1]])
 _F = np.array([[1, 0, 0, 0], [0, 0.5, 0.5, 0], [0, 0.5j, -0.5j, 0], [0, 0, 0, 1]])
 
 
-def _pair(m: np.ndarray) -> np.ndarray:
-    """A one-qubit basis change (4x4) on two qubits' axes [a, b, n+a, n+b]."""
-    return np.kron(m, m).reshape((2,) * 8).transpose(0, 2, 1, 3, 4, 6, 5, 7).reshape(16, 16)
+def _regroup(m: np.ndarray) -> np.ndarray:
+    """A 16x16 matrix on axes [a, b, n+a, n+b] on the pairs of a then b, or back."""
+    return m.reshape((2,) * 8).transpose(0, 2, 1, 3, 4, 6, 5, 7).reshape(16, 16)
+
+
+# F and T on two qubits' axes [a, b, n+a, n+b]
+_F2, _T2 = (_regroup(np.kron(m, m)) for m in (_F, _T))
 
 
 def _superoperator(kraus) -> np.ndarray:
@@ -226,21 +230,21 @@ def _in_coordinates(s: np.ndarray) -> np.ndarray:
     """F s T, a superoperator s (4x4 or a stack, or 16x16 on [a, b, n+a, n+b])
     on real coordinates; s keeps matrices Hermitian, so the dropped imaginary
     part is rounding."""
-    f, t = (_F, _T) if s.shape[-1] == 4 else (_pair(_F), _pair(_T))
+    f, t = (_F, _T) if s.shape[-1] == 4 else (_F2, _T2)
     return np.ascontiguousarray((f @ s @ t).real)
 
 
 @lru_cache(maxsize=32)
 def _superoperators(p1: float, p2: float, t_damp: float) -> tuple:
     """The density path's fixed real matrices at one noise strength: the
-    1-qubit depolarizing channel (4x4); a CNOT edge followed by the 2-qubit
-    depolarizing channel and the damping of both qubits (16x16); and the
-    damping of one qubit (4x4).  A zero strength gives an identity."""
+    1-qubit depolarizing channel (4x4); a CNOT edge (a, b), the 2-qubit one
+    and damping of a and b (16x16 on a's pair, then b's); and the damping of
+    one qubit (4x4).  A zero strength gives an identity."""
     damp = amplitude_damping_kraus(t_damp)
     damp_pair = _superoperator([np.kron(a, b) for a in damp for b in damp])
     edge = damp_pair @ _superoperator(depolarizing_kraus(p2, 2)) @ np.kron(_CNOT, _CNOT)
-    mats = (_superoperator(depolarizing_kraus(p1, 1)), edge, _superoperator(damp))
-    mats = tuple(map(_in_coordinates, mats))
+    depolarize, damp = _superoperator(depolarizing_kraus(p1, 1)), _superoperator(damp)
+    mats = _in_coordinates(depolarize), _regroup(_in_coordinates(edge)), _in_coordinates(damp)
     for m in mats:
         m.flags.writeable = False
     return mats
@@ -265,23 +269,17 @@ def _plan(circuit: CircuitSpec) -> tuple:
     return tuple(steps), rx
 
 
-def _walk(circuit: CircuitSpec, theta, n_axes: int, gates, entangle) -> np.ndarray:
-    """Evolve |0...0> on ``n_axes`` qubit axes through the circuit for
-    ``theta`` (P,) or (B, P) into a (B, 2, ..., 2) batch.  ``gates(u)`` turns
-    a stack u (M, 2, 2) of rotations into the matrices on qubit q's axes
-    (q, q + n, ...); ``entangle(state, edges)`` applies one sub-covering.
-
-    Each slot gets a matrix at row 0's angle, then one per row whose angle
-    differs from it in bit pattern.  Rx entries come from the scalar
-    ``math.cos`` and ``math.sin``, which numpy's vectorised versions may
-    differ from in the last bit.
-    """
+def _rotations(circuit: CircuitSpec, theta) -> tuple:
+    """(B, rows, bounds, u) for ``theta`` (P,) or (B, P): slot s's rotations
+    u[bounds[s]:bounds[s + 1]] at row 0's angle, then at the rows whose angle
+    differs from it in bit pattern, ``rows[bounds[s] + 1:bounds[s + 1]]``.  Rx
+    entries use the scalar ``math.cos`` and ``math.sin`` (numpy's may differ)."""
     thetas = np.asarray(theta, dtype=float)
     n_params = circuit.parameter_count
     if thetas.ndim not in (1, 2) or thetas.shape[-1] != n_params or not len(thetas):
         raise ValueError(f"need {n_params} angles or a nonempty batch of them, got {thetas.shape}")
     thetas = thetas.reshape(-1, n_params)
-    steps, rx = _plan(circuit)
+    rx = _plan(circuit)[1]
     own = thetas.view(np.uint64) != thetas[:1].view(np.uint64)
     own[:1] = True  # row 0 holds each slot's shared matrix
     slots, rows = np.nonzero(own.T)  # by slot, row 0 first in each
@@ -293,23 +291,7 @@ def _walk(circuit: CircuitSpec, theta, n_axes: int, gates, entangle) -> np.ndarr
     u.imag[is_rx, 0, 1] = u.imag[is_rx, 1, 0] = [-math.sin(a) for a in half]
     phase = np.exp(-0.5j * angles[~is_rx])
     u[~is_rx, 0, 0], u[~is_rx, 1, 1] = phase, phase.conj()
-    mats = gates(u)
-
-    state = np.zeros((len(thetas),) + (2,) * n_axes, dtype=mats.dtype)
-    state[(slice(None),) + (0,) * n_axes] = 1.0
-    for qubit, arg in steps:
-        if qubit is None:
-            state = entangle(state, arg)
-            continue
-        axes = range(qubit, n_axes, circuit.n_qubits)
-        lo, hi = bounds[arg], bounds[arg + 1]
-        # one product at row 0's matrix, then the rows that differ redone alone
-        out = contract_axes(state, axes, mats[lo])
-        if hi - lo > 1:
-            redo = rows[lo + 1 : hi]
-            out[redo] = contract_axes(state[redo], axes, mats[lo + 1 : hi])
-        state = out
-    return state
+    return len(thetas), rows, bounds, u
 
 
 def run_statevector(circuit: CircuitSpec, theta) -> np.ndarray:
@@ -318,13 +300,55 @@ def run_statevector(circuit: CircuitSpec, theta) -> np.ndarray:
     n = circuit.n_qubits
     if n > MAX_STATEVECTOR_QUBITS:
         raise ValueError(f"statevector simulation capped at {MAX_STATEVECTOR_QUBITS} qubits")
-
-    def entangle(psi, edges):
-        index = _cnot_permutation(n, edges)
-        return psi.reshape(len(psi), -1)[:, index].reshape(psi.shape)
-
-    psi = _walk(circuit, theta, n, lambda u: u, entangle)
+    batch, rows, bounds, u = _rotations(circuit, theta)
+    psi = np.zeros((batch,) + (2,) * n, dtype=complex)
+    psi[(slice(None),) + (0,) * n] = 1.0
+    for qubit, arg in _plan(circuit)[0]:
+        if qubit is None:
+            psi = psi.reshape(batch, -1)[:, _cnot_permutation(n, arg)].reshape(psi.shape)
+            continue
+        lo, hi = bounds[arg : arg + 2]
+        out = contract_axes(psi, [qubit], u[lo])  # one product at row 0's matrix
+        if hi - lo > 1:  # then the rows that differ, redone alone
+            out[rows[lo + 1 : hi]] = contract_axes(psi[rows[lo + 1 : hi]], [qubit], u[lo + 1 : hi])
+        psi = out
     return psi.reshape(np.shape(theta)[:-1] + (2**n,))
+
+
+@lru_cache(maxsize=64)
+def _schedule(circuit: CircuitSpec) -> tuple:
+    """The density path's gates in program order, (qubits, slot, perm, turn,
+    src, dst) with slot None for an edge or a damping, then the split shape and
+    axes of (B, kets, bras).  Axis q holds qubit q's pair, axis n the batch,
+    from (0, ..., n): ``perm`` copies the state so that the qubits lead (after
+    the batch when they are all), ``turn`` moves them to the back in the
+    product, ``src`` and ``dst`` view it before and after as (B, qubits, rest)."""
+    n = circuit.n_qubits
+    gates = []
+    for qubit, arg in _plan(circuit)[0]:
+        if qubit is not None:
+            gates.append(((qubit,), arg))
+        else:
+            touched = {q for edge in arg for q in edge}
+            gates += [(e, None) for e in arg] + [((q,), None) for q in range(n) if q not in touched]
+    wants = [(n,) * (len(q) == n) + q for q, _ in gates] + [()]
+    order, steps = tuple(range(n + 1)), []
+    for i, (qubits, slot) in enumerate(gates):
+        k, perm = len(qubits), None
+        if order[: len(wants[i])] != wants[i]:
+            # the other qubits by next use, so that the next gates lead in turn
+            later = [q for g, _ in gates[i:] for q in g] + list(range(n + 1))
+            new = wants[i] if k == n else tuple(dict.fromkeys(later))
+            perm, order = tuple(map(order.index, new)), new
+        turn = k < n and order[: len(wants[i + 1])] != wants[i + 1]
+        front = (n, *qubits, *(a for a in order if a != n and a not in qubits))
+        after = order[k:] + order[:k] if turn else order
+        src, dst = (tuple(map(o.index, front)) for o in (order, after))
+        steps.append((qubits, slot, perm, turn, src, dst))
+        order = after
+    axes = [x for a in order for x in ([-1] if a == n else [a, n + a])]  # batch, kets, bras
+    split = tuple(-1 if a < 0 else 2 for a in axes)
+    return tuple(steps), split, tuple(sorted(range(2 * n + 1), key=axes.__getitem__))
 
 
 def evolve_density(circuit: CircuitSpec, theta, noise: NoiseModel | None = None) -> np.ndarray:
@@ -334,25 +358,29 @@ def evolve_density(circuit: CircuitSpec, theta, noise: NoiseModel | None = None)
     n = circuit.n_qubits
     if n > MAX_DENSITY_QUBITS:
         raise ValueError(f"density-matrix simulation capped at {MAX_DENSITY_QUBITS} qubits")
-    if noise is None:
-        noise = NoiseModel()
+    noise = noise or NoiseModel()
     depolarize, edge, damp = _superoperators(noise.p1, noise.p2, noise.t_damp)
-
-    def gates(u):
-        gate = (u[:, :, None, :, None] * u.conj()[:, None, :, None, :]).reshape(-1, 4, 4)
-        return depolarize @ _in_coordinates(gate)
-
-    def entangle(rho, edges):
-        for a, b in edges:
-            rho = contract_axes(rho, [a, b, n + a, n + b], edge)
-        touched = {qubit for pair in edges for qubit in pair}
-        for qubit in sorted(set(range(n)) - touched):
-            rho = contract_axes(rho, [qubit, n + qubit], damp)
-        return rho
-
-    rho = _walk(circuit, theta, 2 * n, gates, entangle)
-    dim = 2**n
-    return rho.reshape(np.shape(theta)[:-1] + (dim, dim))
+    batch, rows, bounds, u = _rotations(circuit, theta)
+    gate = (u[:, :, None, :, None] * u.conj()[:, None, :, None, :]).reshape(-1, 4, 4)
+    mats = depolarize @ _in_coordinates(gate)
+    steps, split, final = _schedule(circuit)
+    rho = np.zeros((4,) * n + (batch,))
+    rho[(0,) * n] = 1.0
+    for qubits, slot, perm, turn, src, dst in steps:
+        if perm is not None:
+            rho = rho.transpose(perm).copy()
+        k, shape = len(qubits), rho.shape
+        m = (edge if k == 2 else damp) if slot is None else mats[bounds[slot]]
+        # a lone row is 1 column, which BLAS rounds otherwise: k == n takes a product per row
+        x = rho.reshape((-1, 4**k, 1) if k == n else (4**k, -1))
+        out = (x.T @ m.T).reshape(shape[k:] + shape[:k]) if turn else (m @ x).reshape(shape)
+        lo, hi = (0, 1) if slot is None else bounds[slot : slot + 2]
+        if hi - lo > 1:  # the rows whose angle differs, redone alone
+            redo, view = rows[lo + 1 : hi], out.transpose(dst)
+            redone = mats[lo + 1 : hi] @ rho.transpose(src)[redo].reshape(len(redo), 4**k, -1)
+            view[redo] = redone.reshape((-1,) + view.shape[1:])
+        rho = out
+    return rho.reshape(split).transpose(final).reshape(np.shape(theta)[:-1] + (2**n, 2**n))
 
 
 def circuit_probabilities(

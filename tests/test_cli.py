@@ -221,6 +221,16 @@ def test_embed_rejects_pixels_outside_the_image(capsys):
     assert "0 local, 2 non-local" in capsys.readouterr().out
 
 
+def test_embed_rejects_a_built_in_layer_off_four_qubits(capsys):
+    """The built-in layers live on 4 qubits, as in train: a 3x4 image is
+    refused rather than read as the pixels of the 2x2 layer's edges."""
+    assert main(["embed", "--dc", "3", "--rows", "3", "--cols", "4", "--graph", "plaquette4"]) == 1
+    captured = capsys.readouterr()
+    assert "built-in entangling layers are defined on 4 qubits, got 12 for d_c = 3" in captured.err
+    assert "layer:" not in captured.out
+    assert main(["embed", "--edges", "0-5,1-7", "--rows", "3", "--cols", "4", "--graph", "ladder2x4"]) == 0
+
+
 def test_deploy_zero_noise_matches(tiny_run, tmp_path):
     _, out = tiny_run
     profile = tmp_path / "zero.profile"

@@ -34,6 +34,7 @@ from bornbench import (
     train,
 )
 from bornbench import sim, training
+from bornbench.ansatz import CircuitSpec, EntanglerLayer
 from bornbench.kv import parse_kv_file
 from bornbench.mmd import shift_batch
 from bornbench.noise import contract_axes
@@ -411,6 +412,26 @@ def test_shift_batch_matches_rows_bit_for_bit(rows, cols, d_c, layers, noisy):
     assert_batch_is_rows_alone(circuit, shift_batch(theta), load_noise(MODERATE) if noisy else None)
 
 
+@pytest.mark.parametrize(
+    "n, coverings",
+    [(2, [[((0, 1),)], [((1, 0),)]]), (3, [[((0, 2),), ((1, 0),)], [((2, 1),)]])],
+    ids=["2_qubits", "3_qubits"],
+)
+def test_hand_built_edges_off_four_qubits_match_rows(n, coverings):
+    """No config puts a CNOT on other than 4 qubits, but a hand-built circuit
+    may: on 2 qubits an edge contracts the whole register (one product per
+    row), on 3 it leaves 4 columns a row.  Batch rows still come out as they
+    do alone, and within 1e-12 of the reference."""
+    layers = tuple(EntanglerLayer(tuple(covering)) for covering in coverings)
+    circuit = CircuitSpec(n, (("rx", "rz"), ("rz", "rx", "rz"), ("rz", "rx")), layers)
+    noise = load_noise(MODERATE)
+    thetas = shift_batch(np.random.default_rng(n).uniform(0.0, 2.0 * math.pi, circuit.parameter_count))
+    assert_batch_is_rows_alone(circuit, thetas, noise)
+    states = density_matrix(evolve_density(circuit, thetas, noise))
+    expected = np.array([reference_density(circuit, t, noise) for t in thetas])
+    assert np.max(np.abs(states - expected)) <= 1e-12
+
+
 # SHA-256 of the bytes of ``evolve_density`` on a parameter-shift batch and
 # then on a lone angle vector, for every register of REGISTERS and the
 # rotation-only 2x2 circuit, at the moderate profile and at full strength
@@ -464,9 +485,31 @@ def test_density_bytes_unchanged_on_every_register(register, noise):
     assert density_pin(*register, PIN_NOISE[noise]) == DENSITY_PINS[key]
 
 
+@pytest.fixture
+def density_products(monkeypatch):
+    """The shape of the matrix side of every product ``evolve_density`` takes
+    of one of its gate matrices (a rotation, an edge or a damping) with the
+    state, in the order taken.  Each matrix comes out of ``_in_coordinates``
+    as an array that records the products it enters."""
+    products, in_coordinates = [], sim._in_coordinates
+
+    class Recorded(np.ndarray):
+        def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+            mine = [isinstance(a, Recorded) for a in inputs]
+            out = getattr(ufunc, method)(*map(np.asarray, inputs), **kwargs)
+            if ufunc is np.matmul and mine.count(True) == 1:
+                products.append(inputs[mine.index(True)].shape)
+            return out.view(Recorded) if all(mine) else out
+
+    monkeypatch.setattr(sim, "_in_coordinates", lambda s: in_coordinates(s).view(Recorded))
+    sim._superoperators.cache_clear()
+    yield products
+    sim._superoperators.cache_clear()
+
+
 @pytest.mark.parametrize("case", ["column_all_differ", "all_rows_equal", "signed_zero"])
 @pytest.mark.parametrize("noisy", [False, True], ids=["noiseless", "noisy"])
-def test_grouping_edge_cases_match_rows_bit_for_bit(case, noisy, monkeypatch):
+def test_grouping_edge_cases_match_rows_bit_for_bit(case, noisy, request, monkeypatch):
     circuit = TrainingConfig(d_c=2, n_layers=2).circuit()
     rng = np.random.default_rng(11)
     theta = rng.uniform(-7.0, 7.0, circuit.parameter_count)
@@ -484,14 +527,19 @@ def test_grouping_edge_cases_match_rows_bit_for_bit(case, noisy, monkeypatch):
     assert_batch_is_rows_alone(circuit, thetas, noise)
 
     stacks = []
+    if noisy:  # the density path redoes rows in one product with a stack of matrices
+        products = request.getfixturevalue("density_products")
+    else:
 
-    def counting(t, axes, m):
-        if m.ndim == 3:
-            stacks.append(len(m))
-        return contract_axes(t, axes, m)
+        def counting(t, axes, m):
+            if m.ndim == 3:
+                stacks.append(len(m))
+            return contract_axes(t, axes, m)
 
-    monkeypatch.setattr(sim, "contract_axes", counting)
+        monkeypatch.setattr(sim, "contract_axes", counting)
     circuit_probabilities(circuit, thetas, noise)
+    if noisy:
+        stacks = [shape[0] for shape in products if len(shape) == 3]
     expected = {
         "column_all_differ": [2] * 7 + [len(thetas) - 1] + [2] * (circuit.parameter_count - 8),
         "all_rows_equal": [],
@@ -500,48 +548,73 @@ def test_grouping_edge_cases_match_rows_bit_for_bit(case, noisy, monkeypatch):
     assert stacks == expected
 
 
-@pytest.mark.parametrize("d_c", [3, 4])
-def test_density_path_makes_one_contraction_per_gate(d_c, monkeypatch):
+@pytest.mark.parametrize("d_c", [0, 2, 3, 4])
+def test_density_path_makes_one_contraction_per_gate(d_c, density_products):
     """A rotation (with its channel), a CNOT edge (with its channel and the
     damping of both qubits) and the damping of a qubit no edge of a
-    sub-covering touches each take one shared ``contract_axes`` call; for a
-    lone angle vector that is all.  In a batch a rotation then takes one more
-    call for the rows whose angle differs from row 0's: 2 rows in a
-    parameter-shift batch, every other row in a random batch."""
-    calls = []
-
-    def counting(t, axes, m):
-        assert m.dtype == t.dtype == np.float64
-        calls.append((list(axes), m.shape))
-        return contract_axes(t, axes, m)
-
-    monkeypatch.setattr(sim, "contract_axes", counting)
+    sub-covering touches each take one product of their matrix with the
+    state, in program order; for a lone angle vector that is all.  In a batch
+    a rotation then takes one more product, with a stack of matrices, for the
+    rows whose angle differs from row 0's: 2 rows in a parameter-shift batch,
+    every other row in a random batch."""
     circuit = TrainingConfig(d_c=d_c, n_layers=2).circuit()
-    n = circuit.n_qubits
     thetas = _random_thetas(circuit, 2)
 
-    def expected(rotation_calls):
-        out, touched = [], set()
+    def expected(rotation_products):
+        qubits, shapes, touched = [], [], set()
         for op, *args in circuit.instructions():
             if op == "cnot":
-                a, b = args
-                out.append(([a, b, n + a, n + b], (16, 16)))
-                touched |= {a, b}
+                qubits.append(tuple(args))
+                shapes.append((16, 16))
+                touched |= set(args)
             elif op == "tick":
-                out.extend(([q, n + q], (4, 4)) for q in range(n) if q not in touched)
+                idle = [q for q in range(circuit.n_qubits) if q not in touched]
+                qubits += [(q,) for q in idle]
+                shapes += [(4, 4)] * len(idle)
                 touched = set()
             else:
-                out.extend(([args[0], n + args[0]], shape) for shape in rotation_calls)
-        return out
+                qubits.append((args[0],))
+                shapes += rotation_products
+        return qubits, shapes
 
-    for batch, rotation_calls in [
+    for batch, rotation_products in [
         (thetas[2], [(4, 4)]),
         (thetas, [(4, 4), (len(thetas) - 1, 4, 4)]),
         (shift_batch(thetas[2]), [(4, 4), (2, 4, 4)]),
     ]:
-        calls.clear()
+        density_products.clear()
         evolve_density(circuit, batch, load_noise(MODERATE))
-        assert calls == expected(rotation_calls)
+        qubits, shapes = expected(rotation_products)
+        assert [step[0] for step in sim._schedule(circuit)[0]] == qubits
+        assert density_products == shapes
+
+
+# Layout copies per evaluation of each register of PIN_REGISTERS: the
+# density path copies its state only where the next gate's qubits do not
+# lead, against one copy per gate before (16, ..., 42 gates).
+LAYOUT_COPIES = {
+    (2, 2, 0, 0): 1,
+    (2, 2, 0, 1): 1,
+    (2, 2, 0, 2): 2,
+    (2, 2, 2, 1): 2,
+    (2, 2, 2, 2): 4,
+    (2, 2, 3, 1): 4,
+    (2, 2, 3, 2): 8,
+    (2, 2, 4, 1): 3,
+    (2, 2, 4, 2): 6,
+    (2, 3, 0, 1): 1,
+    (2, 3, 0, 2): 2,
+    (1, 1, 0, 1): 1,
+    (1, 2, 0, 2): 2,
+}
+
+
+def test_density_layout_copies_per_evaluation():
+    assert set(LAYOUT_COPIES) == set(PIN_REGISTERS)
+    for (rows, cols, d_c, layers), count in LAYOUT_COPIES.items():
+        circuit = TrainingConfig(d_c=d_c, n_layers=layers, n_rows=rows, n_cols=cols).circuit()
+        steps = sim._schedule(circuit)[0]
+        assert sum(step[2] is not None for step in steps) == count, (rows, cols, d_c, layers)
 
 
 # TrainingConfig.digest() of every shipped config (each sweep row labelled and

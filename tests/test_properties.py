@@ -30,6 +30,7 @@ from test_engine import reference_amplitudes, reference_density
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 
 SHAPES = [(0, 0), (0, 1), (2, 1), (2, 2), (3, 1), (3, 2), (4, 1), (4, 2)]
+NARROW = [(1, 1), (1, 2), (2, 3)]
 
 # probabilities on [0, 1], with both endpoints drawn often
 probability = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
@@ -37,8 +38,11 @@ probability = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
 
 @st.composite
 def noisy_circuits(draw):
-    d_c, layers = draw(st.sampled_from(SHAPES))
-    circuit = TrainingConfig(d_c=d_c, n_layers=layers).circuit()
+    # the product circuit (d_c = 0) also takes narrow registers; on 1x1 every
+    # gate contracts the whole register, which takes one product per row
+    narrow = [(rows, cols, 0, layers) for rows, cols in NARROW for layers in (0, 1)]
+    rows, cols, d_c, layers = draw(st.sampled_from([(2, 2, *s) for s in SHAPES] + narrow))
+    circuit = TrainingConfig(d_c=d_c, n_layers=layers, n_rows=rows, n_cols=cols).circuit()
     noise = NoiseModel(p1=draw(probability), p2=draw(probability), t_damp=draw(probability))
     n_params = circuit.parameter_count
     angle = st.floats(-7.0, 7.0)
@@ -87,7 +91,7 @@ def test_real_coordinates_drop_only_rounding(case, seed):
         evolve_density(circuit, thetas, noise)
     assert [s.shape[-1] for s, _ in built] == [4, 16, 4, 4]  # 3 channels, the rotations
     for s, real in built:
-        f, t = (sim._F, sim._T) if s.shape[-1] == 4 else (sim._pair(sim._F), sim._pair(sim._T))
+        f, t = (sim._F, sim._T) if s.shape[-1] == 4 else (sim._F2, sim._T2)
         product = f @ s @ t
         assert np.max(np.abs(product.imag)) <= 1e-15
         assert real.dtype == np.float64 and np.array_equal(real, product.real)
