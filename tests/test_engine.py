@@ -590,8 +590,7 @@ def test_density_path_makes_one_contraction_per_gate(d_c, density_products):
 
 
 # Layout copies per evaluation of each register of PIN_REGISTERS: the
-# density path copies its state only where the next gate's qubits do not
-# lead, against one copy per gate before (16, ..., 42 gates).
+# density path copies its state only where the next gate's qubits do not lead.
 LAYOUT_COPIES = {
     (2, 2, 0, 0): 1,
     (2, 2, 0, 1): 1,
