@@ -120,8 +120,6 @@ class CircuitSpec:
 
 def entangler_dc2(layer_index: int) -> EntanglerLayer:
     """Two-CNOT layer: one plaquette matching, alternating with layer parity."""
-    if layer_index < 0:
-        raise ValueError("layer_index must be nonnegative")
     matching = MATCHING_A if layer_index % 2 == 0 else MATCHING_B
     return EntanglerLayer((matching,))
 
@@ -268,6 +266,8 @@ def entangler_layer(
     ``layer_index`` of the stack: none for 0, the alternating matchings for 2,
     the spanning tree of ``chow_liu_source`` (or explicit ``dc3_edges``) for 3
     and both matchings for 4."""
+    if layer_index < 0:
+        raise ValueError("layer_index must be nonnegative")
     if d_c == 0:
         return EntanglerLayer(())
     if d_c == 2:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from itertools import product
 from pathlib import Path
 
 from . import __version__
@@ -26,7 +25,7 @@ from .ansatz import (
     preset_graph,
 )
 from .bas import ImageShape, bas_target_distribution, bitstring, enumerate_bas
-from .kv import format_value, parse_kv_file, parse_value
+from .kv import format_value, parse_kv_file
 from .metrics import kl_sampling_summary
 from .noise import load_noise
 from .runio import (
@@ -34,11 +33,11 @@ from .runio import (
     check_run_dir,
     config_from_items,
     fmt_float,
-    is_sweep_axis,
     load_config_file,
     prepare_run_dir,
     read_checkpoint,
     read_run_config,
+    read_sweep,
     read_trajectory,
     write_csv,
     write_run,
@@ -172,15 +171,10 @@ def cmd_embed(args) -> int:
     return 0
 
 
-def _run_sweep_row(
-    index: int, items: dict[str, str], out_dir: Path, force: bool, base_dir: Path
-):
-    config = config_from_items(items, base_dir=base_dir)
-    row_dir = out_dir / f"row{index:03d}"
+def _run_sweep_row(config: RunConfig, row_dir: Path):
     record = train(config)
-    write_run(row_dir, record, force=force)
-    best = min(record.metrics, key=lambda m: m.kl_mean)
-    return config, best
+    write_run(row_dir, record)
+    return min(record.metrics, key=lambda m: m.kl_mean)
 
 
 # config keys echoed in each row of a sweep's summary.csv
@@ -191,55 +185,34 @@ def cmd_sweep(args) -> int:
     if args.jobs < 1:
         raise CliError(f"sweep: --jobs must be at least 1, got {args.jobs}")
     sweep_path = Path(args.config)
-    items = parse_kv_file(sweep_path)
+    configs = []
+    for index, items in enumerate(read_sweep(sweep_path)):
+        try:
+            configs.append(config_from_items(items, base_dir=sweep_path.parent))
+        except (ValueError, FileNotFoundError, KeyError) as exc:
+            raise CliError(f"sweep: {sweep_path}: row {index}: {exc}") from None
     out_dir = prepare_run_dir(args.out or "sweep", force=args.force)
 
-    header = ["row", *SUMMARY_KEYS, "status", "min_kl_mean", "min_kl_std", "min_kl_step"]
-    if not items:
-        write_csv(out_dir / "summary.csv", header, [])
-        print("empty sweep; nothing to run")
-        return 0
-
-    # values such as an edge list are taken whole even when they contain spaces
-    axes = {k: v.split() for k, v in items.items() if is_sweep_axis(k) and len(v.split()) > 1}
-    fixed = {k: v for k, v in items.items() if k not in axes}
-    explicit_seed_axis = "seed" in axes
-    base_seed = parse_value("seed", fixed.get("seed", "0"), int)
-    combos = list(product(*axes.values())) if axes else [()]
-
-    def build_items(index: int, combo) -> dict[str, str]:
-        row = dict(fixed)
-        row.update(zip(axes.keys(), combo))
-        if not explicit_seed_axis:
-            row["seed"] = format_value(base_seed + index)
-        row.setdefault("label", f"row{index:03d}")
-        return row
-
     def run_row(index: int):
-        row_items = build_items(index, combos[index])
         try:
-            config, best = _run_sweep_row(
-                index, row_items, out_dir, args.force, sweep_path.parent
-            )
-            return index, config, best, "ok"
-        except Exception as exc:  # report per-row, keep sweeping
-            return index, row_items, None, f"failed: {exc}"
+            return _run_sweep_row(configs[index], out_dir / f"row{index:03d}"), "ok"
+        except Exception as exc:  # a run-time failure fails its row; keep sweeping
+            return None, f"failed: {exc}"
 
     if args.jobs > 1:
         from concurrent.futures import ThreadPoolExecutor  # only sweeps with threads need it
 
         with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(run_row, range(len(combos))))
+            results = list(pool.map(run_row, range(len(configs))))
     else:
-        results = [run_row(i) for i in range(len(combos))]
+        results = [run_row(i) for i in range(len(configs))]
 
     rows = []
     table: dict[tuple[int, int], dict[int, str]] = {}
-    for index, config, best, status in sorted(results):
-        # failed rows carry their raw key/value items instead of a config
-        used = dict(config.kv_items()) if status == "ok" else config
-        row = [str(index), *(used.get(key, "") for key in SUMMARY_KEYS), status]
-        if status == "ok":
+    for index, (config, (best, status)) in enumerate(zip(configs, results)):
+        used = dict(config.kv_items())
+        row = [str(index), *(used[key] for key in SUMMARY_KEYS), status]
+        if best is not None:
             row += [fmt_float(best.kl_mean), fmt_float(best.kl_std), str(best.step)]
             cell = f"{best.kl_mean:.3f}+-{best.kl_std:.3f}"
             table.setdefault((config.n_layers, config.n_shots_train), {})[config.d_c] = cell
@@ -248,6 +221,7 @@ def cmd_sweep(args) -> int:
             print(f"row {index}: {status}", file=sys.stderr)
         rows.append(row)
 
+    header = ["row", *SUMMARY_KEYS, "status", "min_kl_mean", "min_kl_std", "min_kl_step"]
     write_csv(out_dir / "summary.csv", header, rows)
     if table:
         dcs = sorted({dc for cells in table.values() for dc in cells})
@@ -260,7 +234,7 @@ def cmd_sweep(args) -> int:
                 + "  ".join(f"{cells.get(dc, '-'):<16}" for dc in dcs)
             )
     print(f"summary written to {out_dir / 'summary.csv'}")
-    return 2 if any(status != "ok" for *_, status in results) else 0
+    return 2 if any(best is None for best, _ in results) else 0
 
 
 def cmd_bas(args) -> int:

@@ -167,12 +167,11 @@ def noise_from_items(items) -> NoiseModel:
     """Build a NoiseModel from string key/value pairs; unknown keys are errors."""
     kwargs: dict = {"readout_flip": {}}
     for key, text in dict(items).items():
-        value = parse_value(key, text, float)
         if key in _STRENGTH_FIELDS:
-            kwargs[key] = value
+            kwargs[key] = parse_value(key, text, float)
         elif key.startswith("readout_flip_q"):
             qubit = parse_value(key, key[len("readout_flip_q"):], int)
-            kwargs["readout_flip"][qubit] = value
+            kwargs["readout_flip"][qubit] = parse_value(key, text, float)
         else:
             raise ValueError(f"unknown noise key {key!r}")
     return NoiseModel(**kwargs)

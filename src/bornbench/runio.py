@@ -1,4 +1,8 @@
-"""Every file a command writes, and how it is read back.
+"""Every file a command reads or writes, and how it is read back.
+
+Run configs (``load_config_file``) and sweep files (``read_sweep``, one
+config per grid point) are ``key = value`` text, as are noise profiles
+(``noise.load_noise``).
 
 ``train`` and ``warmstart`` write a run directory:
 
@@ -24,6 +28,7 @@ import csv
 import json
 import shutil
 from dataclasses import fields
+from itertools import product
 from pathlib import Path
 from typing import get_type_hints
 
@@ -52,17 +57,8 @@ _SCALAR_FIELDS = {
 }
 
 
-def is_sweep_axis(key: str) -> bool:
-    """Whether a sweep value with several tokens fans out: bool, int and float
-    fields and the inline ``noise_*`` strengths do; strings, edge lists and
-    ``noise_profile`` are taken whole."""
-    if key.startswith("noise_"):
-        return key != "noise_profile"
-    return _SCALAR_FIELDS.get(key) in (bool, int, float)
-
-
-def config_fields(items: dict[str, str], base_dir: Path | None = None) -> dict:
-    """Typed RunConfig fields from key/value strings; unknown keys are errors.
+def config_from_items(items: dict[str, str], base_dir: Path | None = None) -> RunConfig:
+    """Build a RunConfig from key/value strings; unknown keys are errors.
 
     Noise is given either as ``noise_profile = <file>`` (resolved relative to
     ``base_dir``) or inline through ``noise_*`` keys, and either sets the
@@ -94,12 +90,6 @@ def config_fields(items: dict[str, str], base_dir: Path | None = None) -> dict:
         kwargs["noise"] = load_noise(profile_path)
     elif noise_items:
         kwargs["noise"] = noise_from_items(noise_items)
-    return kwargs
-
-
-def config_from_items(items: dict[str, str], base_dir: Path | None = None) -> RunConfig:
-    """Build a RunConfig from key/value strings (see ``config_fields``)."""
-    kwargs = config_fields(items, base_dir)
     if "d_c" not in kwargs or "n_layers" not in kwargs:
         raise ValueError("config must set d_c and n_layers")
     return RunConfig(**kwargs)
@@ -112,6 +102,36 @@ def load_config_file(path, seed: int | None = None) -> RunConfig:
     if seed is not None:
         items["seed"] = format_value(seed)
     return config_from_items(items, base_dir=path.parent)
+
+
+def _is_sweep_axis(key: str) -> bool:
+    """Whether a sweep value with several tokens fans out: bool, int and float
+    fields and the inline ``noise_*`` strengths do; strings, edge lists and
+    ``noise_profile`` are taken whole."""
+    if key.startswith("noise_"):
+        return key != "noise_profile"
+    return _SCALAR_FIELDS.get(key) in (bool, int, float)
+
+
+def read_sweep(path) -> list[dict[str, str]]:
+    """Each grid row's config items from a sweep file, in row order (none
+    for an empty file).  The axes are the keys ``_is_sweep_axis`` fans out,
+    row i gets ``seed + i`` unless ``seed`` is itself an axis, and the label
+    ``rowNNN`` unless the file sets one."""
+    path = Path(path)
+    items = parse_kv_file(path)
+    if not items:
+        return []
+    axes = {k: v.split() for k, v in items.items() if _is_sweep_axis(k) and len(v.split()) > 1}
+    seed = None if "seed" in axes else parse_value(f"{path}: seed", items.get("seed", "0"), int)
+    rows = []
+    for index, combo in enumerate(product(*axes.values())):
+        row = {**items, **dict(zip(axes, combo))}
+        if seed is not None:
+            row["seed"] = format_value(seed + index)
+        row.setdefault("label", f"row{index:03d}")
+        rows.append(row)
+    return rows
 
 
 def config_echo_text(config: RunConfig) -> str:

@@ -231,6 +231,28 @@ def test_embed_rejects_a_built_in_layer_off_four_qubits(capsys):
     assert main(["embed", "--edges", "0-5,1-7", "--rows", "3", "--cols", "4", "--graph", "ladder2x4"]) == 0
 
 
+@pytest.mark.parametrize("dc, graph", [("2", "plaquette4"), ("3", "ladder2x3"), ("4", "plaquette4")])
+def test_embed_rejects_a_negative_layer_index(capsys, dc, graph):
+    assert main(["embed", "--dc", dc, "--layer-index", "-1", "--graph", graph]) == 1
+    captured = capsys.readouterr()
+    assert "layer_index must be nonnegative" in captured.err
+    assert "layer:" not in captured.out
+
+
+def test_unknown_noise_key_is_named_before_its_value(tiny_run, tmp_path, capsys):
+    config_path, run = tiny_run
+    config = tmp_path / "label.cfg"
+    config.write_text(TINY_CONFIG + "noise_label = x\n")
+    assert main(["train", "-c", str(config), "-o", str(tmp_path / "run2")]) == 1
+    assert "unknown noise key 'label'" in capsys.readouterr().err
+    assert not (tmp_path / "run2").exists()
+
+    # a run config given where a noise profile belongs: its first key is label
+    assert main(["deploy", str(run), "--noise", str(config_path)]) == 1
+    assert "unknown noise key 'label'" in capsys.readouterr().err
+    assert not (run / "deploy.csv").exists()
+
+
 def test_deploy_zero_noise_matches(tiny_run, tmp_path):
     _, out = tiny_run
     profile = tmp_path / "zero.profile"
@@ -485,16 +507,79 @@ def test_sweep_resolves_noise_profile_next_to_sweep_file(tmp_path, monkeypatch):
     assert "noise_p2 = 0.02" in config
 
 
-def test_sweep_exits_2_when_a_row_fails(tmp_path, capsys):
+def test_sweep_config_error_exits_1_before_output(tmp_path, capsys):
     sweep = tmp_path / "noisy.sweep"
     sweep.write_text(NOISY_SWEEP)  # no moderate.profile next to it
     out = tmp_path / "sweep"
-    assert main(["sweep", "-c", str(sweep), "-o", str(out)]) == 2
+    assert main(["sweep", "-c", str(sweep), "-o", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"{sweep}: row 0: " in err and "moderate.profile" in err
+    assert not out.exists()
+
+
+def test_sweep_config_error_leaves_a_forced_sweep_alone(tmp_path, capsys):
+    sweep = tmp_path / "grid.sweep"
+    sweep.write_text(TINY_CONFIG.replace("n_steps = 4", "n_steps = 1"))
+    out = tmp_path / "sweep"
+    assert main(["sweep", "-c", str(sweep), "-o", str(out)]) == 0
+    before = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+    assert out / "summary.csv" in before and out / "row000" / "metrics.csv" in before
+
+    sweep.write_text(TINY_CONFIG.replace("d_c = 2", "d_c = 2 7"))
+    capsys.readouterr()
+    assert main(["sweep", "-c", str(sweep), "-o", str(out), "--force"]) == 1
+    assert f"{sweep}: row 1: d_c must be one of 0, 2, 3, 4, got 7" in capsys.readouterr().err
+    assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
+
+
+def test_sweep_run_time_error_fails_only_its_row(tmp_path, capsys):
+    sweep = tmp_path / "alpha.sweep"
+    sweep.write_text(TINY_CONFIG.replace("alpha = 0.2", "alpha = 0.2 1e308"))
+    out = tmp_path / "sweep"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["sweep", "-c", str(sweep), "-o", str(out)]) == 2
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     rows = read_csv(out / "summary.csv")
     statuses = [r[rows[0].index("status")] for r in rows[1:]]
-    assert len(statuses) == 2
-    assert all(s.startswith("failed:") and "moderate.profile" in s for s in statuses)
-    assert "row 0: failed" in capsys.readouterr().err
+    assert statuses[0] == "ok"
+    assert statuses[1].startswith("failed: alpha = 1e+308 is too large")
+    assert "row 1: failed: alpha = 1e+308" in capsys.readouterr().err
+    assert (out / "row000" / "metrics.csv").exists()
+
+
+def test_sweep_over_seeds(tmp_path):
+    sweep = tmp_path / "seeds.sweep"
+    sweep.write_text(TINY_CONFIG.replace("n_steps = 4", "n_steps = 1").replace("seed = 3", "seed = 3 5"))
+    out = tmp_path / "sweep"
+    assert main(["sweep", "-c", str(sweep), "-o", str(out)]) == 0
+    rows = read_csv(out / "summary.csv")
+    assert [r[rows[0].index("seed")] for r in rows[1:]] == ["3", "5"]
+    for row, seed in enumerate(("3", "5")):
+        assert f"\nseed = {seed}\n" in (out / f"row{row:03d}" / "config.txt").read_text()
+
+
+def test_sweep_builds_every_config_before_a_row_runs(tmp_path, monkeypatch):
+    """The order perfbench's ``runio.config`` and ``cli.sweep.row`` spans see."""
+    from bornbench import cli
+
+    calls = []
+    config_from_items, run_sweep_row = cli.config_from_items, cli._run_sweep_row
+
+    def recorded_config(*args, **kwargs):
+        calls.append("config")
+        return config_from_items(*args, **kwargs)
+
+    def recorded_row(*args, **kwargs):
+        calls.append("row")
+        return run_sweep_row(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "config_from_items", recorded_config)
+    monkeypatch.setattr(cli, "_run_sweep_row", recorded_row)
+    sweep = tmp_path / "grid.sweep"
+    sweep.write_text(TINY_CONFIG.replace("n_steps = 4", "n_steps = 1").replace("d_c = 2", "d_c = 2 4"))
+    assert main(["sweep", "-c", str(sweep), "-o", str(tmp_path / "sweep")]) == 0
+    assert calls == ["config", "config", "row", "row"]
 
 
 def test_sweep_fans_out_inline_noise_strength(tmp_path):
@@ -547,10 +632,9 @@ def test_register_mismatch_fails_when_config_is_built(tmp_path, capsys):
     sweep = tmp_path / "wide.sweep"
     sweep.write_text(TINY_CONFIG.replace("n_steps = 4", "n_steps = 1") + "n_cols = 2 3\n")
     out = tmp_path / "sweep"
-    assert main(["sweep", "-c", str(sweep), "-o", str(out)]) == 2
-    rows = read_csv(out / "summary.csv")
-    statuses = [r[rows[0].index("status")] for r in rows[1:]]
-    assert statuses == ["ok", f"failed: {message}"]
+    assert main(["sweep", "-c", str(sweep), "-o", str(out)]) == 1
+    assert f"{sweep}: row 1: {message}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_kernel_cap_fails_when_config_is_built(tmp_path, capsys):
@@ -620,15 +704,14 @@ def test_bad_floats_fail_when_config_is_built(tmp_path, capsys, lines, message):
     assert not (tmp_path / "run").exists()
 
 
-def test_bad_float_fails_its_sweep_row(tmp_path):
+def test_bad_float_fails_its_sweep_row(tmp_path, capsys):
     sweep = tmp_path / "bad.sweep"
     sweep.write_text(TINY_CONFIG.replace("n_steps = 4", "n_steps = 1") + "sigma = 0.1 nan\n")
     out = tmp_path / "sweep"
-    assert main(["sweep", "-c", str(sweep), "-o", str(out)]) == 2
-    rows = read_csv(out / "summary.csv")
-    statuses = [r[rows[0].index("status")] for r in rows[1:]]
-    assert statuses == ["ok", "failed: sigma must be finite and positive, got nan"]
-    assert not (out / "row001").exists()
+    assert main(["sweep", "-c", str(sweep), "-o", str(out)]) == 1
+    message = "row 1: sigma must be finite and positive, got nan"
+    assert f"{sweep}: {message}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_overflowing_alpha_fails_with_a_named_error(tmp_path, capsys):
@@ -655,9 +738,9 @@ def test_readout_flip_outside_register_is_rejected(tiny_run, tmp_path, capsys):
 
     sweep = tmp_path / "flip.sweep"
     sweep.write_text(TINY_CONFIG.replace("n_steps = 4", "n_steps = 1") + flip)
-    assert main(["sweep", "-c", str(sweep), "-o", str(tmp_path / "sweep")]) == 2
-    rows = read_csv(tmp_path / "sweep" / "summary.csv")
-    assert [r[rows[0].index("status")] for r in rows[1:]] == [f"failed: {message}"]
+    assert main(["sweep", "-c", str(sweep), "-o", str(tmp_path / "sweep")]) == 1
+    assert f"{sweep}: row 0: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "sweep").exists()
 
     profile = tmp_path / "q9.profile"
     profile.write_text("readout_flip_q9 = 0.4\n")

@@ -9,7 +9,6 @@ within 1e-12 of the complex per-gate reference walk below.
 
 import hashlib
 from dataclasses import replace
-from itertools import product
 from pathlib import Path
 
 import math
@@ -35,10 +34,9 @@ from bornbench import (
 )
 from bornbench import sim, training
 from bornbench.ansatz import CircuitSpec, EntanglerLayer
-from bornbench.kv import parse_kv_file
 from bornbench.mmd import shift_batch
 from bornbench.noise import contract_axes
-from bornbench.runio import config_from_items, is_sweep_axis, load_config_file, write_run
+from bornbench.runio import config_from_items, load_config_file, read_sweep, write_run
 from bornbench.training import TAG_GRAD, RunConfig
 from conftest import density_matrix
 
@@ -660,19 +658,18 @@ PINNED_DIGESTS = {
 
 
 def shipped_configs() -> dict[str, RunConfig]:
+    """Every shipped config, and every row of a shipped sweep file as
+    ``bornbench sweep`` builds it."""
     configs = dict(EXTRA_CONFIGS)
     for path in sorted(CONFIGS.glob("*.cfg")):
-        items = parse_kv_file(path)
-        axes = {k: v.split() for k, v in items.items() if is_sweep_axis(k) and len(v.split()) > 1}
-        if not axes:
-            config = load_config_file(path)
-            configs[path.stem] = config
-            configs[path.stem + "+zero"] = replace(config, noise=load_noise(ZERO))
+        rows = read_sweep(path)
+        if len(rows) > 1:
+            for row, items in enumerate(rows):
+                configs[f"{path.stem}/row{row:03d}"] = config_from_items(items, path.parent)
             continue
-        for row, combo in enumerate(product(*axes.values())):
-            row_items = {**items, **dict(zip(axes, combo))}
-            row_items.update(seed=str(int(items["seed"]) + row), label=f"row{row:03d}")
-            configs[f"{path.stem}/row{row:03d}"] = config_from_items(row_items, path.parent)
+        config = load_config_file(path)
+        configs[path.stem] = config
+        configs[path.stem + "+zero"] = replace(config, noise=load_noise(ZERO))
     return configs
 
 
