@@ -16,8 +16,7 @@ from .ansatz import (
     chow_liu_layer,
     classify_pixel_pair,
     embed_layer,
-    entangler_dc2,
-    entangler_dc4,
+    entangler_layer,
     layer_from_edges,
     load_coupling_graph,
     pairwise_mutual_information,

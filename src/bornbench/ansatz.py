@@ -23,6 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .bas import ImageShape, TargetDistribution
+from .kv import parse_value
 
 # The two perfect matchings of the 4-qubit square plaquette 0-1-3-2.
 MATCHING_A = ((0, 1), (2, 3))
@@ -118,17 +119,6 @@ class CircuitSpec:
                     yield ("tick",)
 
 
-def entangler_dc2(layer_index: int) -> EntanglerLayer:
-    """Two-CNOT layer: one plaquette matching, alternating with layer parity."""
-    matching = MATCHING_A if layer_index % 2 == 0 else MATCHING_B
-    return EntanglerLayer((matching,))
-
-
-def entangler_dc4() -> EntanglerLayer:
-    """Four-CNOT layer: both plaquette matchings applied in sequence."""
-    return EntanglerLayer((MATCHING_A, MATCHING_B))
-
-
 def pairwise_mutual_information(dist: TargetDistribution) -> np.ndarray:
     """Mutual information (nats) between every pair of bits of ``dist``.
 
@@ -191,25 +181,27 @@ def _disjoint_split(edges: list[tuple[int, int]]) -> list[list[tuple[int, int]]]
     return groups
 
 
-def chow_liu_layer(dist: TargetDistribution, root: int = 0) -> EntanglerLayer:
+def _adjacency(n: int, edges) -> list[set[int]]:
+    """Neighbour sets of vertices 0 .. n-1 under undirected ``edges``."""
+    adjacency: list[set[int]] = [set() for _ in range(n)]
+    for u, v in edges:
+        adjacency[u].add(v)
+        adjacency[v].add(u)
+    return adjacency
+
+
+def chow_liu_layer(dist: TargetDistribution) -> EntanglerLayer:
     """Entangling layer from the maximum-mutual-information spanning tree.
 
-    Edges are directed parent -> child away from ``root`` and grouped by tree
+    Edges are directed parent -> child away from qubit 0 and grouped by tree
     depth; each depth level is further split into vertex-disjoint
     sub-coverings.  A distribution with an all-zero MI matrix (for example a
     point mass) still yields the lexicographic spanning tree.
     """
-    n = dist.n_bits
-    if not 0 <= root < n:
-        raise ValueError(f"root {root} out of range for {n} bits")
     tree = _max_weight_spanning_tree(pairwise_mutual_information(dist))
-
-    adjacency: dict[int, set[int]] = {v: set() for v in range(n)}
-    for u, v in tree:
-        adjacency[u].add(v)
-        adjacency[v].add(u)
-    depth = {root: 0}
-    frontier = [root]
+    adjacency = _adjacency(dist.n_bits, tree)
+    depth = {0: 0}
+    frontier = [0]
     directed: list[tuple[int, int, int]] = []  # (child depth, parent, child)
     while frontier:
         nxt = []
@@ -229,8 +221,9 @@ def chow_liu_layer(dist: TargetDistribution, root: int = 0) -> EntanglerLayer:
     return EntanglerLayer(tuple(coverings))
 
 
-def parse_edge_list(text: str) -> tuple[tuple[int, int], ...]:
-    """Parse an edge list such as "0-1,0-2,0-3" into (control, target) pairs."""
+def parse_edge_list(text: str, source: str) -> tuple[tuple[int, int], ...]:
+    """Parse an edge list such as "0-1,0-2,0-3" into (control, target) pairs;
+    ``source`` (a config key or an option) names the list in errors."""
     edges = []
     for token in text.split(","):
         token = token.strip()
@@ -238,10 +231,10 @@ def parse_edge_list(text: str) -> tuple[tuple[int, int], ...]:
             continue
         parts = token.split("-")
         if len(parts) != 2:
-            raise ValueError(f"bad edge {token!r}, expected 'u-v'")
-        edges.append((int(parts[0]), int(parts[1])))
+            raise ValueError(f"{source}: bad edge {token!r}, expected 'u-v'")
+        edges.append(tuple(parse_value(f"{source}: edge {token!r}", q.strip(), int) for q in parts))
     if not edges:
-        raise ValueError("empty edge list")
+        raise ValueError(f"{source}: empty edge list")
     return tuple(edges)
 
 
@@ -270,10 +263,10 @@ def entangler_layer(
         raise ValueError("layer_index must be nonnegative")
     if d_c == 0:
         return EntanglerLayer(())
-    if d_c == 2:
-        return entangler_dc2(layer_index)
-    if d_c == 4:
-        return entangler_dc4()
+    if d_c == 2:  # one plaquette matching, alternating with layer parity
+        return EntanglerLayer((MATCHING_B if layer_index % 2 else MATCHING_A,))
+    if d_c == 4:  # both matchings in sequence
+        return EntanglerLayer((MATCHING_A, MATCHING_B))
     if d_c != 3:
         raise ValueError(f"d_c must be one of 0, 2, 3, 4, got {d_c}")
     if dc3_edges is not None:
@@ -339,13 +332,6 @@ class CouplingGraph:
             normalized.add((min(u, v), max(u, v)))
         object.__setattr__(self, "edges", frozenset(normalized))
 
-    def adjacency(self) -> dict[int, set[int]]:
-        adj: dict[int, set[int]] = {v: set() for v in range(self.n_physical)}
-        for u, v in self.edges:
-            adj[u].add(v)
-            adj[v].add(u)
-        return adj
-
 
 def preset_graph(name: str) -> CouplingGraph:
     """Built-in graphs: ``plaquette4`` (the square plaquette 0-1-3-2) and
@@ -371,23 +357,23 @@ def load_coupling_graph(path) -> CouplingGraph:
     """Read a graph from an edge-list file: first line ``n <vertex_count>``,
     then one ``u v`` pair per line.  Blank lines and ``#`` comments allowed."""
     path = Path(path)
-    lines = []
-    for raw in path.read_text().splitlines():
+    lines = []  # (file:line, text) of each line that is not blank
+    for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if line:
-            lines.append(line)
+            lines.append((f"{path}:{lineno}", line))
     if not lines:
         raise ValueError(f"{path}: empty graph file")
-    head = lines[0].split()
+    where, head = lines[0][0], lines[0][1].split()
     if len(head) != 2 or head[0] != "n":
-        raise ValueError(f"{path}: first line must be 'n <vertex_count>'")
-    n = int(head[1])
+        raise ValueError(f"{where}: first line must be 'n <vertex_count>'")
+    n = parse_value(where, head[1], int)
     edges = set()
-    for line in lines[1:]:
+    for where, line in lines[1:]:
         parts = line.split()
         if len(parts) != 2:
-            raise ValueError(f"{path}: bad edge line {line!r}")
-        edges.add((int(parts[0]), int(parts[1])))
+            raise ValueError(f"{where}: bad edge line {line!r}")
+        edges.add(tuple(parse_value(where, q, int) for q in parts))
     return CouplingGraph(n, frozenset(edges), path.stem)
 
 
@@ -399,18 +385,14 @@ def embed_layer(layer: EntanglerLayer, graph: CouplingGraph) -> dict[int, int] |
     first (lexicographically smallest) mapping is returned, so the result is
     deterministic.
     """
-    logical_edges = {(min(c, t), max(c, t)) for c, t in layer.edges}
     n_logical = layer.max_qubit() + 1
     if n_logical <= 0:
         return {}
     if n_logical > graph.n_physical:
         return None
 
-    logical_adj: dict[int, set[int]] = {v: set() for v in range(n_logical)}
-    for u, v in logical_edges:
-        logical_adj[u].add(v)
-        logical_adj[v].add(u)
-    physical_adj = graph.adjacency()
+    logical_adj = _adjacency(n_logical, layer.edges)
+    physical_adj = _adjacency(graph.n_physical, graph.edges)
 
     mapping: dict[int, int] = {}
     used: set[int] = set()

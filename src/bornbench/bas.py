@@ -8,6 +8,7 @@ Black pixels map to |0>, white pixels to |1>.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 
@@ -71,21 +72,12 @@ def enumerate_bas(shape: ImageShape) -> list[int]:
     once, giving 2^rows + 2^cols - 2 states.
     """
     n, m, nb = shape.rows, shape.cols, shape.n_bits
+    rows = [sum(1 << (nb - 1 - (r * m + c)) for c in range(m)) for r in range(n)]
+    cols = [sum(1 << (nb - 1 - (r * m + c)) for r in range(n)) for c in range(m)]
     states: set[int] = set()
-    for pattern in range(2**n):  # stripes: row r filled with bit r of pattern
-        index = 0
-        for r in range(n):
-            if (pattern >> (n - 1 - r)) & 1:
-                for c in range(m):
-                    index |= 1 << (nb - 1 - (r * m + c))
-        states.add(index)
-    for pattern in range(2**m):  # bars: column c filled with bit c of pattern
-        index = 0
-        for c in range(m):
-            if (pattern >> (m - 1 - c)) & 1:
-                for r in range(n):
-                    index |= 1 << (nb - 1 - (r * m + c))
-        states.add(index)
+    for lines in (rows, cols):  # stripes fill a subset of rows, bars of columns
+        for filled in product((0, 1), repeat=len(lines)):
+            states.add(sum(f * line for f, line in zip(filled, lines)))
     return sorted(states)
 
 

@@ -148,7 +148,7 @@ def _resolve_graph(spec: str):
 def cmd_embed(args) -> int:
     shape = ImageShape(args.rows, args.cols)
     if args.edges:
-        layer = layer_from_edges(parse_edge_list(args.edges))
+        layer = layer_from_edges(parse_edge_list(args.edges, "--edges"))
     elif args.dc:
         target = bas_target_distribution(shape)
         build_circuit(shape.n_bits, args.dc, 1, target)  # rejects the registers train rejects

@@ -1,7 +1,7 @@
 """Benchmark metrics: KL divergence, per-state F1, and the qBAS score.
 
 KL uses natural logarithms.  Empirical probabilities of unsampled target
-states are floored (default 1/(100 * n_shots)) so repeated evaluations stay
+states are floored at the fixed 1/(100 * n_shots), so every evaluation is
 finite; every floored evaluation is flagged.
 
 The per-state F1 treats each target state as its own class: with sampled
@@ -53,6 +53,7 @@ class MetricRecord:
     """Metrics evaluated at one training step."""
 
     step: int
+    loss: float
     kl_mean: float
     kl_std: float
     f1: dict[int, float]
@@ -61,31 +62,19 @@ class MetricRecord:
     qbas_var: float | None = None
 
 
-def default_floor(n_shots: int) -> float:
-    return 1.0 / (100.0 * n_shots)
-
-
-def _kl_rows(p: TargetDistribution, counts, n_shots: int, floor: float | None) -> list[float]:
-    """KL(p || q) in nats of each row of a (R, 2^n) counts array drawn at
-    ``n_shots`` shots.  Each row is summed on its own, as a lone histogram is:
-    a sum over the whole array's last axis rounds differently."""
-    if floor is None:
-        floor = default_floor(n_shots)
+def kl_divergence(p: TargetDistribution, counts):
+    """KL(p || q) in nats, q the empirical distribution of a counts array:
+    a float for one histogram (2^n,), a list of one float per row for a
+    stack (R, 2^n).  Unsampled target states are floored at 1/(100 * n_shots).
+    Each row is summed on its own, as a lone histogram is: a sum over the
+    whole stack's last axis rounds differently."""
+    rows = np.atleast_2d(counts)
+    n_shots = rows.sum(axis=1, keepdims=True)
     support = p.support
     ps = p.probs[support]
-    q_hat = np.maximum(counts[:, support] / n_shots, floor)
-    with np.errstate(divide="ignore"):  # unsampled and unfloored: p log(p/0) = inf
-        terms = ps * np.log(ps / q_hat)
-    return [float(np.sum(row)) for row in terms]
-
-
-def kl_divergence(p: TargetDistribution, counts, floor: float | None = None) -> float:
-    """KL(p || q) in nats, q the empirical distribution of a counts array.
-
-    A nonpositive ``floor`` disables smoothing: any unsampled target state
-    then makes the divergence infinite.
-    """
-    return _kl_rows(p, counts[None], counts.sum(), floor)[0]
+    q_hat = np.maximum(rows[:, support] / n_shots, 1.0 / (100.0 * n_shots))
+    values = [float(np.sum(row)) for row in ps * np.log(ps / q_hat)]
+    return values if np.ndim(counts) == 2 else values[0]
 
 
 def kl_sampling_summary(
@@ -94,22 +83,19 @@ def kl_sampling_summary(
     rng: np.random.Generator,
     n_repeats: int = 10,
     n_shots: int = 2048,
-    floor: float | None = None,
 ) -> KlEstimate:
     """Mean and sample standard deviation of KL over independent histograms
     drawn from an outcome distribution, histogram k from the k-th child of
     ``rng`` as ``sim.spawn`` computes it, which equals numpy's
     ``Generator.spawn`` (a test pins this).  ``rng`` acts as a seed and is
-    not advanced; it must be a fresh ``PCG64`` generator.  An infinite
-    repeat makes both infinite."""
+    not advanced; it must be a fresh ``PCG64`` generator."""
     if n_repeats < 2:
         raise ValueError("need at least 2 repeats for a standard deviation")
     rows = np.broadcast_to(probs, (n_repeats,) + np.shape(probs))
     counts = sample_counts(rows, n_shots, spawn(rng, n_repeats))
-    values = _kl_rows(p, counts, n_shots, floor)
+    values = kl_divergence(p, counts)
     smoothed = bool(np.any(counts[:, p.support] == 0))
-    std = math.inf if math.inf in values else float(np.std(values, ddof=1))
-    return KlEstimate(math.fsum(values) / len(values), std, smoothed)
+    return KlEstimate(math.fsum(values) / len(values), float(np.std(values, ddof=1)), smoothed)
 
 
 def f1_per_state(p: TargetDistribution, counts) -> dict[int, float]:

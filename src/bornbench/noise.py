@@ -54,28 +54,30 @@ def amplitude_damping_kraus(gamma: float) -> list[np.ndarray]:
     return [k0, k1]
 
 
+# the density path's register cap; noisy models are checked against it
+MAX_DENSITY_QUBITS = 10
+
+
 @lru_cache(maxsize=256)
-def _axis_orders(ndim: int, axes: tuple, shared: bool) -> tuple:
-    """``contract_axes``' transpose order (gate axes first if shared), inverse."""
-    front = [1 + a for a in axes]
-    rest = [a for a in range(1, ndim) if a not in front]
-    order = front + [0] + rest if shared else [0] + front + rest
+def _axis_orders(ndim: int, axis: int, shared: bool) -> tuple:
+    """``contract_axis``' transpose order (the gate axis first if shared), inverse."""
+    rest = [a for a in range(1, ndim) if a != 1 + axis]
+    order = [1 + axis, 0] + rest if shared else [0, 1 + axis] + rest
     return tuple(order), tuple(np.argsort(order).tolist())
 
 
-def contract_axes(t: np.ndarray, axes, m: np.ndarray) -> np.ndarray:
-    """Contract ``m`` over k qubit axes of each row of ``t`` (B, 2, ..., 2),
+def contract_axis(t: np.ndarray, axis: int, m: np.ndarray) -> np.ndarray:
+    """Contract ``m`` over qubit axis ``axis`` of each row of ``t`` (B, 2, ..., 2),
     a statevector batch or outcome distributions (the density path keeps its
-    own layout): a shared matrix (2^k x 2^k) in one (2^k x B*rest) product, a
-    stack (B, 2^k, 2^k) in one (2^k x rest) product per row.  Either way each
-    entry is the 2^k-term dot product of a lone state."""
-    k = len(axes)
+    own layout): a shared matrix (2 x 2) in one (2 x B*rest) product, a stack
+    (B, 2, 2) in one (2 x rest) product per row.  Either way each entry is
+    the 2-term dot product of a lone state."""
     # BLAS rounds each 4-column block of a product alike, but a lone row of 1
     # or 2 columns takes another kernel: such narrow rows keep a product each
-    shared = m.ndim == 2 and t.ndim - k > 2
-    order, inverse = _axis_orders(t.ndim, tuple(axes), shared)
+    shared = m.ndim == 2 and t.ndim > 3
+    order, inverse = _axis_orders(t.ndim, axis, shared)
     t = t.transpose(order)
-    flat = t.reshape(2**k, -1) if shared else t.reshape(len(t), 2**k, -1)
+    flat = t.reshape(2, -1) if shared else t.reshape(len(t), 2, -1)
     return (m @ flat).reshape(t.shape).transpose(inverse)
 
 
@@ -100,7 +102,7 @@ def apply_readout(probs: np.ndarray, confusion) -> np.ndarray:
         mats.append(m)
     out = probs.reshape((-1,) + (2,) * n)
     for k, m in enumerate(mats):
-        out = contract_axes(out, [k], m.T)
+        out = contract_axis(out, k, m.T)
     return out.reshape(probs.shape)
 
 
@@ -131,13 +133,14 @@ class NoiseModel:
     def is_noiseless(self) -> bool:
         return all(value == 0.0 for value in self._strengths().values())
 
-    def has_readout_error(self) -> bool:
-        return self.readout_flip_all > 0.0 or any(
-            f > 0.0 for f in self.readout_flip.values()
-        )
-
     def check_register(self, n_qubits: int) -> None:
-        """Reject a per-qubit readout flip on a qubit the register lacks."""
+        """Reject a noisy model on a register wider than the density path's
+        cap, and a per-qubit readout flip on a qubit the register lacks."""
+        if n_qubits > MAX_DENSITY_QUBITS and not self.is_noiseless():
+            raise ValueError(
+                f"density-matrix simulation capped at {MAX_DENSITY_QUBITS} qubits, "
+                f"got a noisy {n_qubits}-qubit register"
+            )
         for qubit in sorted(self.readout_flip):
             if qubit >= n_qubits:
                 raise ValueError(
@@ -146,13 +149,10 @@ class NoiseModel:
 
     def confusion_matrices(self, n_qubits: int) -> list[np.ndarray] | None:
         """Per-qubit confusion matrices, or None when readout is ideal."""
-        if not self.has_readout_error():
+        if self.readout_flip_all == 0.0 and not any(self.readout_flip.values()):
             return None
-        mats = []
-        for q in range(n_qubits):
-            f = self.readout_flip.get(q, self.readout_flip_all)
-            mats.append(np.array([[1.0 - f, f], [f, 1.0 - f]]))
-        return mats
+        flips = (self.readout_flip.get(q, self.readout_flip_all) for q in range(n_qubits))
+        return [np.array([[1.0 - f, f], [f, 1.0 - f]]) for f in flips]
 
     def kv_items(self) -> list[tuple[str, str]]:
         """Canonical key/value form (used for profiles, echoes and digests)."""

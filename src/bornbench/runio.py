@@ -74,7 +74,7 @@ def config_from_items(items: dict[str, str], base_dir: Path | None = None) -> Ru
         elif key.startswith("noise_"):
             noise_items[key[len("noise_"):]] = value
         elif key == "dc3_edges":
-            kwargs[key] = parse_edge_list(value)
+            kwargs[key] = parse_edge_list(value, key)
         elif key in _SCALAR_FIELDS:
             kwargs[key] = parse_value(key, value, _SCALAR_FIELDS[key])
         elif key in known:
@@ -194,7 +194,7 @@ def write_run(out_dir, record: RunRecord, force: bool = False) -> Path:
     metric_rows = [
         [
             str(m.step),
-            *map(fmt_float, (record.losses.get(m.step), m.kl_mean, m.kl_std)),
+            *map(fmt_float, (m.loss, m.kl_mean, m.kl_std)),
             *(fmt_float(m.f1.get(s, 0.0)) for s in states),
             *map(fmt_float, (m.qbas_mean, m.qbas_var)),
             "1" if m.smoothing_used else "0",

@@ -53,15 +53,15 @@ import numpy as np
 
 from .ansatz import CircuitSpec
 from .noise import (
+    MAX_DENSITY_QUBITS,
     NoiseModel,
     amplitude_damping_kraus,
     apply_readout,
-    contract_axes,
+    contract_axis,
     depolarizing_kraus,
 )
 
 MAX_STATEVECTOR_QUBITS = 24
-MAX_DENSITY_QUBITS = 10
 # circuit_probabilities simulates at most this many bytes of states at once,
 # which bounds memory for wide registers and long batches
 MAX_BATCH_BYTES = 2**25
@@ -308,9 +308,9 @@ def run_statevector(circuit: CircuitSpec, theta) -> np.ndarray:
             psi = psi.reshape(batch, -1)[:, _cnot_permutation(n, arg)].reshape(psi.shape)
             continue
         lo, hi = bounds[arg : arg + 2]
-        out = contract_axes(psi, [qubit], u[lo])  # one product at row 0's matrix
+        out = contract_axis(psi, qubit, u[lo])  # one product at row 0's matrix
         if hi - lo > 1:  # then the rows that differ, redone alone
-            out[rows[lo + 1 : hi]] = contract_axes(psi[rows[lo + 1 : hi]], [qubit], u[lo + 1 : hi])
+            out[rows[lo + 1 : hi]] = contract_axis(psi[rows[lo + 1 : hi]], qubit, u[lo + 1 : hi])
         psi = out
     return psi.reshape(np.shape(theta)[:-1] + (2**n,))
 

@@ -247,8 +247,7 @@ class RunRecord:
     config: TrainingConfig
     start_step: int
     theta_trajectory: np.ndarray  # theta at steps start_step .. start_step + K
-    losses: dict[int, float]  # step -> loss at the scheduled steps
-    metrics: list[MetricRecord]
+    metrics: list[MetricRecord]  # loss and metrics at the scheduled steps
     checkpoints: list[Checkpoint]
 
     @property
@@ -272,11 +271,18 @@ def initial_theta(config: TrainingConfig, n_params: int) -> np.ndarray:
 
 def _evaluate_metrics(
     config: TrainingConfig,
+    kernel: KernelSpec,
     probs: np.ndarray,
     step: int,
     target: TargetDistribution,
     bas_states: list[int],
 ) -> MetricRecord:
+    """The loss and every metric at one evaluated step."""
+    if config.gradient_mode == "exact":
+        loss = mmd_loss_exact(probs, target, kernel)
+    else:
+        hist = sample_histogram(probs, config.n_shots_train, rng_stream(config.seed, TAG_LOSS, step))
+        loss = mmd_loss(hist, target, kernel)
     kl = kl_sampling_summary(
         target,
         probs,
@@ -286,7 +292,7 @@ def _evaluate_metrics(
     )
     f1_hist = sample_histogram(probs, config.kl_shots, rng_stream(config.seed, TAG_F1, step))
     f1 = f1_per_state(target, f1_hist)
-    record = MetricRecord(step, kl.mean, kl.std, f1, kl.smoothed)
+    record = MetricRecord(step, loss, kl.mean, kl.std, f1, kl.smoothed)
     if config.qbas_enabled:
         qbas = qbas_from_probs(
             probs,
@@ -300,21 +306,6 @@ def _evaluate_metrics(
         record.qbas_mean = qbas.mean
         record.qbas_var = qbas.variance
     return record
-
-
-def _loss_at(
-    config: TrainingConfig,
-    kernel: KernelSpec,
-    target: TargetDistribution,
-    probs: np.ndarray,
-    step: int,
-) -> float:
-    if config.gradient_mode == "exact":
-        return mmd_loss_exact(probs, target, kernel)
-    hist = sample_histogram(
-        probs, config.n_shots_train, rng_stream(config.seed, TAG_LOSS, step)
-    )
-    return mmd_loss(hist, target, kernel)
 
 
 def _run(
@@ -332,7 +323,6 @@ def _run(
     last_step = start_step + n_steps
 
     trajectory = [theta.copy()]
-    losses: dict[int, float] = {}
     metrics: list[MetricRecord] = []
     checkpoints: list[Checkpoint] = []
     for step in range(start_step, last_step + 1):
@@ -343,8 +333,7 @@ def _run(
         else:
             probs = circuit_probabilities(circuit, theta, config.noise)
         if boundary or step % config.metric_every == 0:
-            losses[step] = _loss_at(config, kernel, target, probs, step)
-            metrics.append(_evaluate_metrics(config, probs, step, target, bas_states))
+            metrics.append(_evaluate_metrics(config, kernel, probs, step, target, bas_states))
         if boundary or step % config.checkpoint_every == 0:
             checkpoints.append(
                 Checkpoint(step, theta.copy(), adam.copy(), config.seed, digest)
@@ -364,9 +353,7 @@ def _run(
         )
         trajectory.append(theta.copy())
 
-    return RunRecord(
-        config, start_step, np.asarray(trajectory), losses, metrics, checkpoints
-    )
+    return RunRecord(config, start_step, np.asarray(trajectory), metrics, checkpoints)
 
 
 def train(config: TrainingConfig) -> RunRecord:

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from bornbench import ImageShape, TrainingConfig, bas_target_distribution, sim, train
-from bornbench.noise import contract_axes
 
 
 @pytest.fixture(scope="session")
@@ -44,7 +43,9 @@ def on_qubit_pairs(t, m):
     n = t.shape[-1].bit_length() - 1
     out = t.reshape((-1,) + (2,) * (2 * n))
     for q in range(n):
-        out = contract_axes(out, [q, n + q], m)
+        pair = (1 + q, 1 + n + q)
+        front = np.moveaxis(out, pair, (0, 1))
+        out = np.moveaxis((m @ front.reshape(4, -1)).reshape(front.shape), (0, 1), pair)
     return out.reshape(t.shape)
 
 

@@ -23,8 +23,7 @@ from bornbench import (
     circuit_probabilities,
     depolarizing_kraus,
     embed_layer,
-    entangler_dc2,
-    entangler_dc4,
+    entangler_layer,
     enumerate_bas,
     evolve_density,
     f1_per_state,
@@ -335,9 +334,9 @@ def test_a9_embedding():
     ladder = preset_graph("ladder2x3")
     star = chow_liu_layer(target)
 
-    ok_dc2 = embed_layer(entangler_dc2(0), plaquette) is not None
-    ok_dc2b = embed_layer(entangler_dc2(1), plaquette) is not None
-    ok_dc4 = embed_layer(entangler_dc4(), plaquette) is not None
+    ok_dc2 = embed_layer(entangler_layer(2, 0), plaquette) is not None
+    ok_dc2b = embed_layer(entangler_layer(2, 1), plaquette) is not None
+    ok_dc4 = embed_layer(entangler_layer(4), plaquette) is not None
     star_plaquette = embed_layer(star, plaquette)
     star_ladder = embed_layer(star, ladder)
 
@@ -361,7 +360,7 @@ def test_a9_embedding():
         graphs.append(
             CouplingGraph(n, frozenset(e for e, k in zip(pairs, keep) if k), f"rand{n}")
         )
-    layers = [entangler_dc2(0), entangler_dc2(1), entangler_dc4(), star]
+    layers = [entangler_layer(2, 0), entangler_layer(2, 1), entangler_layer(4), star]
     oracle_agrees = all(
         (embed_layer(layer, graph) is not None) == brute_force(layer, graph)
         for layer in layers

@@ -16,15 +16,13 @@ from bornbench import (
     classify_pixel_pair,
     circuit_probabilities,
     embed_layer,
-    entangler_dc2,
-    entangler_dc4,
+    entangler_layer,
     layer_from_edges,
     load_coupling_graph,
     pairwise_mutual_information,
     preset_graph,
 )
 from bornbench import ansatz
-from bornbench.ansatz import entangler_layer
 
 PLAQUETTE_EDGES = {(0, 1), (1, 3), (2, 3), (0, 2)}
 
@@ -71,17 +69,17 @@ def test_parameter_slots_layer_major():
 
 
 def test_dc2_alternation():
-    assert entangler_dc2(0).sub_coverings == (((0, 1), (2, 3)),)
-    assert entangler_dc2(1).sub_coverings == (((0, 2), (1, 3)),)
-    assert entangler_dc2(2).sub_coverings == entangler_dc2(0).sub_coverings
+    assert entangler_layer(2, 0).sub_coverings == (((0, 1), (2, 3)),)
+    assert entangler_layer(2, 1).sub_coverings == (((0, 2), (1, 3)),)
+    assert entangler_layer(2, 2).sub_coverings == entangler_layer(2, 0).sub_coverings
     for index in range(4):
-        layer = entangler_dc2(index)
+        layer = entangler_layer(2, index)
         assert layer.d_c == 2
         assert {tuple(sorted(e)) for e in layer.edges} <= PLAQUETTE_EDGES
 
 
 def test_dc4_structure():
-    layer = entangler_dc4()
+    layer = entangler_layer(4)
     assert len(layer.sub_coverings) == 2
     assert all(len(c) == 2 for c in layer.sub_coverings)
     assert layer.d_c == 4
@@ -131,7 +129,7 @@ def test_mutual_information_bas22(target22):
 
 
 def test_chow_liu_star(target22):
-    layer = chow_liu_layer(target22, root=0)
+    layer = chow_liu_layer(target22)
     assert {tuple(sorted(e)) for e in layer.edges} == {(0, 1), (0, 2), (0, 3)}
     assert all(edge[0] == 0 for edge in layer.edges)  # directed away from the root
     assert layer.d_c == 3
@@ -144,7 +142,7 @@ def test_chow_liu_spanning_tree_properties():
     for n_bits in (3, 4, 5):
         probs = rng.dirichlet(np.ones(2**n_bits))
         dist = TargetDistribution(n_bits, probs)
-        layer = chow_liu_layer(dist, root=0)
+        layer = chow_liu_layer(dist)
         edges = [tuple(sorted(e)) for e in layer.edges]
         assert len(edges) == n_bits - 1
         assert len(set(edges)) == n_bits - 1
@@ -166,7 +164,7 @@ def test_chow_liu_spanning_tree_properties():
 def test_chow_liu_degenerate_distribution():
     point = np.zeros(16)
     point[0] = 1.0
-    layer = chow_liu_layer(TargetDistribution(4, point), root=0)
+    layer = chow_liu_layer(TargetDistribution(4, point))
     assert layer.edges == ((0, 1), (0, 2), (0, 3))  # still the lexicographic spanning tree
 
 
@@ -273,7 +271,7 @@ def brute_force_embed(layer, graph):
 
 
 def test_embed_dc4_into_plaquette():
-    mapping = embed_layer(entangler_dc4(), preset_graph("plaquette4"))
+    mapping = embed_layer(entangler_layer(4), preset_graph("plaquette4"))
     assert mapping == {0: 0, 1: 1, 2: 2, 3: 3}
 
 
@@ -293,9 +291,9 @@ def test_star_embeds_in_ladder(target22):
 
 def test_embed_agrees_with_brute_force(target22):
     layers = [
-        entangler_dc2(0),
-        entangler_dc2(1),
-        entangler_dc4(),
+        entangler_layer(2, 0),
+        entangler_layer(2, 1),
+        entangler_layer(4),
         chow_liu_layer(target22),
         layer_from_edges([(0, 1), (1, 2), (2, 3)]),
     ]

@@ -231,6 +231,28 @@ def test_embed_rejects_a_built_in_layer_off_four_qubits(capsys):
     assert main(["embed", "--edges", "0-5,1-7", "--rows", "3", "--cols", "4", "--graph", "ladder2x4"]) == 0
 
 
+def test_bad_edge_tokens_are_named(tmp_path, capsys):
+    config = tmp_path / "tree.cfg"
+    config.write_text(TINY_CONFIG.replace("d_c = 2", "d_c = 3") + "dc3_edges = 0-1,0-x,1-3\n")
+    assert main(["train", "-c", str(config), "-o", str(tmp_path / "run")]) == 1
+    assert "dc3_edges: edge '0-x': expected int, got 'x'" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+    assert main(["embed", "--edges", "0-1,x-2", "--graph", "plaquette4"]) == 1
+    captured = capsys.readouterr()
+    assert "--edges: edge 'x-2': expected int, got 'x'" in captured.err
+    assert "layer:" not in captured.out
+
+
+def test_bad_graph_file_line_is_named(tmp_path, capsys):
+    graph = tmp_path / "graph.txt"
+    graph.write_text("# two rungs\nn 4\n0 1\n1 z\n")
+    assert main(["embed", "--dc", "2", "--graph", str(graph)]) == 1
+    captured = capsys.readouterr()
+    assert f"{graph}:4: expected int, got 'z'" in captured.err
+    assert "EMBEDDABLE" not in captured.out
+
+
 @pytest.mark.parametrize("dc, graph", [("2", "plaquette4"), ("3", "ladder2x3"), ("4", "plaquette4")])
 def test_embed_rejects_a_negative_layer_index(capsys, dc, graph):
     assert main(["embed", "--dc", dc, "--layer-index", "-1", "--graph", graph]) == 1
@@ -645,6 +667,36 @@ def test_kernel_cap_fails_when_config_is_built(tmp_path, capsys):
     assert main(["train", "-c", str(config), "-o", str(tmp_path / "run")]) == 1
     assert "the MMD kernel is capped at 12" in capsys.readouterr().err
     assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize(
+    "noise", ["noise_p1 = 0.01", "noise_readout_flip_all = 0.01"], ids=["p1", "readout_only"]
+)
+def test_density_cap_fails_when_config_is_built(tmp_path, capsys, noise):
+    """12 qubits fit the kernel but not the density path, which any noise,
+    readout alone included, takes."""
+    wide = TINY_CONFIG.replace("d_c = 2", "d_c = 0") + "n_rows = 3\nn_cols = 4\n"
+    message = "density-matrix simulation capped at 10 qubits, got a noisy 12-qubit register"
+    config = tmp_path / "wide.cfg"
+    config.write_text(wide + noise + "\n")
+    assert main(["train", "-c", str(config), "-o", str(tmp_path / "run")]) == 1
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+    sweep = tmp_path / "wide.sweep"
+    sweep.write_text(wide + noise + " 0.02\n")
+    out = tmp_path / "sweep"
+    assert main(["sweep", "-c", str(sweep), "-o", str(out)]) == 1
+    assert f"{sweep}: row 0: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_noiseless_wide_config_is_accepted(tmp_path):
+    from bornbench.runio import load_config_file
+
+    config = tmp_path / "wide.cfg"
+    config.write_text(TINY_CONFIG.replace("d_c = 2", "d_c = 0") + "n_rows = 3\nn_cols = 4\n")
+    assert load_config_file(config).n_qubits == 12
 
 
 def test_a_built_config_is_not_rebuilt(tmp_path, monkeypatch):

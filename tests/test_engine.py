@@ -35,7 +35,7 @@ from bornbench import (
 from bornbench import sim, training
 from bornbench.ansatz import CircuitSpec, EntanglerLayer
 from bornbench.mmd import shift_batch
-from bornbench.noise import contract_axes
+from bornbench.noise import contract_axis
 from bornbench.runio import config_from_items, load_config_file, read_sweep, write_run
 from bornbench.training import TAG_GRAD, RunConfig
 from conftest import density_matrix
@@ -529,12 +529,12 @@ def test_grouping_edge_cases_match_rows_bit_for_bit(case, noisy, request, monkey
         products = request.getfixturevalue("density_products")
     else:
 
-        def counting(t, axes, m):
+        def counting(t, axis, m):
             if m.ndim == 3:
                 stacks.append(len(m))
-            return contract_axes(t, axes, m)
+            return contract_axis(t, axis, m)
 
-        monkeypatch.setattr(sim, "contract_axes", counting)
+        monkeypatch.setattr(sim, "contract_axis", counting)
     circuit_probabilities(circuit, thetas, noise)
     if noisy:
         stacks = [shape[0] for shape in products if len(shape) == 3]

@@ -1,8 +1,9 @@
-"""Only ``runio`` writes files.
+"""Only ``runio`` writes files, and no library code is there for tests alone.
 
 Every on-disk format lives in ``bornbench.runio``, so a change to how a run
-is written (for example, writing it step by step) touches one module.  The
-sources are parsed, not imported.
+is written (for example, writing it step by step) touches one module.  Every
+function and class is used by the program itself.  The sources are parsed,
+not imported.
 """
 
 import ast
@@ -56,3 +57,37 @@ def test_only_runio_writes_files(path):
 def test_the_check_sees_runio_write():
     tree = ast.parse((SRC / "runio.py").read_text())
     assert len(file_writes(tree)) >= 3 and {"csv", "json"} <= imports(tree)
+
+
+
+def uses(node):
+    """Every name a statement loads, bare or as an attribute; imports and
+    the names that definitions bind are not uses."""
+    names = set()
+    for child in ast.walk(node):
+        if isinstance(child, ast.Name):
+            names.add(child.id)
+        elif isinstance(child, ast.Attribute):
+            names.add(child.attr)
+    return names
+
+
+def test_every_definition_is_used_in_the_sources():
+    """Library code that only tests call is deleted, not kept: every
+    module-level function and class is used in ``src/`` outside its own
+    definition (a recursive call does not count) and the package's
+    re-export."""
+    statements = [
+        (path.stem, node)
+        for path in MODULES
+        if path.stem != "__init__"
+        for node in ast.parse(path.read_text()).body
+    ]
+    names = [uses(node) for _, node in statements]
+    unused = [
+        f"{stem}.{node.name}"
+        for stem, node in statements
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not any(node.name in used for (_, other), used in zip(statements, names) if other is not node)
+    ]
+    assert unused == []

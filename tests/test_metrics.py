@@ -42,11 +42,10 @@ def test_kl_uniform_sixteen(target22):
 def test_kl_smoothing_floor(target22):
     counts = np.zeros(16, dtype=int)
     counts[BAS22[:-1]] = 100  # one support state unsampled
-    floored = kl_divergence(target22, counts, floor=1.0 / (100 * counts.sum()))
-    assert math.isfinite(floored)
-    assert kl_divergence(target22, counts, floor=0.0) == math.inf
-    # default floor is 1/(100 n_shots), n_shots the sum of the counts
-    assert kl_divergence(target22, counts) == pytest.approx(floored, abs=1e-12)
+    value = kl_divergence(target22, counts)
+    assert math.isfinite(value)
+    # the floor is fixed at 1/(100 n_shots), n_shots the sum of the counts
+    assert repr(value) == repr(reference_kl(target22, counts, floor=1.0 / (100 * counts.sum())))
 
 
 def test_kl_summary_flags_smoothing(target22):
@@ -284,13 +283,17 @@ def reference_kl(p, counts, floor=None):
 
 
 def reference_kl_summary(p, probs, rng, n_repeats, n_shots, floor):
+    """KL summary of a loop of histograms, each scored by a lone
+    ``kl_divergence`` call (``floor`` "default"), or by ``reference_kl`` at
+    the fixed floor 1/(100 n_shots) ("fixed") or unfloored ("zero")."""
     values, smoothed = [], False
     for stream in rng.spawn(n_repeats):
         hist = sample_histogram(probs, n_shots, stream)
         smoothed |= bool(np.any(hist[p.support] == 0))
-        value = kl_divergence(p, hist, floor)
-        assert repr(value) == repr(reference_kl(p, hist, floor))
-        values.append(value)
+        if floor == "default":
+            values.append(kl_divergence(p, hist))
+        else:
+            values.append(reference_kl(p, hist, 0.0 if floor == "zero" else 1.0 / (100 * n_shots)))
     return fmean(values), float(np.std(values, ddof=1)), smoothed
 
 
@@ -322,26 +325,45 @@ SHAPES = [(2, 2), (2, 3), (3, 3), (3, 4)]
 
 
 @pytest.mark.parametrize("rows, cols", SHAPES)
-@pytest.mark.parametrize("floor", [None, 0.0, 1e-3], ids=["default", "zero", "fixed"])
+@pytest.mark.parametrize("floor", ["default", "zero", "fixed"])
 @pytest.mark.parametrize("unsampled", [False, True], ids=["sampled", "unsampled"])
 def test_kl_summary_matches_per_histogram_loop(rows, cols, floor, unsampled):
+    """The floor acts on unsampled target states alone: the summary matches
+    every per-histogram loop bit for bit, unless an unfloored repeat missed
+    a support state, and it is always finite."""
     target, probs = noisy_target(ImageShape(rows, cols), 10 * rows + cols, unsampled)
     for n_shots, seed in ((64, 1), (2048, 2)):
         got = kl_sampling_summary(
-            target, probs, np.random.default_rng(seed), n_repeats=7, n_shots=n_shots, floor=floor
+            target, probs, np.random.default_rng(seed), n_repeats=7, n_shots=n_shots
         )
         with np.errstate(invalid="ignore"):  # numpy's std of infinite values is nan
             expected = reference_kl_summary(
                 target, probs, np.random.default_rng(seed), 7, n_shots, floor
             )
+        assert got.smoothed == expected[2]
         if expected[0] == math.inf:  # some repeat missed a support state, unfloored
-            assert got.mean == got.std == math.inf
-            assert got.smoothed == expected[2]
+            assert floor == "zero" and got.smoothed
         else:
             assert repr(tuple(got)) == repr(expected)  # repr: bit-exact
+        assert math.isfinite(got.mean) and math.isfinite(got.std)
         if unsampled:
             assert got.smoothed
-            assert (got.mean == math.inf) == (floor == 0.0)
+
+
+@pytest.mark.parametrize("rows, cols", SHAPES)
+def test_stacked_kl_equals_lone_calls(rows, cols):
+    """A stack of histograms scores each row as a lone call does, at the
+    row's own shot count, rows with an unsampled support state included."""
+    target, probs = noisy_target(ImageShape(rows, cols), 10 * rows + cols, unsampled=True)
+    stack = np.stack([probs, target.probs, probs])
+    streams = np.random.default_rng(rows * cols).spawn(6)
+    counts = np.concatenate(
+        [sample_counts(stack, 64, streams[:3]), sample_counts(stack, 2048, streams[3:])]
+    )
+    assert np.all(counts[[0, 2, 3, 5]][:, target.support[-1]] == 0)
+    stacked = kl_divergence(target, counts)
+    assert len(stacked) == len(counts)
+    assert repr(stacked) == repr([kl_divergence(target, row) for row in counts])
 
 
 @pytest.mark.parametrize("rows, cols", [(2, 2), (2, 3)])

@@ -186,7 +186,7 @@ def test_train_deterministic():
     b = train(config)
     assert np.array_equal(a.theta_trajectory, b.theta_trajectory)
     assert [m.kl_mean for m in a.metrics] == [m.kl_mean for m in b.metrics]
-    assert a.losses == b.losses
+    assert [m.loss for m in a.metrics] == [m.loss for m in b.metrics]
 
 
 def test_exact_training_monotone_small_alpha():
@@ -214,7 +214,7 @@ def test_metric_schedule_and_checkpoints():
     record = train(config)
     assert [m.step for m in record.metrics] == [0, 5, 10, 15, 20]
     assert sorted(c.step for c in record.checkpoints) == [0, 10, 20]
-    assert set(record.losses) == {0, 5, 10, 15, 20}
+    assert np.all(np.isfinite([m.loss for m in record.metrics]))  # each evaluated step has a loss
     assert record.theta_trajectory.shape == (21, 16)
 
 
