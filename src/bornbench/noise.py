@@ -26,7 +26,17 @@ _I = np.eye(2, dtype=complex)
 _X = np.array([[0, 1], [1, 0]], dtype=complex)
 _Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 _Z = np.array([[1, 0], [0, -1]], dtype=complex)
-_PAULIS = (_I, _X, _Y, _Z)
+_PAULIS = np.stack((_I, _X, _Y, _Z))
+
+
+def broadcast_kron(a, b) -> np.ndarray:
+    """Kronecker products of the matrices on the last two axes of ``a`` and
+    ``b``, the leading axes broadcast; each entry is the one product that
+    ``np.kron`` takes for it."""
+    a, b = np.asarray(a), np.asarray(b)
+    rows, cols = a.shape[-2] * b.shape[-2], a.shape[-1] * b.shape[-1]
+    out = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return out.reshape(out.shape[:-4] + (rows, cols))
 
 
 def depolarizing_kraus(p: float, n_targets: int) -> list[np.ndarray]:
@@ -36,10 +46,9 @@ def depolarizing_kraus(p: float, n_targets: int) -> list[np.ndarray]:
     if n_targets not in (1, 2):
         raise ValueError("depolarizing channel supports 1 or 2 targets")
     d = 2**n_targets
-    if n_targets == 1:
-        paulis = list(_PAULIS)
-    else:
-        paulis = [np.kron(a, b) for a in _PAULIS for b in _PAULIS]
+    paulis = _PAULIS
+    if n_targets == 2:
+        paulis = broadcast_kron(_PAULIS[:, None], _PAULIS).reshape(16, 4, 4)
     ops = [np.sqrt(1.0 - p * (d * d - 1) / (d * d)) * paulis[0]]
     ops.extend(np.sqrt(p / (d * d)) * pauli for pauli in paulis[1:])
     return ops

@@ -57,6 +57,7 @@ from .noise import (
     NoiseModel,
     amplitude_damping_kraus,
     apply_readout,
+    broadcast_kron,
     contract_axis,
     depolarizing_kraus,
 )
@@ -217,13 +218,15 @@ def _regroup(m: np.ndarray) -> np.ndarray:
 
 
 # F and T on two qubits' axes [a, b, n+a, n+b]
-_F2, _T2 = (_regroup(np.kron(m, m)) for m in (_F, _T))
+_F2, _T2 = (_regroup(broadcast_kron(m, m)) for m in (_F, _T))
 
 
 def _superoperator(kraus) -> np.ndarray:
     """Sum of K (x) K.conj() over a Kraus set: the channel as one matrix on
-    the ket index then the bra index of its qubits."""
-    return sum(np.kron(k, k.conj()) for k in kraus)
+    the ket index then the bra index of its qubits.  The sum adds the
+    operators one after another, in order."""
+    kraus = np.asarray(kraus)
+    return broadcast_kron(kraus, kraus.conj()).sum(axis=0)
 
 
 def _in_coordinates(s: np.ndarray) -> np.ndarray:
@@ -240,9 +243,9 @@ def _superoperators(p1: float, p2: float, t_damp: float) -> tuple:
     1-qubit depolarizing channel (4x4); a CNOT edge (a, b), the 2-qubit one
     and damping of a and b (16x16 on a's pair, then b's); and the damping of
     one qubit (4x4).  A zero strength gives an identity."""
-    damp = amplitude_damping_kraus(t_damp)
-    damp_pair = _superoperator([np.kron(a, b) for a in damp for b in damp])
-    edge = damp_pair @ _superoperator(depolarizing_kraus(p2, 2)) @ np.kron(_CNOT, _CNOT)
+    damp = np.asarray(amplitude_damping_kraus(t_damp))
+    damp_pair = _superoperator(broadcast_kron(damp[:, None], damp).reshape(4, 4, 4))
+    edge = damp_pair @ _superoperator(depolarizing_kraus(p2, 2)) @ broadcast_kron(_CNOT, _CNOT)
     depolarize, damp = _superoperator(depolarizing_kraus(p1, 1)), _superoperator(damp)
     mats = _in_coordinates(depolarize), _regroup(_in_coordinates(edge)), _in_coordinates(damp)
     for m in mats:
@@ -361,8 +364,7 @@ def evolve_density(circuit: CircuitSpec, theta, noise: NoiseModel | None = None)
     noise = noise or NoiseModel()
     depolarize, edge, damp = _superoperators(noise.p1, noise.p2, noise.t_damp)
     batch, rows, bounds, u = _rotations(circuit, theta)
-    gate = (u[:, :, None, :, None] * u.conj()[:, None, :, None, :]).reshape(-1, 4, 4)
-    mats = depolarize @ _in_coordinates(gate)
+    mats = depolarize @ _in_coordinates(broadcast_kron(u, u.conj()))
     steps, split, final = _schedule(circuit)
     rho = np.zeros((4,) * n + (batch,))
     rho[(0,) * n] = 1.0

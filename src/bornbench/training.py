@@ -18,7 +18,14 @@ import numpy as np
 from .ansatz import CircuitSpec, build_circuit, format_edge_list
 from .bas import ImageShape, TargetDistribution, bas_target_distribution, enumerate_bas
 from .kv import format_value
-from .metrics import MetricRecord, f1_per_state, kl_sampling_summary, qbas_from_probs
+from .metrics import (
+    MetricRecord,
+    PendingQbas,
+    f1_per_state,
+    kl_sampling_summary,
+    qbas_from_probs,
+    qbas_pool,
+)
 from .mmd import KernelSpec, mmd_gradient, mmd_loss, mmd_loss_exact, shift_probabilities
 from .noise import NoiseModel
 from .sim import circuit_probabilities, sample_histogram
@@ -276,8 +283,10 @@ def _evaluate_metrics(
     step: int,
     target: TargetDistribution,
     bas_states: list[int],
-) -> MetricRecord:
-    """The loss and every metric at one evaluated step."""
+    pool,
+) -> tuple[MetricRecord, PendingQbas | None]:
+    """The loss and every metric at one evaluated step; qBAS, when enabled,
+    is queued on ``pool`` and returned pending, its record fields unset."""
     if config.gradient_mode == "exact":
         loss = mmd_loss_exact(probs, target, kernel)
     else:
@@ -293,19 +302,24 @@ def _evaluate_metrics(
     f1_hist = sample_histogram(probs, config.kl_shots, rng_stream(config.seed, TAG_F1, step))
     f1 = f1_per_state(target, f1_hist)
     record = MetricRecord(step, loss, kl.mean, kl.std, f1, kl.smoothed)
-    if config.qbas_enabled:
-        qbas = qbas_from_probs(
-            probs,
-            bas_states,
-            rng_stream(config.seed, TAG_QBAS, step),
-            shots=config.qbas_shots,
-            repeats=config.qbas_repeats,
-            sample_size=config.qbas_sample_size,
-            resamples=config.qbas_resamples,
-        )
-        record.qbas_mean = qbas.mean
-        record.qbas_var = qbas.variance
-    return record
+    if pool is None:
+        return record, None
+    qbas = qbas_from_probs(
+        probs,
+        bas_states,
+        rng_stream(config.seed, TAG_QBAS, step),
+        pool,
+        shots=config.qbas_shots,
+        repeats=config.qbas_repeats,
+        sample_size=config.qbas_sample_size,
+        resamples=config.qbas_resamples,
+    )
+    return record, qbas
+
+
+def _fill_qbas(record: MetricRecord, qbas: PendingQbas) -> None:
+    result = qbas.result()
+    record.qbas_mean, record.qbas_var = result.mean, result.variance
 
 
 def _run(
@@ -325,33 +339,50 @@ def _run(
     trajectory = [theta.copy()]
     metrics: list[MetricRecord] = []
     checkpoints: list[Checkpoint] = []
-    for step in range(start_step, last_step + 1):
-        boundary = step in (start_step, last_step)
-        if step < last_step:  # row 0 of the gradient's batch is theta's distribution
-            q = shift_probabilities(circuit, theta, config.noise)
-            probs = q[0]
-        else:
-            probs = circuit_probabilities(circuit, theta, config.noise)
-        if boundary or step % config.metric_every == 0:
-            metrics.append(_evaluate_metrics(config, kernel, probs, step, target, bas_states))
-        if boundary or step % config.checkpoint_every == 0:
-            checkpoints.append(
-                Checkpoint(step, theta.copy(), adam.copy(), config.seed, digest)
+    # qBAS scoring runs on one pool for the whole run, overlapped with
+    # training: a step's score is read back two metric steps later
+    pool = qbas_pool() if config.qbas_enabled else None
+    pending: list[tuple[MetricRecord, PendingQbas]] = []
+    try:
+        for step in range(start_step, last_step + 1):
+            boundary = step in (start_step, last_step)
+            if step < last_step:  # row 0 of the gradient's batch is theta's distribution
+                q = shift_probabilities(circuit, theta, config.noise)
+                probs = q[0]
+            else:
+                probs = circuit_probabilities(circuit, theta, config.noise)
+            if boundary or step % config.metric_every == 0:
+                record, qbas = _evaluate_metrics(
+                    config, kernel, probs, step, target, bas_states, pool
+                )
+                metrics.append(record)
+                if qbas is not None:
+                    pending.append((record, qbas))
+                if len(pending) > 2:
+                    _fill_qbas(*pending.pop(0))
+            if boundary or step % config.checkpoint_every == 0:
+                checkpoints.append(
+                    Checkpoint(step, theta.copy(), adam.copy(), config.seed, digest)
+                )
+            if step == last_step:
+                break
+            grad = mmd_gradient(
+                q,
+                target,
+                kernel,
+                mode=config.gradient_mode,
+                n_shots=config.n_shots_train,
+                rng=rng_stream(config.seed, TAG_GRAD, step),
             )
-        if step == last_step:
-            break
-        grad = mmd_gradient(
-            q,
-            target,
-            kernel,
-            mode=config.gradient_mode,
-            n_shots=config.n_shots_train,
-            rng=rng_stream(config.seed, TAG_GRAD, step),
-        )
-        adam, theta = adam_step(
-            adam, grad, theta, config.alpha, config.beta1, config.beta2, config.epsilon
-        )
-        trajectory.append(theta.copy())
+            adam, theta = adam_step(
+                adam, grad, theta, config.alpha, config.beta1, config.beta2, config.epsilon
+            )
+            trajectory.append(theta.copy())
+        for item in pending:
+            _fill_qbas(*item)
+    finally:
+        if pool is not None:  # on an error, queued scoring is dropped
+            pool.shutdown(cancel_futures=True)
 
     return RunRecord(config, start_step, np.asarray(trajectory), metrics, checkpoints)
 

@@ -34,6 +34,7 @@ from bornbench import (
     mmd_loss_exact,
     preset_graph,
     qbas_from_probs,
+    qbas_pool,
     qbas_score,
     rng_stream,
     shift_probabilities,
@@ -150,11 +151,13 @@ def test_a5_qbas_scores():
             d_c=d_c, n_layers=2, n_shots_train=1024, n_steps=100, alpha=0.2, seed=0
         )
         record = train(config)
-        result = qbas_from_probs(
-            circuit_probabilities(config.circuit(), record.final_theta),
-            BAS22,
-            rng_stream(0, 50, d_c),
-        )
+        with qbas_pool() as pool:
+            result = qbas_from_probs(
+                circuit_probabilities(config.circuit(), record.final_theta),
+                BAS22,
+                rng_stream(0, 50, d_c),
+                pool,
+            ).result()
         scores[d_c] = result.mean
 
     # Monte-Carlo oracle on the exact uniform target with >= 1e6 resamples

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 import warnings
 from pathlib import Path
 
@@ -778,6 +779,16 @@ def test_overflowing_alpha_fails_with_a_named_error(tmp_path, capsys):
     assert not (tmp_path / "run").exists()
 
 
+def test_overflowing_alpha_with_qbas_fails_and_leaves_no_thread(tmp_path, capsys):
+    config = tmp_path / "big.cfg"
+    config.write_text(TINY_CONFIG.replace("alpha = 0.2", "alpha = 1e308") + "qbas_enabled = true\n")
+    threads = threading.active_count()
+    assert main(["train", "-c", str(config), "-o", str(tmp_path / "run")]) == 1
+    assert "alpha = 1e+308 is too large" in capsys.readouterr().err
+    assert threading.active_count() == threads
+    assert not (tmp_path / "run").exists()
+
+
 def test_readout_flip_outside_register_is_rejected(tiny_run, tmp_path, capsys):
     _, run = tiny_run
     message = "readout_flip_q9: no qubit 9 in a 4-qubit register"
@@ -805,11 +816,13 @@ def test_readout_flip_outside_register_is_rejected(tiny_run, tmp_path, capsys):
 
 
 def test_sweep_output_does_not_depend_on_jobs(tmp_path):
+    # every row also scores qBAS on its own run pool, beside the row threads
     sweep = tmp_path / "grid.sweep"
     sweep.write_text(
         TINY_CONFIG.replace("n_steps = 4", "n_steps = 2")
         .replace("d_c = 2", "d_c = 2 4")
         .replace("n_layers = 1", "n_layers = 1 2")
+        + "qbas_enabled = true\nqbas_resamples = 200\n"
     )
     for jobs in ("1", "2"):
         assert main(["sweep", "-c", str(sweep), "-o", str(tmp_path / jobs), "--jobs", jobs]) == 0
@@ -820,6 +833,9 @@ def test_sweep_output_does_not_depend_on_jobs(tmp_path):
         for name in ("metrics.csv", "theta_trajectory.csv", "final_theta.json"):
             one = (tmp_path / "1" / f"row{row:03d}" / name).read_bytes()
             assert one == (tmp_path / "2" / f"row{row:03d}" / name).read_bytes()
+        with open(tmp_path / "1" / f"row{row:03d}" / "metrics.csv", newline="") as f:
+            rows = list(csv.DictReader(f))
+        assert len(rows) == 3 and all(r["qbas_mean"] and r["qbas_var"] for r in rows)
 
 
 @pytest.mark.parametrize("jobs", ["0", "-3"])

@@ -18,13 +18,20 @@ from bornbench import (
     kl_divergence,
     kl_sampling_summary,
     qbas_from_probs,
+    qbas_pool,
     qbas_score,
     sample_histogram,
 )
-from bornbench import circuit_probabilities, metrics
+from bornbench import circuit_probabilities, metrics, train, training
 from bornbench.sim import sample_counts
 
 BAS22 = [0, 3, 5, 10, 12, 15]
+
+
+@pytest.fixture
+def pool():
+    with qbas_pool() as executor:
+        yield executor
 
 
 def test_kl_zero_when_proportional(target22):
@@ -207,14 +214,14 @@ def test_qbas_binomial_oracle():
     assert variance == pytest.approx(oracle_var, rel=0.1)
 
 
-def test_qbas_uniform_target_range(target22):
-    result = qbas_from_probs(target22.probs, BAS22, np.random.default_rng(4))
+def test_qbas_uniform_target_range(target22, pool):
+    result = qbas_from_probs(target22.probs, BAS22, np.random.default_rng(4), pool).result()
     assert 0.95 <= result.mean <= 0.98
     assert result.variance > 0.0
     assert not result.degenerate_weights
 
 
-def test_qbas_monotone_under_junk_mass(target22):
+def test_qbas_monotone_under_junk_mass(target22, pool):
     # adding non-target mass should not increase the mean score
     uniform_junk = np.zeros(16)
     junk_states = [i for i in range(16) if i not in BAS22]
@@ -223,7 +230,9 @@ def test_qbas_monotone_under_junk_mass(target22):
     for eps in (0.0, 0.15, 0.3, 0.6):
         probs = (1 - eps) * target22.probs + eps * uniform_junk
         draws = [
-            qbas_from_probs(probs, BAS22, np.random.default_rng(100 + s), resamples=4000).mean
+            qbas_from_probs(probs, BAS22, np.random.default_rng(100 + s), pool, resamples=4000)
+            .result()
+            .mean
             for s in range(4)
         ]
         means.append((np.mean(draws), np.std(draws, ddof=1) / 2))
@@ -231,23 +240,24 @@ def test_qbas_monotone_under_junk_mass(target22):
         assert m_high <= m_low + 3 * math.hypot(se_low, se_high)
 
 
-def test_qbas_protocol_degenerate_flag():
+def test_qbas_protocol_degenerate_flag(pool):
     probs = np.zeros(16)
     probs[3] = 1.0  # every histogram is a point mass; per-histogram variance 0
-    result = qbas_from_probs(probs, BAS22, np.random.default_rng(5))
+    result = qbas_from_probs(probs, BAS22, np.random.default_rng(5), pool).result()
     assert result.degenerate_weights
     assert result.mean == pytest.approx(2.0 / 7.0, abs=1e-12)
 
 
-def test_qbas_protocol_deterministic(trained_dc2_L2):
+def test_qbas_protocol_deterministic(trained_dc2_L2, pool):
     config, record = trained_dc2_L2
     a, b = (
         qbas_from_probs(
             circuit_probabilities(config.circuit(), record.final_theta),
             BAS22,
             np.random.default_rng(6),
+            pool,
             resamples=2000,
-        )
+        ).result()
         for _ in range(2)
     )
     assert a == b
@@ -367,20 +377,22 @@ def test_stacked_kl_equals_lone_calls(rows, cols):
 
 
 @pytest.mark.parametrize("rows, cols", [(2, 2), (2, 3)])
-def test_qbas_from_probs_matches_per_histogram_loop(rows, cols):
+def test_qbas_from_probs_matches_per_histogram_loop(rows, cols, pool):
     shape = ImageShape(rows, cols)
     bas_states = enumerate_bas(shape)
     _, probs = noisy_target(shape, rows + cols)
     point = np.zeros(2**shape.n_bits)
     point[bas_states[1]] = 1.0  # degenerate weights
     for case in (probs, point):
-        got = qbas_from_probs(case, bas_states, np.random.default_rng(8), resamples=2000)
+        pending = qbas_from_probs(case, bas_states, np.random.default_rng(8), pool, resamples=2000)
+        got = pending.result()
         expected = reference_qbas(case, bas_states, np.random.default_rng(8), 1024, 11, 15, 2000)
         assert repr(got) == repr(expected)
-    assert not qbas_from_probs(probs, bas_states, np.random.default_rng(8)).degenerate_weights
+    result = qbas_from_probs(probs, bas_states, np.random.default_rng(8), pool).result()
+    assert not result.degenerate_weights
 
 
-def test_each_metric_draws_its_histograms_in_one_batch(target22, monkeypatch):
+def test_each_metric_draws_its_histograms_in_one_batch(target22, monkeypatch, pool):
     calls = []
 
     def counting(probs, n_shots, streams):
@@ -390,7 +402,7 @@ def test_each_metric_draws_its_histograms_in_one_batch(target22, monkeypatch):
     monkeypatch.setattr(metrics, "sample_counts", counting)
     kl_sampling_summary(target22, target22.probs, np.random.default_rng(0), n_shots=100)
     assert calls == [((10, 16), 100, 10)]
-    qbas_from_probs(target22.probs, BAS22, np.random.default_rng(0), resamples=100)
+    qbas_from_probs(target22.probs, BAS22, np.random.default_rng(0), pool, resamples=100).result()
     assert calls[1:] == [((11, 16), 1024, 11)]
 
 
@@ -427,7 +439,7 @@ def test_qbas_score_chunks_match_one_draw(n_resamples, kind):
     assert got[0] == expected[0] and got[1] == expected[1]
 
 
-@pytest.mark.parametrize("n_cpus", [None, 1, 4, "absent"])
+@pytest.mark.parametrize("n_cpus", [None, 1, 2, 4, "absent"])
 def test_qbas_from_probs_does_not_depend_on_threads(target22, monkeypatch, n_cpus):
     workers = []
 
@@ -442,19 +454,34 @@ def test_qbas_from_probs_does_not_depend_on_threads(target22, monkeypatch, n_cpu
         monkeypatch.setattr(metrics.os, "cpu_count", lambda: 3)
     elif n_cpus is not None:
         monkeypatch.setattr(metrics.os, "sched_getaffinity", lambda pid: set(range(n_cpus)))
-    _, probs = noisy_target(ImageShape(2, 2), 3)
-    for case, repeats in ((probs, 11), (target22.probs, 3)):
-        got = qbas_from_probs(case, BAS22, np.random.default_rng(9), repeats=repeats, resamples=3000)
-        expected = reference_qbas(case, BAS22, np.random.default_rng(9), 1024, repeats, 15, 3000)
-        assert repr(got) == repr(expected)
     cpus = 3 if n_cpus == "absent" else len(metrics.os.sched_getaffinity(0))
-    assert workers == [min(11, cpus), min(3, cpus)]
+    _, probs = noisy_target(ImageShape(2, 2), 3)
+    with qbas_pool() as pool:
+        for case, repeats in ((probs, 11), (target22.probs, 3)):
+            pending = qbas_from_probs(
+                case, BAS22, np.random.default_rng(9), pool, repeats=repeats, resamples=3000
+            )
+            expected = reference_qbas(case, BAS22, np.random.default_rng(9), 1024, repeats, 15, 3000)
+            assert repr(pending.result()) == repr(expected)
+    assert workers == [cpus]
+
+    # a training run opens one pool for all its metric steps, and each step's
+    # record gets that step's own score, read back after later steps ran
+    config = TrainingConfig(d_c=2, n_layers=1, n_steps=5, seed=4, qbas_enabled=True, qbas_resamples=300)
+    record = train(config)
+    assert workers == [cpus, cpus]
+    assert [m.step for m in record.metrics] == list(range(6))
+    for m in record.metrics:
+        step_probs = circuit_probabilities(config.circuit(), record.theta_trajectory[m.step])
+        stream = training.rng_stream(config.seed, training.TAG_QBAS, m.step)
+        expected = reference_qbas(step_probs, BAS22, stream, 1024, 11, 15, 300)
+        assert repr((m.qbas_mean, m.qbas_var)) == repr((expected.mean, expected.variance))
 
 
-def test_qbas_from_probs_rejects_no_repeats(target22):
+def test_qbas_from_probs_rejects_no_repeats(target22, pool):
     for repeats in (0, -1):
         with pytest.raises(ValueError, match="repeats"):
-            qbas_from_probs(target22.probs, BAS22, np.random.default_rng(0), repeats=repeats)
+            qbas_from_probs(target22.probs, BAS22, np.random.default_rng(0), pool, repeats=repeats)
 
 
 def test_qbas_score_memory_is_bounded():

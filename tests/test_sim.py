@@ -10,8 +10,10 @@ from bornbench import (
     EntanglerLayer,
     NoiseModel,
     TrainingConfig,
+    amplitude_damping_kraus,
     build_circuit,
     circuit_probabilities,
+    depolarizing_kraus,
     evolve_density,
     kl_sampling_summary,
     mmd_gradient,
@@ -20,7 +22,9 @@ from bornbench import (
     sample_histogram,
     shift_probabilities,
 )
+from bornbench import sim
 from bornbench.mmd import shift_batch
+from bornbench.noise import broadcast_kron
 from bornbench.sim import spawn
 from bornbench.training import TAG_DEPLOY, TAG_GRAD
 from conftest import density_matrix
@@ -352,3 +356,57 @@ def test_sampled_gradient_matches_per_row_reference(d_c):
         rng=rng_stream(5, TAG_GRAD, d_c),
     )
     assert got.tobytes() == expected.tobytes()
+
+
+_PAULIS = [
+    np.array(m, dtype=complex)
+    for m in ([[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]])
+]
+
+
+def kron_superoperators(p1, p2, t_damp):
+    """The density path's fixed matrices with one ``np.kron`` per operator
+    and Python's ``sum`` over each Kraus set."""
+    f2, t2 = (sim._regroup(np.kron(m, m)) for m in (sim._F, sim._T))
+
+    def superoperator(kraus):
+        return sum(np.kron(k, k.conj()) for k in kraus)
+
+    def coordinates(s):
+        f, t = (sim._F, sim._T) if len(s) == 4 else (f2, t2)
+        return np.ascontiguousarray((f @ s @ t).real)
+
+    paulis = [np.kron(a, b) for a in _PAULIS for b in _PAULIS]
+    depolarize2 = [math.sqrt(1.0 - p2 * 15 / 16) * paulis[0]]
+    depolarize2 += [math.sqrt(p2 / 16) * pauli for pauli in paulis[1:]]
+    damp = amplitude_damping_kraus(t_damp)
+    damp_pair = superoperator([np.kron(a, b) for a in damp for b in damp])
+    edge = damp_pair @ superoperator(depolarize2) @ np.kron(sim._CNOT, sim._CNOT)
+    depolarize = superoperator(depolarizing_kraus(p1, 1))
+    return coordinates(depolarize), sim._regroup(coordinates(edge)), coordinates(superoperator(damp))
+
+
+def test_superoperators_match_np_kron_bit_for_bit():
+    strengths = [0.0, 1.0, *np.random.default_rng(31).uniform(0, 1, 12), 1e-9]
+    rng = np.random.default_rng(32)
+    for k in range(40):
+        triple = tuple(float(rng.choice(strengths)) for _ in range(3)) if k > 1 else (float(k),) * 3
+        got = sim._superoperators(*triple)
+        expected = kron_superoperators(*triple)
+        assert [m.tobytes() for m in got] == [m.tobytes() for m in expected], triple
+    for p in strengths:
+        kraus = depolarizing_kraus(p, 2)
+        reference = [math.sqrt(1.0 - p * 15 / 16) * np.kron(_PAULIS[0], _PAULIS[0])]
+        reference += [math.sqrt(p / 16) * np.kron(a, b) for a in _PAULIS for b in _PAULIS][1:]
+        assert [k.tobytes() for k in kraus] == [k.tobytes() for k in reference]
+
+
+def test_broadcast_kron_matches_np_kron_bit_for_bit():
+    rng = np.random.default_rng(33)
+    u = rng.normal(size=(7, 2, 2)) + 1j * rng.normal(size=(7, 2, 2))
+    v = rng.normal(size=(3, 1, 2, 3)) + 1j * rng.normal(size=(3, 1, 2, 3))
+    got = broadcast_kron(u, u.conj())
+    assert got.tobytes() == np.stack([np.kron(a, a.conj()) for a in u]).tobytes()
+    got = broadcast_kron(v, u)
+    assert got.shape == (3, 7, 4, 6)
+    assert got.tobytes() == np.stack([[np.kron(a[0], b) for b in u] for a in v]).tobytes()

@@ -1,5 +1,11 @@
+import os
 import re
+import subprocess
+import sys
+import threading
+import time
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,7 +23,7 @@ from bornbench import (
     shift_probabilities,
     train,
 )
-from bornbench import sim, training
+from bornbench import metrics, sim, training
 from bornbench.runio import config_from_items, read_checkpoint, write_run
 
 
@@ -318,3 +324,59 @@ def test_qbas_metrics_recorded_when_enabled():
         assert metric.qbas_mean is not None
         assert 0.0 <= metric.qbas_mean <= 1.0
         assert metric.qbas_var is not None
+
+
+def test_failing_qbas_run_cancels_its_scoring_and_stops_its_threads(monkeypatch):
+    # the first Adam step overflows while step 0's histograms are queued; a
+    # slow scorer shows that the queued ones are dropped, not waited for
+    started = []
+
+    def slow_score(*args):
+        started.append(args)
+        time.sleep(0.5)
+        return 0.5, 0.01
+
+    monkeypatch.setattr(metrics, "qbas_score", slow_score)
+    monkeypatch.setattr(metrics.os, "sched_getaffinity", lambda pid: {0, 1})
+    config = TrainingConfig(d_c=2, n_layers=1, n_steps=3, alpha=1e308, qbas_enabled=True)
+    threads = threading.active_count()
+    with pytest.raises(ValueError, match="alpha = 1e\\+308 is too large"):
+        train(config)
+    assert len(started) <= 2  # the two workers' first histograms, of 11
+    assert threading.active_count() == threads
+
+
+def test_qbas_scoring_error_surfaces_from_train(monkeypatch):
+    boom = RuntimeError("scoring failed")
+
+    def failing(*args):
+        raise boom
+
+    monkeypatch.setattr(metrics, "qbas_score", failing)
+    threads = threading.active_count()
+    config = TrainingConfig(d_c=2, n_layers=1, n_steps=4, qbas_enabled=True)
+    with pytest.raises(RuntimeError) as caught:
+        train(config)
+    assert caught.value is boom
+    assert threading.active_count() == threads
+
+
+def test_run_without_qbas_opens_no_pool():
+    # the pool's module is loaded only when a pool is made
+    code = (
+        "import sys\n"
+        "from bornbench import TrainingConfig, train\n"
+        "record = train(TrainingConfig(d_c=2, n_layers=1, n_steps=2))\n"
+        "assert record.metrics[-1].qbas_mean is None\n"
+        "print('concurrent.futures' in sys.modules)\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=60,
+    )
+    assert done.stdout.strip() == "False"
