@@ -32,13 +32,12 @@ from .bas import (
 from .metrics import (
     KlEstimate,
     MetricRecord,
-    PendingQbas,
     QbasResult,
     f1_per_state,
     kl_divergence,
     kl_sampling_summary,
+    qbas_aggregate,
     qbas_from_probs,
-    qbas_pool,
     qbas_score,
 )
 from .mmd import KernelSpec, mmd_gradient, mmd_loss, mmd_loss_exact, shift_probabilities

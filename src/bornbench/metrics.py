@@ -10,34 +10,29 @@ positives when q > p and as false negatives when q < p, giving
 precision q/(2q - p), unit recall when overshooting and recall q/p, unit
 precision when undershooting.
 
-Every metric scores a 1-d counts array over the 2^n basis states, as
-``sim.sample_counts`` and ``sim.sample_histogram`` draw it; the shot count is
-its sum.
+Every metric scores counts over the 2^n basis states, as
+``sim.sample_counts`` and ``sim.sample_histogram`` draw them: KL a stack of
+histograms (R, 2^n), F1 and qBAS one histogram (2^n,); a histogram's shot
+count is its sum.
 
 The qBAS score resamples small batches (size 15 for 2x2 images) from a
 measured histogram; precision is the fraction of valid target-state draws in
 a batch and recall the fraction of distinct target states seen.  The protocol
-aggregates 11 independent histograms by inverse-variance weighting.  Each
-histogram is scored on a thread pool (``qbas_pool``) that the caller owns:
-a training run opens one for the whole run, queues each metric step's
-histograms on it and reads the step's score back while later steps train.
+aggregates 11 independent histograms by inverse-variance weighting.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, NamedTuple
+from itertools import repeat
+from typing import NamedTuple
 
 import numpy as np
 
 from .bas import TargetDistribution
 # circuit_probabilities is unused here, but perfbench traces it at this module
 from .sim import circuit_probabilities, sample_counts, spawn  # noqa: F401
-
-if TYPE_CHECKING:
-    from concurrent.futures import Executor, Future
 
 RESAMPLE_CHUNK = 1024  # rows per draw in qbas_score; bounds its memory
 
@@ -68,19 +63,16 @@ class MetricRecord:
     qbas_var: float | None = None
 
 
-def kl_divergence(p: TargetDistribution, counts):
-    """KL(p || q) in nats, q the empirical distribution of a counts array:
-    a float for one histogram (2^n,), a list of one float per row for a
-    stack (R, 2^n).  Unsampled target states are floored at 1/(100 * n_shots).
-    Each row is summed on its own, as a lone histogram is: a sum over the
-    whole stack's last axis rounds differently."""
-    rows = np.atleast_2d(counts)
-    n_shots = rows.sum(axis=1, keepdims=True)
+def kl_divergence(p: TargetDistribution, counts) -> list[float]:
+    """KL(p || q) in nats for each row of a counts stack (R, 2^n), q the
+    row's empirical distribution.  Unsampled target states are floored at
+    1/(100 * n_shots), n_shots the row's sum.  Each row is summed on its own:
+    a sum over the whole stack's last axis rounds differently."""
+    n_shots = counts.sum(axis=1, keepdims=True)
     support = p.support
     ps = p.probs[support]
-    q_hat = np.maximum(rows[:, support] / n_shots, 1.0 / (100.0 * n_shots))
-    values = [float(np.sum(row)) for row in ps * np.log(ps / q_hat)]
-    return values if np.ndim(counts) == 2 else values[0]
+    q_hat = np.maximum(counts[:, support] / n_shots, 1.0 / (100.0 * n_shots))
+    return [float(np.sum(row)) for row in ps * np.log(ps / q_hat)]
 
 
 def kl_sampling_summary(
@@ -157,71 +149,49 @@ def qbas_score(
     return float(scores.mean()), float(scores.var())
 
 
-def qbas_pool():
-    """A thread pool for ``qbas_from_probs`` to score histograms on, one worker
-    per available CPU (``Generator.multinomial`` releases the GIL).  A
-    training run opens one for the whole run; the caller shuts it down."""
-    # imported here, so that importing the package or the command line loads
-    # no concurrent.futures (and logging)
-    from concurrent.futures import ThreadPoolExecutor
+def qbas_aggregate(scores) -> QbasResult:
+    """Inverse-variance weighted mean of per-histogram (mean, variance)
+    scores, in order.
 
-    # sched_getaffinity is Linux-only; cpu_count may be None
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    return ThreadPoolExecutor(cpus or 1)
-
-
-class PendingQbas:
-    """One ``qbas_from_probs`` call while its histograms are being scored."""
-
-    def __init__(self, scores: list[Future]) -> None:
-        self._scores = scores  # (mean, variance) of each histogram, in order
-
-    def result(self) -> QbasResult:
-        """Wait for every histogram's score and aggregate them; a scoring
-        error is raised here.
-
-        The reported variance is that of the weighted mean, 1 / sum(1/var_i).
-        When any per-histogram variance is zero the unweighted mean is
-        returned with ``degenerate_weights`` set, with the spread of the
-        per-histogram means as the variance.
-        """
-        # fresh contiguous arrays: weights @ means on a strided view rounds differently
-        means, variances = map(np.array, zip(*(score.result() for score in self._scores)))
-        if np.any(variances <= 1e-24):  # constant scores up to float rounding
-            return QbasResult(float(means.mean()), float(means.var()), True)
-        weights = 1.0 / variances
-        weighted_mean = float((weights @ means) / weights.sum())
-        weighted_variance = float(1.0 / weights.sum())
-        return QbasResult(weighted_mean, weighted_variance, False)
+    The reported variance is that of the weighted mean, 1 / sum(1/var_i).
+    When any per-histogram variance is zero the unweighted mean is returned
+    with ``degenerate_weights`` set, with the spread of the per-histogram
+    means as the variance.
+    """
+    # fresh contiguous arrays: weights @ means on a strided view rounds differently
+    means, variances = map(np.array, zip(*scores))
+    if np.any(variances <= 1e-24):  # constant scores up to float rounding
+        return QbasResult(float(means.mean()), float(means.var()), True)
+    weights = 1.0 / variances
+    weighted_mean = float((weights @ means) / weights.sum())
+    weighted_variance = float(1.0 / weights.sum())
+    return QbasResult(weighted_mean, weighted_variance, False)
 
 
 def qbas_from_probs(
     probs,
     bas_states,
     rng: np.random.Generator,
-    pool: Executor,
+    pool,
     shots: int = 1024,
     repeats: int = 11,
     sample_size: int = 15,
     resamples: int = 10000,
-) -> PendingQbas:
+):
     """qBAS protocol on an outcome distribution: ``repeats`` independent
-    histograms, scored by resampling, aggregated by inverse-variance weights.
-    The histograms are drawn here and their ``qbas_score`` calls queued on
-    ``pool`` (``qbas_pool``); the returned ``PendingQbas.result()`` is the
-    ``QbasResult``, the same whatever the pool's size.  Counts row k is drawn
-    from, then resampled on, the k-th child of ``rng`` as ``sim.spawn``
-    computes it, which equals numpy's ``Generator.spawn`` (a test pins this);
-    ``rng`` acts as a seed and is not advanced, and it must be a fresh
-    ``PCG64`` generator.
+    histograms, each scored by resampling.  The histograms are drawn here and
+    their ``qbas_score`` calls queued with ``pool.map`` (an ``Executor``);
+    the returned iterator yields each histogram's (mean, variance) in order,
+    and ``qbas_aggregate`` of it is the ``QbasResult``, the same whatever the
+    pool's size.  Counts row k is drawn from, then resampled on, the k-th
+    child of ``rng`` as ``sim.spawn`` computes it, which equals numpy's
+    ``Generator.spawn`` (a test pins this); ``rng`` acts as a seed and is not
+    advanced, and it must be a fresh ``PCG64`` generator.
     """
     if repeats < 1:
         raise ValueError(f"repeats must be positive, got {repeats}")
     streams = spawn(rng, repeats)
     counts = sample_counts(np.broadcast_to(probs, (repeats,) + np.shape(probs)), shots, streams)
-    return PendingQbas(
-        [
-            pool.submit(qbas_score, row, bas_states, sample_size, resamples, stream)
-            for row, stream in zip(counts, streams)
-        ]
+    return pool.map(
+        qbas_score, counts, repeat(bas_states), repeat(sample_size), repeat(resamples), streams
     )

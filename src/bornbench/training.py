@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import os
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -20,11 +21,10 @@ from .bas import ImageShape, TargetDistribution, bas_target_distribution, enumer
 from .kv import format_value
 from .metrics import (
     MetricRecord,
-    PendingQbas,
     f1_per_state,
     kl_sampling_summary,
+    qbas_aggregate,
     qbas_from_probs,
-    qbas_pool,
 )
 from .mmd import KernelSpec, mmd_gradient, mmd_loss, mmd_loss_exact, shift_probabilities
 from .noise import NoiseModel
@@ -276,17 +276,11 @@ def initial_theta(config: TrainingConfig, n_params: int) -> np.ndarray:
     return rng.uniform(0.0, 2.0 * np.pi, n_params)
 
 
-def _evaluate_metrics(
-    config: TrainingConfig,
-    kernel: KernelSpec,
-    probs: np.ndarray,
-    step: int,
-    target: TargetDistribution,
-    bas_states: list[int],
-    pool,
-) -> tuple[MetricRecord, PendingQbas | None]:
+def _evaluate_metrics(config: TrainingConfig, probs: np.ndarray, step: int, pool):
     """The loss and every metric at one evaluated step; qBAS, when enabled,
-    is queued on ``pool`` and returned pending, its record fields unset."""
+    is queued on ``pool`` and its scores returned as an iterator, the
+    record's qBAS fields unset."""
+    target, kernel = config.target(), config.kernel()
     if config.gradient_mode == "exact":
         loss = mmd_loss_exact(probs, target, kernel)
     else:
@@ -304,9 +298,9 @@ def _evaluate_metrics(
     record = MetricRecord(step, loss, kl.mean, kl.std, f1, kl.smoothed)
     if pool is None:
         return record, None
-    qbas = qbas_from_probs(
+    scores = qbas_from_probs(
         probs,
-        bas_states,
+        config.bas_states(),
         rng_stream(config.seed, TAG_QBAS, step),
         pool,
         shots=config.qbas_shots,
@@ -314,11 +308,11 @@ def _evaluate_metrics(
         sample_size=config.qbas_sample_size,
         resamples=config.qbas_resamples,
     )
-    return record, qbas
+    return record, scores
 
 
-def _fill_qbas(record: MetricRecord, qbas: PendingQbas) -> None:
-    result = qbas.result()
+def _fill_qbas(record: MetricRecord, scores) -> None:
+    result = qbas_aggregate(scores)
     record.qbas_mean, record.qbas_var = result.mean, result.variance
 
 
@@ -332,17 +326,25 @@ def _run(
     circuit = config.circuit()
     kernel = config.kernel()
     target = config.target()
-    bas_states = config.bas_states()
     digest = config.digest()
     last_step = start_step + n_steps
 
     trajectory = [theta.copy()]
     metrics: list[MetricRecord] = []
     checkpoints: list[Checkpoint] = []
-    # qBAS scoring runs on one pool for the whole run, overlapped with
-    # training: a step's score is read back two metric steps later
-    pool = qbas_pool() if config.qbas_enabled else None
-    pending: list[tuple[MetricRecord, PendingQbas]] = []
+    # qBAS scoring runs on one thread pool for the whole run, overlapped with
+    # training (Generator.multinomial releases the GIL): a step's score is
+    # read back two metric steps later
+    pool = None
+    if config.qbas_enabled:
+        # imported here, so that importing the package or the command line
+        # loads no concurrent.futures (and logging)
+        from concurrent.futures import ThreadPoolExecutor
+
+        # sched_getaffinity is Linux-only; cpu_count may be None
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+        pool = ThreadPoolExecutor(cpus or 1)
+    pending = []
     try:
         for step in range(start_step, last_step + 1):
             boundary = step in (start_step, last_step)
@@ -352,12 +354,10 @@ def _run(
             else:
                 probs = circuit_probabilities(circuit, theta, config.noise)
             if boundary or step % config.metric_every == 0:
-                record, qbas = _evaluate_metrics(
-                    config, kernel, probs, step, target, bas_states, pool
-                )
+                record, scores = _evaluate_metrics(config, probs, step, pool)
                 metrics.append(record)
-                if qbas is not None:
-                    pending.append((record, qbas))
+                if scores is not None:
+                    pending.append((record, scores))
                 if len(pending) > 2:
                     _fill_qbas(*pending.pop(0))
             if boundary or step % config.checkpoint_every == 0:

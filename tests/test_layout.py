@@ -59,6 +59,16 @@ def test_the_check_sees_runio_write():
     assert len(file_writes(tree)) >= 3 and {"csv", "json"} <= imports(tree)
 
 
+def test_scoring_starts_no_threads():
+    """The run loop owns the one qBAS thread pool of a run, and the metrics
+    score on whatever pool it hands them.  Besides ``training``, only the
+    command line's ``sweep --jobs`` fan-out imports ``concurrent.futures``."""
+    importers = {
+        path.stem for path in MODULES if "concurrent.futures" in imports(ast.parse(path.read_text()))
+    }
+    assert importers == {"cli", "training"}
+
+
 
 def uses(node):
     """Every name a statement loads, bare or as an attribute; imports and

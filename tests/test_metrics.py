@@ -17,8 +17,8 @@ from bornbench import (
     f1_per_state,
     kl_divergence,
     kl_sampling_summary,
+    qbas_aggregate,
     qbas_from_probs,
-    qbas_pool,
     qbas_score,
     sample_histogram,
 )
@@ -30,26 +30,28 @@ BAS22 = [0, 3, 5, 10, 12, 15]
 
 @pytest.fixture
 def pool():
-    with qbas_pool() as executor:
+    with futures.ThreadPoolExecutor(2) as executor:
         yield executor
 
 
 def test_kl_zero_when_proportional(target22):
     counts = np.zeros(16, dtype=int)
     counts[BAS22] = 100
-    assert kl_divergence(target22, counts) == pytest.approx(0.0, abs=1e-12)
+    [value] = kl_divergence(target22, counts[None])
+    assert value == pytest.approx(0.0, abs=1e-12)
 
 
 def test_kl_uniform_sixteen(target22):
     counts = np.full(16, 100, dtype=int)
     expected = math.log(16.0 / 6.0)
-    assert kl_divergence(target22, counts) == pytest.approx(expected, abs=1e-12)
+    [value] = kl_divergence(target22, counts[None])
+    assert value == pytest.approx(expected, abs=1e-12)
 
 
 def test_kl_smoothing_floor(target22):
     counts = np.zeros(16, dtype=int)
     counts[BAS22[:-1]] = 100  # one support state unsampled
-    value = kl_divergence(target22, counts)
+    [value] = kl_divergence(target22, counts[None])
     assert math.isfinite(value)
     # the floor is fixed at 1/(100 n_shots), n_shots the sum of the counts
     assert repr(value) == repr(reference_kl(target22, counts, floor=1.0 / (100 * counts.sum())))
@@ -76,10 +78,12 @@ def test_kl_summary_validation(target22):
 def test_kl_of_perfect_circuit_small_bias(target22):
     # Monte-Carlo oracle for the finite-shot bias of KL at 2048 draws from
     # the uniform 6-state target
-    oracle_draws = [
-        kl_divergence(target22, sample_histogram(target22.probs, 2048, np.random.default_rng(s)))
-        for s in range(400)
-    ]
+    oracle_draws = kl_divergence(
+        target22,
+        np.stack(
+            [sample_histogram(target22.probs, 2048, np.random.default_rng(s)) for s in range(400)]
+        ),
+    )
     oracle_mean = float(np.mean(oracle_draws))
     assert oracle_mean < 0.02
 
@@ -215,7 +219,7 @@ def test_qbas_binomial_oracle():
 
 
 def test_qbas_uniform_target_range(target22, pool):
-    result = qbas_from_probs(target22.probs, BAS22, np.random.default_rng(4), pool).result()
+    result = qbas_aggregate(qbas_from_probs(target22.probs, BAS22, np.random.default_rng(4), pool))
     assert 0.95 <= result.mean <= 0.98
     assert result.variance > 0.0
     assert not result.degenerate_weights
@@ -230,9 +234,9 @@ def test_qbas_monotone_under_junk_mass(target22, pool):
     for eps in (0.0, 0.15, 0.3, 0.6):
         probs = (1 - eps) * target22.probs + eps * uniform_junk
         draws = [
-            qbas_from_probs(probs, BAS22, np.random.default_rng(100 + s), pool, resamples=4000)
-            .result()
-            .mean
+            qbas_aggregate(
+                qbas_from_probs(probs, BAS22, np.random.default_rng(100 + s), pool, resamples=4000)
+            ).mean
             for s in range(4)
         ]
         means.append((np.mean(draws), np.std(draws, ddof=1) / 2))
@@ -243,7 +247,7 @@ def test_qbas_monotone_under_junk_mass(target22, pool):
 def test_qbas_protocol_degenerate_flag(pool):
     probs = np.zeros(16)
     probs[3] = 1.0  # every histogram is a point mass; per-histogram variance 0
-    result = qbas_from_probs(probs, BAS22, np.random.default_rng(5), pool).result()
+    result = qbas_aggregate(qbas_from_probs(probs, BAS22, np.random.default_rng(5), pool))
     assert result.degenerate_weights
     assert result.mean == pytest.approx(2.0 / 7.0, abs=1e-12)
 
@@ -251,13 +255,15 @@ def test_qbas_protocol_degenerate_flag(pool):
 def test_qbas_protocol_deterministic(trained_dc2_L2, pool):
     config, record = trained_dc2_L2
     a, b = (
-        qbas_from_probs(
-            circuit_probabilities(config.circuit(), record.final_theta),
-            BAS22,
-            np.random.default_rng(6),
-            pool,
-            resamples=2000,
-        ).result()
+        qbas_aggregate(
+            qbas_from_probs(
+                circuit_probabilities(config.circuit(), record.final_theta),
+                BAS22,
+                np.random.default_rng(6),
+                pool,
+                resamples=2000,
+            )
+        )
         for _ in range(2)
     )
     assert a == b
@@ -293,7 +299,7 @@ def reference_kl(p, counts, floor=None):
 
 
 def reference_kl_summary(p, probs, rng, n_repeats, n_shots, floor):
-    """KL summary of a loop of histograms, each scored by a lone
+    """KL summary of a loop of histograms, each scored by a one-row
     ``kl_divergence`` call (``floor`` "default"), or by ``reference_kl`` at
     the fixed floor 1/(100 n_shots) ("fixed") or unfloored ("zero")."""
     values, smoothed = [], False
@@ -301,7 +307,7 @@ def reference_kl_summary(p, probs, rng, n_repeats, n_shots, floor):
         hist = sample_histogram(probs, n_shots, stream)
         smoothed |= bool(np.any(hist[p.support] == 0))
         if floor == "default":
-            values.append(kl_divergence(p, hist))
+            values.append(kl_divergence(p, hist[None])[0])
         else:
             values.append(reference_kl(p, hist, 0.0 if floor == "zero" else 1.0 / (100 * n_shots)))
     return fmean(values), float(np.std(values, ddof=1)), smoothed
@@ -362,8 +368,9 @@ def test_kl_summary_matches_per_histogram_loop(rows, cols, floor, unsampled):
 
 @pytest.mark.parametrize("rows, cols", SHAPES)
 def test_stacked_kl_equals_lone_calls(rows, cols):
-    """A stack of histograms scores each row as a lone call does, at the
-    row's own shot count, rows with an unsampled support state included."""
+    """A stack of histograms scores each row as the row's own one-row stack
+    does, at the row's own shot count, rows with an unsampled support state
+    included."""
     target, probs = noisy_target(ImageShape(rows, cols), 10 * rows + cols, unsampled=True)
     stack = np.stack([probs, target.probs, probs])
     streams = np.random.default_rng(rows * cols).spawn(6)
@@ -373,7 +380,7 @@ def test_stacked_kl_equals_lone_calls(rows, cols):
     assert np.all(counts[[0, 2, 3, 5]][:, target.support[-1]] == 0)
     stacked = kl_divergence(target, counts)
     assert len(stacked) == len(counts)
-    assert repr(stacked) == repr([kl_divergence(target, row) for row in counts])
+    assert repr(stacked) == repr([kl_divergence(target, row[None])[0] for row in counts])
 
 
 @pytest.mark.parametrize("rows, cols", [(2, 2), (2, 3)])
@@ -384,11 +391,11 @@ def test_qbas_from_probs_matches_per_histogram_loop(rows, cols, pool):
     point = np.zeros(2**shape.n_bits)
     point[bas_states[1]] = 1.0  # degenerate weights
     for case in (probs, point):
-        pending = qbas_from_probs(case, bas_states, np.random.default_rng(8), pool, resamples=2000)
-        got = pending.result()
+        scores = qbas_from_probs(case, bas_states, np.random.default_rng(8), pool, resamples=2000)
+        got = qbas_aggregate(scores)
         expected = reference_qbas(case, bas_states, np.random.default_rng(8), 1024, 11, 15, 2000)
         assert repr(got) == repr(expected)
-    result = qbas_from_probs(probs, bas_states, np.random.default_rng(8), pool).result()
+    result = qbas_aggregate(qbas_from_probs(probs, bas_states, np.random.default_rng(8), pool))
     assert not result.degenerate_weights
 
 
@@ -402,7 +409,7 @@ def test_each_metric_draws_its_histograms_in_one_batch(target22, monkeypatch, po
     monkeypatch.setattr(metrics, "sample_counts", counting)
     kl_sampling_summary(target22, target22.probs, np.random.default_rng(0), n_shots=100)
     assert calls == [((10, 16), 100, 10)]
-    qbas_from_probs(target22.probs, BAS22, np.random.default_rng(0), pool, resamples=100).result()
+    qbas_aggregate(qbas_from_probs(target22.probs, BAS22, np.random.default_rng(0), pool, resamples=100))
     assert calls[1:] == [((11, 16), 1024, 11)]
 
 
@@ -441,6 +448,21 @@ def test_qbas_score_chunks_match_one_draw(n_resamples, kind):
 
 @pytest.mark.parametrize("n_cpus", [None, 1, 2, 4, "absent"])
 def test_qbas_from_probs_does_not_depend_on_threads(target22, monkeypatch, n_cpus):
+    if n_cpus == "absent":  # macOS and Windows have no sched_getaffinity
+        monkeypatch.delattr(training.os, "sched_getaffinity")
+        monkeypatch.setattr(training.os, "cpu_count", lambda: 3)
+    elif n_cpus is not None:
+        monkeypatch.setattr(training.os, "sched_getaffinity", lambda pid: set(range(n_cpus)))
+    cpus = 3 if n_cpus == "absent" else len(training.os.sched_getaffinity(0))
+    _, probs = noisy_target(ImageShape(2, 2), 3)
+    with futures.ThreadPoolExecutor(cpus) as pool:
+        for case, repeats in ((probs, 11), (target22.probs, 3)):
+            scores = qbas_from_probs(
+                case, BAS22, np.random.default_rng(9), pool, repeats=repeats, resamples=3000
+            )
+            expected = reference_qbas(case, BAS22, np.random.default_rng(9), 1024, repeats, 15, 3000)
+            assert repr(qbas_aggregate(scores)) == repr(expected)
+
     workers = []
 
     class Recording(futures.ThreadPoolExecutor):
@@ -449,27 +471,12 @@ def test_qbas_from_probs_does_not_depend_on_threads(target22, monkeypatch, n_cpu
             super().__init__(max_workers)
 
     monkeypatch.setattr(futures, "ThreadPoolExecutor", Recording)
-    if n_cpus == "absent":  # macOS and Windows have no sched_getaffinity
-        monkeypatch.delattr(metrics.os, "sched_getaffinity")
-        monkeypatch.setattr(metrics.os, "cpu_count", lambda: 3)
-    elif n_cpus is not None:
-        monkeypatch.setattr(metrics.os, "sched_getaffinity", lambda pid: set(range(n_cpus)))
-    cpus = 3 if n_cpus == "absent" else len(metrics.os.sched_getaffinity(0))
-    _, probs = noisy_target(ImageShape(2, 2), 3)
-    with qbas_pool() as pool:
-        for case, repeats in ((probs, 11), (target22.probs, 3)):
-            pending = qbas_from_probs(
-                case, BAS22, np.random.default_rng(9), pool, repeats=repeats, resamples=3000
-            )
-            expected = reference_qbas(case, BAS22, np.random.default_rng(9), 1024, repeats, 15, 3000)
-            assert repr(pending.result()) == repr(expected)
-    assert workers == [cpus]
-
-    # a training run opens one pool for all its metric steps, and each step's
-    # record gets that step's own score, read back after later steps ran
+    # a training run opens one pool, one worker per CPU, for all its metric
+    # steps, and each step's record gets that step's own score, read back
+    # after later steps ran
     config = TrainingConfig(d_c=2, n_layers=1, n_steps=5, seed=4, qbas_enabled=True, qbas_resamples=300)
     record = train(config)
-    assert workers == [cpus, cpus]
+    assert workers == [cpus]
     assert [m.step for m in record.metrics] == list(range(6))
     for m in record.metrics:
         step_probs = circuit_probabilities(config.circuit(), record.theta_trajectory[m.step])
@@ -497,7 +504,7 @@ def test_qbas_score_memory_is_bounded():
 
 
 def test_package_import_loads_no_thread_pool():
-    # qbas_from_probs imports concurrent.futures when it runs: loading it (and
+    # a qBAS run imports concurrent.futures when it starts: loading it (and
     # logging) with the package adds about 0.6 MB to every importing process
     code = "import sys, bornbench; print('concurrent.futures' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)

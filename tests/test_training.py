@@ -337,7 +337,7 @@ def test_failing_qbas_run_cancels_its_scoring_and_stops_its_threads(monkeypatch)
         return 0.5, 0.01
 
     monkeypatch.setattr(metrics, "qbas_score", slow_score)
-    monkeypatch.setattr(metrics.os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(training.os, "sched_getaffinity", lambda pid: {0, 1})
     config = TrainingConfig(d_c=2, n_layers=1, n_steps=3, alpha=1e308, qbas_enabled=True)
     threads = threading.active_count()
     with pytest.raises(ValueError, match="alpha = 1e\\+308 is too large"):
