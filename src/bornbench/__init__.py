@@ -57,7 +57,6 @@ from .sim import (
 from .training import (
     AdamState,
     Checkpoint,
-    RunConfig,
     RunRecord,
     TrainingConfig,
     adam_step,

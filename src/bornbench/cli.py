@@ -18,7 +18,6 @@ from .ansatz import (
     build_circuit,
     classify_pixel_pair,
     embed_layer,
-    entangler_layer,
     layer_from_edges,
     load_coupling_graph,
     parse_edge_list,
@@ -36,14 +35,13 @@ from .runio import (
     load_config_file,
     prepare_run_dir,
     read_checkpoint,
-    read_run_config,
     read_sweep,
     read_trajectory,
     write_csv,
     write_run,
 )
 from .sim import circuit_probabilities
-from .training import TAG_DEPLOY, RunConfig, resume, rng_stream, train
+from .training import TAG_DEPLOY, TrainingConfig, resume, rng_stream, train
 
 
 class CliError(Exception):
@@ -68,7 +66,7 @@ def cmd_train(args) -> int:
 
 def cmd_deploy(args) -> int:
     run_dir = Path(args.run_dir)
-    config = read_run_config(run_dir)
+    config = load_config_file(run_dir / CONFIG_FILE)
     noise = load_noise(args.noise)
     out_path = run_dir / args.out
     if out_path.exists() and not args.force:
@@ -110,10 +108,9 @@ def _override(items: dict[str, str], overrides: dict[str, str], base_dir: Path) 
 
 def cmd_warmstart(args) -> int:
     run_dir = Path(args.run_dir)
-    items: dict[str, str] = {}
-    _override(items, parse_kv_file(run_dir / CONFIG_FILE), run_dir)
+    items = parse_kv_file(run_dir / CONFIG_FILE)
     checkpoint = read_checkpoint(run_dir, args.step)
-    items["label"] = f"{items.get('label', RunConfig.label)}-ws{args.step}"  # unless -c sets one
+    items["label"] = f"{items.get('label', TrainingConfig.label)}-ws{args.step}"  # unless -c sets one
     if args.config:
         _override(items, parse_kv_file(args.config), Path(args.config).parent)
     if args.noise:
@@ -138,40 +135,36 @@ def cmd_warmstart(args) -> int:
     return 0
 
 
-def _resolve_graph(spec: str):
-    path = Path(spec)
-    if path.exists():
-        return load_coupling_graph(path)
-    return preset_graph(spec)
-
-
 def cmd_embed(args) -> int:
     shape = ImageShape(args.rows, args.cols)
-    if args.edges:
-        layer = layer_from_edges(parse_edge_list(args.edges, "--edges"))
-    elif args.dc:
-        target = bas_target_distribution(shape)
-        build_circuit(shape.n_bits, args.dc, 1, target)  # rejects the registers train rejects
-        layer = entangler_layer(args.dc, args.layer_index, chow_liu_source=target)
+    if args.dc is None:
+        layers = [("layer", layer_from_edges(parse_edge_list(args.edges, "--edges")))]
     else:
-        raise CliError("embed: give --dc {2,3,4} or --edges")
-    graph = _resolve_graph(args.graph)
-    kinds = [classify_pixel_pair(shape, c, t) for c, t in layer.edges]
-    print(f"layer: d_c={layer.d_c}, edges " + ", ".join(f"{c}->{t}" for c, t in layer.edges))
-    print(
-        f"connections: {kinds.count('local')} local, {kinds.count('non-local')} non-local"
-        + " (" + ", ".join(f"{c}->{t} {k}" for (c, t), k in zip(layer.edges, kinds)) + ")"
-    )
-    mapping = embed_layer(layer, graph)
-    if mapping is None:
-        print(f"NOT-EMBEDDABLE into {graph.name or 'graph'}")
-    else:
-        assignment = ", ".join(f"{l}->{p}" for l, p in sorted(mapping.items()))
-        print(f"EMBEDDABLE into {graph.name or 'graph'}: {assignment}")
+        first, second = build_circuit(
+            shape.n_bits, args.dc, 2, bas_target_distribution(shape)
+        ).entangler_layers
+        layers = [("layer (depth 1)", first)]
+        if second != first:  # d_c = 2 alternates matchings, and qubits do not move between layers
+            layers.append(("layers (depth >= 2)", layer_from_edges(first.edges + second.edges)))
+    path = Path(args.graph)
+    graph = load_coupling_graph(path) if path.exists() else preset_graph(args.graph)
+    for name, layer in layers:
+        kinds = [classify_pixel_pair(shape, c, t) for c, t in layer.edges]
+        print(f"{name}: d_c={layer.d_c}, edges " + ", ".join(f"{c}->{t}" for c, t in layer.edges))
+        print(
+            f"connections: {kinds.count('local')} local, {kinds.count('non-local')} non-local"
+            + " (" + ", ".join(f"{c}->{t} {k}" for (c, t), k in zip(layer.edges, kinds)) + ")"
+        )
+        mapping = embed_layer(layer, graph)
+        if mapping is None:
+            print(f"NOT-EMBEDDABLE into {graph.name or 'graph'}")
+        else:
+            assignment = ", ".join(f"{l}->{p}" for l, p in sorted(mapping.items()))
+            print(f"EMBEDDABLE into {graph.name or 'graph'}: {assignment}")
     return 0
 
 
-def _run_sweep_row(config: RunConfig, row_dir: Path):
+def _run_sweep_row(config: TrainingConfig, row_dir: Path):
     record = train(config)
     write_run(row_dir, record)
     return min(record.metrics, key=lambda m: m.kl_mean)
@@ -274,9 +267,9 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_warmstart)
 
     p = sub.add_parser("embed", help="map an entangling layer onto a coupling graph")
-    p.add_argument("--dc", type=int, choices=(2, 3, 4), help="built-in layer density")
-    p.add_argument("--edges", help="explicit edge list, e.g. 0-1,0-2,0-3")
-    p.add_argument("--layer-index", type=int, default=0, help="which 2-CNOT matching (parity)")
+    layer = p.add_mutually_exclusive_group(required=True)
+    layer.add_argument("--dc", type=int, choices=(2, 3, 4), help="built-in layer density")
+    layer.add_argument("--edges", help="explicit edge list, e.g. 0-1,0-2,0-3")
     p.add_argument("--graph", required=True, help="preset (plaquette4, ladder2xK) or edge-list file")
     p.add_argument("--rows", type=int, default=2)
     p.add_argument("--cols", type=int, default=2)

@@ -27,7 +27,6 @@ from __future__ import annotations
 import csv
 import json
 import shutil
-from dataclasses import fields
 from itertools import product
 from pathlib import Path
 from typing import get_type_hints
@@ -38,7 +37,7 @@ from . import __version__
 from .bas import bitstring
 from .kv import format_kv, format_value, parse_kv_file, parse_value
 from .noise import load_noise, noise_from_items
-from .training import AdamState, Checkpoint, RunConfig, RunRecord
+from .training import AdamState, Checkpoint, RunRecord, TrainingConfig
 from .ansatz import parse_edge_list
 
 CONFIG_FILE = "config.txt"
@@ -52,19 +51,18 @@ CHECKPOINT_VERSION = 1
 # str value; edge lists and noise have their own syntax.
 _SCALAR_FIELDS = {
     name: kind
-    for name, kind in get_type_hints(RunConfig).items()
+    for name, kind in get_type_hints(TrainingConfig).items()
     if kind in (bool, int, float, str)
 }
 
 
-def config_from_items(items: dict[str, str], base_dir: Path | None = None) -> RunConfig:
-    """Build a RunConfig from key/value strings; unknown keys are errors.
+def config_from_items(items: dict[str, str], base_dir: Path | None = None) -> TrainingConfig:
+    """Build a TrainingConfig from key/value strings; unknown keys are errors.
 
     Noise is given either as ``noise_profile = <file>`` (resolved relative to
     ``base_dir``) or inline through ``noise_*`` keys, and either sets the
     whole ``noise`` field.
     """
-    known = {f.name for f in fields(RunConfig)}
     kwargs: dict = {}
     noise_items: dict[str, str] = {}
     noise_profile: str | None = None
@@ -77,8 +75,6 @@ def config_from_items(items: dict[str, str], base_dir: Path | None = None) -> Ru
             kwargs[key] = parse_edge_list(value, key)
         elif key in _SCALAR_FIELDS:
             kwargs[key] = parse_value(key, value, _SCALAR_FIELDS[key])
-        elif key in known:
-            raise ValueError(f"config key {key!r} cannot be set from a file")
         else:
             raise ValueError(f"unknown config key {key!r}")
     if noise_profile is not None:
@@ -92,10 +88,10 @@ def config_from_items(items: dict[str, str], base_dir: Path | None = None) -> Ru
         kwargs["noise"] = noise_from_items(noise_items)
     if "d_c" not in kwargs or "n_layers" not in kwargs:
         raise ValueError("config must set d_c and n_layers")
-    return RunConfig(**kwargs)
+    return TrainingConfig(**kwargs)
 
 
-def load_config_file(path, seed: int | None = None) -> RunConfig:
+def load_config_file(path, seed: int | None = None) -> TrainingConfig:
     """The config a file describes, with ``seed`` in place of its own."""
     path = Path(path)
     items = parse_kv_file(path)
@@ -134,14 +130,13 @@ def read_sweep(path) -> list[dict[str, str]]:
     return rows
 
 
-def config_echo_text(config: RunConfig) -> str:
+def config_echo_text(config: TrainingConfig) -> str:
     header = f"# bornbench {__version__}\n# digest = {config.digest()}\n"
     return header + format_kv(config.kv_items())
 
 
-def metric_columns(config: RunConfig) -> list[str]:
-    states = config.bas_states()
-    f1_cols = [f"f1_{bitstring(s, config.n_qubits)}" for s in states]
+def metric_columns(config: TrainingConfig) -> list[str]:
+    f1_cols = [f"f1_{bitstring(s, config.n_qubits)}" for s in config.target().support]
     return ["step", "loss", "kl_mean", "kl_std", *f1_cols, "qbas_mean", "qbas_var", "smoothing_flag"]
 
 
@@ -190,7 +185,7 @@ def write_run(out_dir, record: RunRecord, force: bool = False) -> Path:
     config = record.config
     out_dir = prepare_run_dir(out_dir, force=force)
     (out_dir / CONFIG_FILE).write_text(config_echo_text(config))
-    states = config.bas_states()
+    states = config.target().support
     metric_rows = [
         [
             str(m.step),
@@ -226,11 +221,6 @@ def write_run(out_dir, record: RunRecord, force: bool = False) -> Path:
         path = checkpoint_path(out_dir, checkpoint.step)
         path.write_text(json.dumps(payload, indent=1) + "\n")
     return out_dir
-
-
-def read_run_config(run_dir) -> RunConfig:
-    run_dir = Path(run_dir)
-    return config_from_items(parse_kv_file(run_dir / CONFIG_FILE), base_dir=run_dir)
 
 
 def read_checkpoint(run_dir, step: int) -> Checkpoint:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .ansatz import CircuitSpec, build_circuit, format_edge_list
-from .bas import ImageShape, TargetDistribution, bas_target_distribution, enumerate_bas
+from .bas import ImageShape, TargetDistribution, bas_target_distribution
 from .kv import format_value
 from .metrics import (
     MetricRecord,
@@ -125,6 +125,7 @@ class TrainingConfig:
     gradient_mode: str = "sampled"
     dc3_edges: tuple[tuple[int, int], ...] | None = None
     noise: NoiseModel | None = None
+    label: str = "run"  # names the run's default directory and its sweep summary row
 
     def __post_init__(self) -> None:
         if self.n_shots_train < 2:
@@ -156,7 +157,7 @@ class TrainingConfig:
                 raise ValueError(f"{name} must be positive")
         if self.gradient_mode not in ("sampled", "exact"):
             raise ValueError(f"gradient_mode must be 'sampled' or 'exact'")
-        ImageShape(self.n_rows, self.n_cols)  # validates register size
+        shape = ImageShape(self.n_rows, self.n_cols)  # validates register size
         if self.noise is not None:
             self.noise.check_register(self.n_qubits)
         if self.dc3_edges is not None:
@@ -174,7 +175,7 @@ class TrainingConfig:
             distance=self.kernel_distance,
             sigma_is_variance=self.sigma_is_variance,
         )
-        target = bas_target_distribution(self.shape)
+        target = bas_target_distribution(shape)
         circuit = build_circuit(
             self.n_qubits,
             self.d_c,
@@ -190,15 +191,8 @@ class TrainingConfig:
     def n_qubits(self) -> int:
         return self.n_rows * self.n_cols
 
-    @property
-    def shape(self) -> ImageShape:
-        return ImageShape(self.n_rows, self.n_cols)
-
     def target(self) -> TargetDistribution:
         return self._target
-
-    def bas_states(self) -> list[int]:
-        return enumerate_bas(self.shape)
 
     def kernel(self) -> KernelSpec:
         return self._kernel
@@ -227,13 +221,6 @@ class TrainingConfig:
             lines.append(f"density_path_version = {DENSITY_PATH_VERSION}")
         lines.extend(f"{k} = {v}" for k, v in sorted(self.kv_items()))
         return hashlib.sha256("\n".join(lines).encode()).hexdigest()
-
-
-@dataclass(frozen=True)
-class RunConfig(TrainingConfig):
-    """Training config plus presentation fields for the experiment harness."""
-
-    label: str = "run"
 
 
 @dataclass
@@ -300,7 +287,7 @@ def _evaluate_metrics(config: TrainingConfig, probs: np.ndarray, step: int, pool
         return record, None
     scores = qbas_from_probs(
         probs,
-        config.bas_states(),
+        target.support,
         rng_stream(config.seed, TAG_QBAS, step),
         pool,
         shots=config.qbas_shots,

@@ -47,6 +47,7 @@ from bornbench.cli import main
 SEEDS = (0, 1, 2, 3, 4)
 BAS22 = [0, 3, 5, 10, 12, 15]
 NOISE_PROFILE = NoiseModel(p1=0.002, p2=0.02, readout_flip_all=0.03, t_damp=0.01)
+MODERATE = load_noise(Path(__file__).resolve().parent.parent / "configs/noise/moderate.profile")
 
 
 def report(name: str, ok: bool, detail: str) -> None:
@@ -464,15 +465,34 @@ def test_a10_byte_identical_reruns(tmp_path):
     report("A10", ok, f"{len(identical)}/{len(names)} output files byte-identical across reruns")
 
 
-def test_a11_sparse_beats_dense_under_noise():
-    """Stated in advance (ROADMAP item 2(a)): trained under the moderate
-    noise profile at 1,024 shots for 100 steps, d_c=2, L=2 ends with a lower
-    mean final KL over seeds 0..4 than d_c=4, L=2."""
-    noise = load_noise(Path(__file__).resolve().parent.parent / "configs/noise/moderate.profile")
+def final_kls_under_noise(scale):
+    """A11's setup (seeds 0..4, d_c in {2, 4}, L=2, 1,024 shots, 100 steps,
+    metrics at the start and the end) with every strength of the moderate
+    profile scaled by ``scale``: each d_c's final mean KL per seed."""
+    noise = NoiseModel(
+        p1=scale * MODERATE.p1,
+        p2=scale * MODERATE.p2,
+        readout_flip_all=scale * MODERATE.readout_flip_all,
+        readout_flip={q: scale * p for q, p in MODERATE.readout_flip.items()},
+        t_damp=scale * MODERATE.t_damp,
+    )
     finals = {}
     for d_c in (2, 4):
         runs = train_seeds(d_c, 2, 1024, noise=noise, metric_every=100)
         finals[d_c] = np.array([record.metrics[-1].kl_mean for _, record in runs.values()])
+    return finals
+
+
+@pytest.fixture(scope="module")
+def finals_moderate():
+    return final_kls_under_noise(1)
+
+
+def test_a11_sparse_beats_dense_under_noise(finals_moderate):
+    """Stated in advance (ROADMAP item 2(a)): trained under the moderate
+    noise profile at 1,024 shots for 100 steps, d_c=2, L=2 ends with a lower
+    mean final KL over seeds 0..4 than d_c=4, L=2."""
+    finals = finals_moderate
     mean = {d_c: float(np.mean(v)) for d_c, v in finals.items()}
     se = {d_c: float(np.std(v, ddof=1)) / math.sqrt(len(v)) for d_c, v in finals.items()}
     difference, difference_se = mean[2] - mean[4], math.hypot(se[2], se[4])
@@ -482,3 +502,19 @@ def test_a11_sparse_beats_dense_under_noise():
         f"difference {difference:+.4f} +- {difference_se:.4f}"
     )
     report("A11", difference < 0.0, detail)
+
+
+def test_a13_the_sparse_advantage_grows_with_noise(finals_moderate):
+    """Stated in advance (ROADMAP item 8(a)): with A11's setup and every
+    strength of the moderate profile scaled by s in {0, 1, 2} (s = 0 is
+    noiseless), the gap g(s), d_c=4's mean final KL minus d_c=2's, grows:
+    g(0) < g(1) < g(2)."""
+    gaps = {}
+    for scale in (0, 1, 2):
+        finals = finals_moderate if scale == 1 else final_kls_under_noise(scale)
+        per_seed = finals[4] - finals[2]  # paired by seed
+        se = float(np.std(per_seed, ddof=1)) / math.sqrt(len(per_seed))
+        gaps[scale] = (float(np.mean(per_seed)), se)
+    ok = gaps[0][0] < gaps[1][0] < gaps[2][0]
+    detail = "; ".join(f"g({s}) = {g:+.4f} +- {se:.4f}" for s, (g, se) in gaps.items())
+    report("A13", ok, detail)

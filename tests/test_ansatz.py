@@ -78,6 +78,12 @@ def test_dc2_alternation():
         assert {tuple(sorted(e)) for e in layer.edges} <= PLAQUETTE_EDGES
 
 
+def test_entangler_layer_rejects_a_negative_index():
+    for d_c in (2, 3, 4):
+        with pytest.raises(ValueError, match="layer_index must be nonnegative"):
+            entangler_layer(d_c, -1)
+
+
 def test_dc4_structure():
     layer = entangler_layer(4)
     assert len(layer.sub_coverings) == 2

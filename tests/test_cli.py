@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bornbench.cli import main
+from bornbench.cli import build_parser, main
 
 TINY_CONFIG = """\
 label = tiny
@@ -133,6 +133,7 @@ def test_train_invalid_config(tmp_path):
 def test_usage_error_exit_code():
     assert main(["train"]) == 1  # missing required -c
     assert main(["embed", "--graph", "plaquette4"]) == 1  # neither --dc nor --edges
+    assert main(["embed", "--dc", "2", "--edges", "0-1", "--graph", "plaquette4"]) == 1  # both
 
 
 def test_seed_override(tmp_path):
@@ -212,6 +213,41 @@ def test_embed_outputs(capsys):
     assert "EMBEDDABLE" in out
 
 
+def test_embed_places_a_circuit_once_for_all_its_layers(tmp_path, capsys):
+    """Qubits do not move between layers, so d_c=2 from depth 2 on must place
+    both matchings at once: on a bowtie (two triangles sharing vertex 2) each
+    matching embeds, but their union, the 4-cycle, does not."""
+    bowtie = tmp_path / "bowtie.txt"
+    bowtie.write_text("n 5\n0 1\n1 2\n0 2\n2 3\n3 4\n2 4\n")
+    outs = {}
+    for dc in ("2", "3", "4"):
+        assert main(["embed", "--dc", dc, "--graph", str(bowtie)]) == 0
+        outs[dc] = capsys.readouterr().out
+    verdicts = {
+        dc: [line.split()[0] for line in out.splitlines() if "EMBEDDABLE into bowtie" in line]
+        for dc, out in outs.items()
+    }
+    assert verdicts == {
+        "2": ["EMBEDDABLE", "NOT-EMBEDDABLE"],
+        "3": ["EMBEDDABLE"],
+        "4": ["NOT-EMBEDDABLE"],
+    }
+    assert "layer (depth 1): d_c=2, edges 0->1, 2->3\n" in outs["2"]
+    assert "layers (depth >= 2): d_c=4, edges 0->1, 2->3, 0->2, 1->3\n" in outs["2"]
+
+
+def test_readme_command_examples_parse():
+    """Every ``bornbench`` line of README's command-line block parses, so the
+    examples cannot name a flag the parser lacks."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```", 2)[1]
+    commands = [line.split()[1:] for line in block.splitlines() if line.startswith("bornbench ")]
+    assert len(commands) == 6
+    parser = build_parser()
+    for argv in commands:
+        assert parser.parse_args(argv).command == argv[0]
+
+
 def test_embed_rejects_pixels_outside_the_image(capsys):
     ladder = ["embed", "--edges", "0-5,1-7", "--graph", "ladder2x4"]
     assert main(ladder) == 1  # the default image is 2x2
@@ -228,7 +264,7 @@ def test_embed_rejects_a_built_in_layer_off_four_qubits(capsys):
     assert main(["embed", "--dc", "3", "--rows", "3", "--cols", "4", "--graph", "plaquette4"]) == 1
     captured = capsys.readouterr()
     assert "built-in entangling layers are defined on 4 qubits, got 12 for d_c = 3" in captured.err
-    assert "layer:" not in captured.out
+    assert captured.out == ""
     assert main(["embed", "--edges", "0-5,1-7", "--rows", "3", "--cols", "4", "--graph", "ladder2x4"]) == 0
 
 
@@ -242,7 +278,7 @@ def test_bad_edge_tokens_are_named(tmp_path, capsys):
     assert main(["embed", "--edges", "0-1,x-2", "--graph", "plaquette4"]) == 1
     captured = capsys.readouterr()
     assert "--edges: edge 'x-2': expected int, got 'x'" in captured.err
-    assert "layer:" not in captured.out
+    assert captured.out == ""
 
 
 def test_bad_graph_file_line_is_named(tmp_path, capsys):
@@ -252,14 +288,6 @@ def test_bad_graph_file_line_is_named(tmp_path, capsys):
     captured = capsys.readouterr()
     assert f"{graph}:4: expected int, got 'z'" in captured.err
     assert "EMBEDDABLE" not in captured.out
-
-
-@pytest.mark.parametrize("dc, graph", [("2", "plaquette4"), ("3", "ladder2x3"), ("4", "plaquette4")])
-def test_embed_rejects_a_negative_layer_index(capsys, dc, graph):
-    assert main(["embed", "--dc", dc, "--layer-index", "-1", "--graph", graph]) == 1
-    captured = capsys.readouterr()
-    assert "layer_index must be nonnegative" in captured.err
-    assert "layer:" not in captured.out
 
 
 def test_unknown_noise_key_is_named_before_its_value(tiny_run, tmp_path, capsys):
@@ -703,7 +731,7 @@ def test_noiseless_wide_config_is_accepted(tmp_path):
 def test_a_built_config_is_not_rebuilt(tmp_path, monkeypatch):
     """train, resume and deploy use the circuit and kernel the config built."""
     from bornbench import cli, mmd, training
-    from bornbench.runio import read_run_config, write_run
+    from bornbench.runio import CONFIG_FILE, load_config_file, write_run
 
     calls = []
     build_circuit = training.build_circuit
@@ -719,7 +747,7 @@ def test_a_built_config_is_not_rebuilt(tmp_path, monkeypatch):
 
     monkeypatch.setattr(training, "build_circuit", counted_build)
     monkeypatch.setattr(mmd.KernelSpec, "__post_init__", counted_kernel)
-    config = training.RunConfig(
+    config = training.TrainingConfig(
         d_c=3, n_layers=2, n_shots_train=64, n_steps=2, kl_shots=64, kl_repeats=2
     )
     assert calls == ["kernel", "circuit"]
@@ -729,8 +757,8 @@ def test_a_built_config_is_not_rebuilt(tmp_path, monkeypatch):
     assert calls == []
 
     run = write_run(tmp_path / "run", record)
-    built = read_run_config(run)
-    monkeypatch.setattr(cli, "read_run_config", lambda run_dir: built)
+    built = load_config_file(run / CONFIG_FILE)
+    monkeypatch.setattr(cli, "load_config_file", lambda path: built)
     profile = tmp_path / "noise.profile"
     profile.write_text(NOISE_PROFILE)
     calls.clear()

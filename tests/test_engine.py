@@ -37,7 +37,7 @@ from bornbench.ansatz import CircuitSpec, EntanglerLayer
 from bornbench.mmd import shift_batch
 from bornbench.noise import contract_axis
 from bornbench.runio import config_from_items, load_config_file, read_sweep, write_run
-from bornbench.training import TAG_GRAD, RunConfig
+from bornbench.training import TAG_GRAD
 from conftest import density_matrix
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -163,7 +163,7 @@ def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def run_digests(config: RunConfig, out_dir: Path) -> dict[str, str]:
+def run_digests(config: TrainingConfig, out_dir: Path) -> dict[str, str]:
     run_dir = write_run(out_dir, train(config))
     return {
         path.relative_to(run_dir).as_posix(): _sha(path.read_bytes())
@@ -174,7 +174,7 @@ def run_digests(config: RunConfig, out_dir: Path) -> dict[str, str]:
 
 # Golden runs no shipped config covers: the 2x3 target has 10 support states.
 EXTRA_CONFIGS = {
-    "bas23_dc0_L0_qbas": RunConfig(d_c=0, n_layers=0, n_rows=2, n_cols=3, qbas_enabled=True),
+    "bas23_dc0_L0_qbas": TrainingConfig(d_c=0, n_layers=0, n_rows=2, n_cols=3, qbas_enabled=True),
 }
 
 
@@ -205,7 +205,7 @@ def test_short_run_bytes_unchanged(name, tmp_path):
 @pytest.mark.parametrize("key", sorted(GOLDEN_NOISY_RUNS), ids=lambda k: "dc%d_L%d_%s" % k)
 def test_short_noisy_run_bytes_unchanged(key, tmp_path):
     d_c, layers, mode = key
-    config = RunConfig(
+    config = TrainingConfig(
         d_c=d_c, n_layers=layers, n_steps=3, gradient_mode=mode, noise=load_noise(MODERATE)
     )
     assert run_digests(config, tmp_path / "run") == GOLDEN_NOISY_RUNS[key]
@@ -657,7 +657,7 @@ PINNED_DIGESTS = {
 }
 
 
-def shipped_configs() -> dict[str, RunConfig]:
+def shipped_configs() -> dict[str, TrainingConfig]:
     """Every shipped config, and every row of a shipped sweep file as
     ``bornbench sweep`` builds it."""
     configs = dict(EXTRA_CONFIGS)

@@ -22,7 +22,6 @@ from bornbench import sim
 from bornbench.kv import format_kv, parse_kv_text
 from bornbench.mmd import DISTANCE_KINDS
 from bornbench.runio import config_from_items
-from bornbench.training import RunConfig
 from conftest import density_matrix, on_qubit_pairs
 from test_engine import reference_amplitudes, reference_density
 
@@ -179,7 +178,7 @@ def run_configs(draw):
     # the layer of a d_c = 3 circuit takes no self-loop
     edge = st.tuples(pixel, pixel).filter(lambda e: e[0] != e[1])
     edges = st.lists(edge, min_size=3, max_size=3) if n_qubits > 1 else st.nothing()
-    return RunConfig(
+    return TrainingConfig(
         d_c=d_c,
         n_layers=draw(st.integers(layers, 5)),
         n_shots_train=draw(st.integers(2, 10**6)),
@@ -217,7 +216,7 @@ def test_config_text_form_round_trips(config):
     keys = {key for key, _ in items}
     # every field has a key, so a field of a type the codec lacks fails here
     optional = {"noise", "dc3_edges"}
-    assert {f.name for f in fields(RunConfig)} - optional <= keys
+    assert {f.name for f in fields(TrainingConfig)} - optional <= keys
     assert ("dc3_edges" in keys) == (config.dc3_edges is not None)
     assert any(key.startswith("noise_") for key in keys) == (config.noise is not None)
     for rebuilt in (

@@ -14,7 +14,6 @@ from bornbench import (
     AdamState,
     NoiseModel,
     TrainingConfig,
-    RunConfig,
     adam_step,
     circuit_probabilities,
     initial_theta,
@@ -126,7 +125,7 @@ def test_config_digest_sensitivity():
 def test_config_kv_roundtrip():
     # every field off its default, so none can drop out of the key/value form
     # or come back parsed as the wrong type
-    config = RunConfig(
+    config = TrainingConfig(
         d_c=3,
         n_layers=2,
         n_shots_train=512,
@@ -155,8 +154,8 @@ def test_config_kv_roundtrip():
         noise=NoiseModel(p1=0.002, p2=0.02, readout_flip_all=0.03, readout_flip={1: 0.05}),
         label="roundtrip",
     )
-    defaults = RunConfig(d_c=0, n_layers=0)
-    for f in fields(RunConfig):
+    defaults = TrainingConfig(d_c=0, n_layers=0)
+    for f in fields(TrainingConfig):
         assert getattr(config, f.name) != getattr(defaults, f.name), f.name
     rebuilt = config_from_items(dict(config.kv_items()))
     assert rebuilt == config
@@ -171,6 +170,8 @@ def test_config_values_that_do_not_parse_name_their_key():
         ("qbas_enabled", "yes", "qbas_enabled: expected true or false, got 'yes'"),
         ("noise_p1", "abc", "p1: expected float, got 'abc'"),
         ("noise_readout_flip_qx", "0.1", "readout_flip_qx: expected int, got 'x'"),
+        # noise is set by noise_profile or noise_* keys; the field's name is no key
+        ("noise", "moderate.profile", "unknown config key 'noise'"),
     ]:
         with pytest.raises(ValueError, match=re.escape(message)):
             config_from_items({**base, key: text})
