@@ -102,9 +102,9 @@ class CircuitSpec:
     def instructions(self):
         """Yield gates in program order.
 
-        Items are ("rx"|"rz", qubit, slot), ("cnot", control, target), or
-        ("tick",) marking the end of one entangler sub-covering (one unit of
-        two-qubit gate time).
+        Items are ("rx"|"rz", qubit, slot) or ("cnots", covering): the
+        (control, target) CNOTs of one entangler sub-covering, which act on
+        disjoint qubits in one unit of two-qubit gate time.
         """
         slot = 0
         for k, pattern in enumerate(self.rotation_layers):
@@ -114,9 +114,7 @@ class CircuitSpec:
                     slot += 1
             if k < len(self.entangler_layers):
                 for covering in self.entangler_layers[k].sub_coverings:
-                    for control, target in covering:
-                        yield ("cnot", control, target)
-                    yield ("tick",)
+                    yield ("cnots", covering)
 
 
 def pairwise_mutual_information(dist: TargetDistribution) -> np.ndarray:
@@ -143,24 +141,17 @@ def pairwise_mutual_information(dist: TargetDistribution) -> np.ndarray:
 
 
 def _max_weight_spanning_tree(weights: np.ndarray) -> list[tuple[int, int]]:
-    """Kruskal over edges sorted by (-weight, edge); ties break toward the
-    lexicographically smallest edge list."""
+    """Kruskal over edges sorted by (-weight, edge), one component label per
+    vertex; ties break toward the lexicographically smallest edge list."""
     n = weights.shape[0]
-    parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    label = list(range(n))
     edges = [(i, j) for i in range(n) for j in range(i + 1, n)]
     edges.sort(key=lambda e: (-weights[e], e))
     tree = []
     for u, v in edges:
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[ru] = rv
+        lu, lv = label[u], label[v]
+        if lu != lv:
+            label = [lv if x == lu else x for x in label]
             tree.append((u, v))
     return tree
 
@@ -381,40 +372,29 @@ def embed_layer(layer: EntanglerLayer, graph: CouplingGraph) -> dict[int, int] |
     """Injective map of layer qubits onto graph vertices such that every CNOT
     lands on a graph edge, or None when no such map exists.
 
-    Backtracking search in ascending logical order with degree pruning; the
-    first (lexicographically smallest) mapping is returned, so the result is
-    deterministic.
+    Backtracking search that extends ``image``, the vertices of qubits
+    0 .. v-1, one qubit at a time with degree pruning; the first
+    (lexicographically smallest) mapping is returned, so it is deterministic.
     """
     n_logical = layer.max_qubit() + 1
-    if n_logical <= 0:
-        return {}
     if n_logical > graph.n_physical:
         return None
-
     logical_adj = _adjacency(n_logical, layer.edges)
     physical_adj = _adjacency(graph.n_physical, graph.edges)
 
-    mapping: dict[int, int] = {}
-    used: set[int] = set()
-
-    def extend(v: int) -> bool:
+    def mappings(image: tuple[int, ...]):
+        v = len(image)
         if v == n_logical:
-            return True
+            yield dict(enumerate(image))
+            return
         needed = logical_adj[v]
         for p in range(graph.n_physical):
-            if p in used or len(physical_adj[p]) < len(needed):
+            if p in image or len(physical_adj[p]) < len(needed):
                 continue
-            if any(u in mapping and mapping[u] not in physical_adj[p] for u in needed):
-                continue
-            mapping[v] = p
-            used.add(p)
-            if extend(v + 1):
-                return True
-            del mapping[v]
-            used.remove(p)
-        return False
+            if all(image[u] in physical_adj[p] for u in needed if u < v):
+                yield from mappings(image + (p,))
 
-    return dict(mapping) if extend(0) else None
+    return next(mappings(()), None)
 
 
 def classify_pixel_pair(shape: ImageShape, u: int, v: int) -> str:

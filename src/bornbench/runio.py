@@ -162,10 +162,12 @@ def checkpoint_path(run_dir, step: int) -> Path:
 
 
 def check_run_dir(out_dir, force: bool = False) -> Path:
-    """``out_dir``, refused if it holds files and ``force`` is off.  Commands
-    call this before they train; ``--force`` replaces the files only when
-    ``write_run`` writes the new ones."""
+    """``out_dir``, refused if it is not a directory, or holds files and
+    ``force`` is off.  Commands call this before they train; ``--force``
+    replaces the files only when ``write_run`` writes the new ones."""
     out_dir = Path(out_dir)
+    if out_dir.exists() and not out_dir.is_dir():
+        raise FileExistsError(f"output path {out_dir} exists and is not a directory")
     if not force and out_dir.exists() and any(out_dir.iterdir()):
         raise FileExistsError(
             f"output directory {out_dir} already exists; pass --force to overwrite"

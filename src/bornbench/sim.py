@@ -257,14 +257,11 @@ def _superoperators(p1: float, p2: float, t_damp: float) -> tuple:
 def _plan(circuit: CircuitSpec) -> tuple:
     """The circuit's steps in program order, (qubit, slot) for a rotation or
     (None, edges) for the CNOTs of one sub-covering, and its Rx slots."""
-    steps, covering = [], []
+    steps = []
     rx = np.zeros(circuit.parameter_count, dtype=bool)
     for op, *args in circuit.instructions():
-        if op == "cnot":
-            covering.append((args[0], args[1]))
-        elif op == "tick":
-            steps.append((None, tuple(covering)))
-            covering = []
+        if op == "cnots":
+            steps.append((None, args[0]))
         else:
             steps.append((args[0], args[1]))
             rx[args[1]] = op == "rx"

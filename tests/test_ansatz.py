@@ -167,6 +167,32 @@ def test_chow_liu_spanning_tree_properties():
         assert len({find(v) for v in range(n_bits)}) == 1  # connected
 
 
+def spans(n, edges):
+    """Whether ``edges`` connect all of vertices 0 .. n-1."""
+    reached = {0}
+    for _ in range(n):
+        reached |= {q for edge in edges if reached & set(edge) for q in edge}
+    return len(reached) == n
+
+
+def test_spanning_tree_is_the_greedy_optimum():
+    """With weights from {0, 0.5, 1}, ties are common.  The tree is the
+    spanning tree whose edges, sorted by (-weight, edge), compare smallest,
+    found here by enumerating every spanning tree; the d_c = 3 layer's bytes
+    rest on this tie rule."""
+    rng = np.random.default_rng(23)
+    for n in range(2, 7):
+        pairs = list(itertools.combinations(range(n), 2))
+        trees = [t for t in itertools.combinations(pairs, n - 1) if spans(n, t)]
+        assert len(trees) == n ** (n - 2)  # Cayley's formula
+        for _ in range(40):
+            weights = np.zeros((n, n))
+            for i, j in pairs:
+                weights[i, j] = weights[j, i] = rng.choice([0.0, 0.5, 1.0])
+            best = min(sorted((-weights[e], e) for e in tree) for tree in trees)
+            assert ansatz._max_weight_spanning_tree(weights) == [e for _, e in best], weights
+
+
 def test_chow_liu_degenerate_distribution():
     point = np.zeros(16)
     point[0] = 1.0
@@ -222,10 +248,8 @@ def test_build_circuit_errors(target22):
     patterns = build_circuit(4, 2, 1).rotation_layers
     circuit = CircuitSpec(6, patterns, (layer,))
     assert circuit.n_qubits == 6 and circuit.parameter_count == 24
-    assert [i for i in circuit.instructions() if i[0] == "cnot"] == [
-        ("cnot", 0, 1),
-        ("cnot", 2, 3),
-        ("cnot", 4, 5),
+    assert [i for i in circuit.instructions() if i[0] == "cnots"] == [
+        ("cnots", ((0, 1), (2, 3), (4, 5))),
     ]
     with pytest.raises(ValueError):
         CircuitSpec(4, patterns, (layer,))  # qubits 4 and 5 lie outside the register
@@ -296,12 +320,16 @@ def test_star_embeds_in_ladder(target22):
 
 
 def test_embed_agrees_with_brute_force(target22):
+    """The search returns the oracle's first mapping in permutation order:
+    the lexicographically smallest one, or None when there is none."""
     layers = [
         entangler_layer(2, 0),
         entangler_layer(2, 1),
         entangler_layer(4),
         chow_liu_layer(target22),
         layer_from_edges([(0, 1), (1, 2), (2, 3)]),
+        EntanglerLayer(()),  # places no qubit: {}
+        layer_from_edges([(0, 9)]),  # more qubits than a graph of at most 8 vertices: None
     ]
     graphs = [preset_graph("plaquette4"), preset_graph("ladder2x3"), preset_graph("ladder2x4")]
     rng = np.random.default_rng(11)
@@ -314,11 +342,13 @@ def test_embed_agrees_with_brute_force(target22):
         for graph in graphs:
             found = embed_layer(layer, graph)
             oracle = brute_force_embed(layer, graph)
-            assert (found is None) == (oracle is None), (layer, graph.name)
+            assert found == oracle, (layer, graph.name)
             if found is not None:
                 for u, v in layer.edges:
                     pu, pv = found[u], found[v]
                     assert (min(pu, pv), max(pu, pv)) in graph.edges
+    assert embed_layer(EntanglerLayer(()), graphs[0]) == {}
+    assert embed_layer(layers[-1], graphs[-1]) is None
 
 
 def test_graph_presets_and_files(tmp_path):

@@ -122,6 +122,44 @@ def test_warmstart_collision_refused(tiny_run, tmp_path, monkeypatch):
     assert calls == [("resume", True)]
 
 
+def snapshot(path):
+    """Every file at or under ``path``, with its bytes."""
+    paths = [path, *path.rglob("*")] if path.is_dir() else [path]
+    return {p: p.read_bytes() for p in paths if p.is_file()}
+
+
+@pytest.mark.parametrize("command", ["train", "warmstart", "sweep", "deploy"])
+def test_an_output_path_of_the_wrong_kind_is_refused_before_work(
+    command, tiny_run, tmp_path, monkeypatch, capsys
+):
+    """A file where a run or sweep directory goes, or a directory where
+    deploy's CSV goes, exits 1 naming it, with or without --force, before
+    anything is trained or simulated, and is left as it was."""
+    from bornbench import cli
+
+    config, run = tiny_run
+    taken = tmp_path / "taken"
+    taken.write_text("keep\n")
+    argv = {
+        "train": ["train", "-c", str(config), "-o", str(taken)],
+        "warmstart": ["warmstart", str(run), "--step", "0", "-o", str(taken)],
+        "sweep": ["sweep", "-c", str(config), "-o", str(taken)],
+        "deploy": ["deploy", str(run), "--noise", str(MODERATE), "--out", "checkpoints"],
+    }[command]
+    if command == "deploy":
+        taken = run / "checkpoints"
+    before = snapshot(taken)
+    calls = []
+    for name in ("train", "resume", "circuit_probabilities"):
+        monkeypatch.setattr(cli, name, lambda *args, name=name: calls.append(name))
+    for force in ([], ["--force"]):
+        capsys.readouterr()
+        assert main(argv + force) == 1
+        assert str(taken) in capsys.readouterr().err
+    assert calls == []
+    assert before and snapshot(taken) == before
+
+
 def test_train_invalid_config(tmp_path):
     config = tmp_path / "bad.cfg"
     config.write_text("d_c = 7\nn_layers = 1\n")

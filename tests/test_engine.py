@@ -253,9 +253,10 @@ def reference_amplitudes(circuit, theta):
     psi = np.zeros((2,) * n, dtype=complex)
     psi[(0,) * n] = 1.0
     for instr in circuit.instructions():
-        if instr[0] == "cnot":
-            psi = _ref_cnot(psi, instr[1], instr[2])
-        elif instr[0] != "tick":
+        if instr[0] == "cnots":
+            for control, target in instr[1]:
+                psi = _ref_cnot(psi, control, target)
+        else:
             psi = _ref_apply(psi, [instr[1]], _ref_rotation(instr[0], theta[instr[2]]))
     return psi.reshape(-1)
 
@@ -280,14 +281,15 @@ def reference_density(circuit, theta, noise):
             rho = unitary(rho, [instr[1]], _ref_rotation(instr[0], theta[instr[2]]))
             if noise.p1 > 0.0:
                 rho = channel(rho, [instr[1]], depolarizing_kraus(noise.p1, 1))
-        elif instr[0] == "cnot":
-            rho = _ref_apply(rho, [instr[1], instr[2]], _CNOT)
-            rho = _ref_apply(rho, [n + instr[1], n + instr[2]], _CNOT)
-            if noise.p2 > 0.0:
-                rho = channel(rho, instr[1:], depolarizing_kraus(noise.p2, 2))
-        elif noise.t_damp > 0.0:
-            for qubit in range(n):
-                rho = channel(rho, [qubit], amplitude_damping_kraus(noise.t_damp))
+        else:
+            for control, target in instr[1]:
+                rho = _ref_apply(rho, [control, target], _CNOT)
+                rho = _ref_apply(rho, [n + control, n + target], _CNOT)
+                if noise.p2 > 0.0:
+                    rho = channel(rho, [control, target], depolarizing_kraus(noise.p2, 2))
+            if noise.t_damp > 0.0:  # after the covering
+                for qubit in range(n):
+                    rho = channel(rho, [qubit], amplitude_damping_kraus(noise.t_damp))
     return rho.reshape(2**n, 2**n)
 
 
@@ -559,17 +561,17 @@ def test_density_path_makes_one_contraction_per_gate(d_c, density_products):
     thetas = _random_thetas(circuit, 2)
 
     def expected(rotation_products):
-        qubits, shapes, touched = [], [], set()
+        qubits, shapes = [], []
         for op, *args in circuit.instructions():
-            if op == "cnot":
-                qubits.append(tuple(args))
-                shapes.append((16, 16))
-                touched |= set(args)
-            elif op == "tick":
+            if op == "cnots":
+                touched = set()
+                for edge in args[0]:
+                    qubits.append(tuple(edge))
+                    shapes.append((16, 16))
+                    touched |= set(edge)
                 idle = [q for q in range(circuit.n_qubits) if q not in touched]
                 qubits += [(q,) for q in idle]
                 shapes += [(4, 4)] * len(idle)
-                touched = set()
             else:
                 qubits.append((args[0],))
                 shapes += rotation_products

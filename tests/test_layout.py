@@ -101,3 +101,31 @@ def test_every_definition_is_used_in_the_sources():
         and not any(node.name in used for (_, other), used in zip(statements, names) if other is not node)
     ]
     assert unused == []
+
+
+def bound_imports(tree):
+    """Each name an import binds; ``from __future__`` imports bind none."""
+    bound = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                bound.append(alias.asname or alias.name.split(".")[0])
+    return bound
+
+
+def test_every_import_is_used():
+    """Every name a module imports is loaded somewhere in it; the package's
+    ``__init__`` only re-exports, so it is not checked.  ``metrics`` keeps
+    ``circuit_probabilities`` only so that perfbench's
+    ``bornbench.metrics:circuit_probabilities`` hook resolves, until that
+    hook is dropped (ROADMAP item 5)."""
+    unused = []
+    for path in MODULES:
+        if path.stem == "__init__":
+            continue
+        tree = ast.parse(path.read_text())
+        loaded = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.stem}.{name}" for name in bound_imports(tree) if name not in loaded]
+    assert unused == ["metrics.circuit_probabilities"]
