@@ -7,7 +7,7 @@ Black pixels map to |0>, white pixels to |1>.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import product
 
 import numpy as np
@@ -42,6 +42,8 @@ class TargetDistribution:
 
     n_bits: int
     probs: np.ndarray
+    # basis indices carrying nonzero probability
+    support: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         p = np.asarray(self.probs, dtype=float)
@@ -49,12 +51,10 @@ class TargetDistribution:
             raise ValueError(f"need {2**self.n_bits} probabilities, got shape {p.shape}")
         if np.any(p < 0.0) or abs(float(p.sum()) - 1.0) > 1e-10:
             raise ValueError("probabilities must be nonnegative and sum to 1")
+        support = np.flatnonzero(p > 0.0)
+        support.flags.writeable = False
         object.__setattr__(self, "probs", p)
-
-    @property
-    def support(self) -> np.ndarray:
-        """Basis indices carrying nonzero probability."""
-        return np.flatnonzero(self.probs > 0.0)
+        object.__setattr__(self, "support", support)
 
 
 def bitstring(index: int, n_bits: int) -> str:

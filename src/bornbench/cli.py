@@ -69,6 +69,8 @@ def cmd_deploy(args) -> int:
     config = load_config_file(run_dir / CONFIG_FILE)
     noise = load_noise(args.noise)
     out_path = run_dir / args.out
+    if not out_path.parent.is_dir():
+        raise FileNotFoundError(f"{out_path}: {out_path.parent} is not a directory")
     if out_path.is_dir():
         raise FileExistsError(f"{out_path} is a directory, not a CSV file")
     if out_path.exists() and not args.force:

@@ -149,4 +149,4 @@ def mmd_gradient(
         q = sample_counts(q, n_shots, spawn(rng, len(q))) / n_shots
     weight = spec.matrix @ (q[0] - p.probs)
     # a dot product per parameter: one matrix-vector product would round differently
-    return np.array([(plus - minus) @ weight for plus, minus in zip(q[1::2], q[2::2])])
+    return np.array([row @ weight for row in q[1::2] - q[2::2]])

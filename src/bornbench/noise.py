@@ -76,14 +76,14 @@ def _axis_orders(ndim: int, axis: int, shared: bool) -> tuple:
 
 
 def contract_axis(t: np.ndarray, axis: int, m: np.ndarray) -> np.ndarray:
-    """Contract ``m`` over qubit axis ``axis`` of each row of ``t`` (B, 2, ..., 2),
-    a statevector batch or outcome distributions (the density path keeps its
-    own layout): a shared matrix (2 x 2) in one (2 x B*rest) product, a stack
-    (B, 2, 2) in one (2 x rest) product per row.  Either way each entry is
-    the 2-term dot product of a lone state."""
+    """Contract the 2x2 ``m`` over qubit axis ``axis`` of each row of ``t``
+    (B, 2, ..., 2), outcome distributions under a readout confusion matrix
+    (the simulators keep their own layouts): one (2 x B*rest) product, or one
+    (2 x rest) product per row when a row spans 1 or 2 columns.  Either way
+    each entry is the 2-term dot product of a lone row."""
     # BLAS rounds each 4-column block of a product alike, but a lone row of 1
     # or 2 columns takes another kernel: such narrow rows keep a product each
-    shared = m.ndim == 2 and t.ndim > 3
+    shared = t.ndim > 3
     order, inverse = _axis_orders(t.ndim, axis, shared)
     t = t.transpose(order)
     flat = t.reshape(2, -1) if shared else t.reshape(len(t), 2, -1)

@@ -17,11 +17,19 @@ amplitudes (2^n,) from ``run_statevector``, real density-matrix coordinates
 shot count of a counts row is its sum.
 
 Both simulators build every rotation matrix before the first gate
-(``_rotations``).  A rotation is one shared product at row 0's matrix; the
-rows whose angle differs from row 0's (2 of the 2P+1 rows of a
-parameter-shift batch) are then redone alone from their pre-gate state with
-their own matrices.  A statevector is a batch of n-axis tensors; the CNOTs of
-a sub-covering only permute entries, so they become one cached gather index.
+(``_rotations``) and take a batch in join order: row 0, then each row from
+the first slot whose angle differs from row 0's, before which it equals row
+0 bit for bit.  The statevector walk computes only joined rows: a rotation is
+one product at row 0's matrix over them, one stacked product that makes the
+rows joining there from row 0's pre-gate state, and the joined rows that
+differ again redone from their own; rows that never differ copy row 0.  The
+state is (gate qubit, batch, other qubits in ascending order), transposed as
+fixed per circuit (``_layouts``), and the CNOTs of a sub-covering only
+permute entries, so they are one cached gather.  Each amplitude goes through
+the same 2x2 BLAS arithmetic whatever a product's width, given a C-ordered
+output and rows of at least 4 columns; narrower registers take a product
+per row.  The density path shares one product over the whole batch and
+redoes the differing rows alone.
 
 A density matrix is held in real coordinates: qubit q's (ket bit, bra bit)
 pair holds the coefficients of |0><0|, X, Y and |1><1| at 0, 1, 2, 3, so the
@@ -46,7 +54,6 @@ real products round otherwise, noisy digests say ``density_path_version = 3``.
 
 from __future__ import annotations
 
-import math
 from functools import lru_cache
 
 import numpy as np
@@ -58,7 +65,6 @@ from .noise import (
     amplitude_damping_kraus,
     apply_readout,
     broadcast_kron,
-    contract_axis,
     depolarizing_kraus,
 )
 
@@ -98,11 +104,14 @@ def _word_count(value) -> int:
     return sum(map(_word_count, value))
 
 
+@lru_cache(maxsize=16)
 def _hash_constants(const: int, mult: int, skip: int, n: int) -> np.ndarray:
-    """``SeedSequence``'s running hash constant as uint32 rows (current,
-    next) for the ``n`` words hashed after the first ``skip``."""
+    """``SeedSequence``'s running hash constant as read-only uint32 rows
+    (current, next) for the ``n`` words hashed after the first ``skip``."""
     consts = [const * pow(mult, skip + i, 1 << 32) & _MASK32 for i in range(n + 1)]
-    return np.array([consts[:-1], consts[1:]], dtype=np.uint32)
+    table = np.array([consts[:-1], consts[1:]], dtype=np.uint32)
+    table.flags.writeable = False
+    return table
 
 
 def _hash(value, xor, mul):
@@ -270,28 +279,63 @@ def _plan(circuit: CircuitSpec) -> tuple:
 
 
 def _rotations(circuit: CircuitSpec, theta) -> tuple:
-    """(B, rows, bounds, u) for ``theta`` (P,) or (B, P): slot s's rotations
-    u[bounds[s]:bounds[s + 1]] at row 0's angle, then at the rows whose angle
-    differs from it in bit pattern, ``rows[bounds[s] + 1:bounds[s + 1]]``.  Rx
-    entries use the scalar ``math.cos`` and ``math.sin`` (numpy's may differ)."""
+    """(order, starts, rows, bounds, u) for ``theta`` (P,) or (B, P): the
+    batch in join order, rows sorted by the first slot whose angle differs
+    from row 0's in bit pattern, and ``starts[s]`` rows joined before slot s.
+    Slot s's rotations are u[bounds[s]:bounds[s + 1]], at row 0's angle, then
+    at the differing rows ``rows[bounds[s] + 1:bounds[s + 1]]`` (positions in
+    join order).  Entries come from numpy's complex exp, whose parts at a zero
+    real part are ``math.cos`` and ``math.sin`` (numpy's own may differ)."""
     thetas = np.asarray(theta, dtype=float)
     n_params = circuit.parameter_count
     if thetas.ndim not in (1, 2) or thetas.shape[-1] != n_params or not len(thetas):
         raise ValueError(f"need {n_params} angles or a nonempty batch of them, got {thetas.shape}")
     thetas = thetas.reshape(-1, n_params)
     rx = _plan(circuit)[1]
-    own = thetas.view(np.uint64) != thetas[:1].view(np.uint64)
-    own[:1] = True  # row 0 holds each slot's shared matrix
+    own = np.ones((len(thetas), n_params + 1), dtype=bool)  # a row that never differs joins last
+    np.not_equal(thetas.view(np.uint64), thetas[:1].view(np.uint64), out=own[:, :-1])
+    joins = own.argmax(axis=1)
+    joins[0] = -1
+    order = np.argsort(joins, kind="stable")
+    starts = np.searchsorted(joins[order], np.arange(n_params + 1)).tolist()
+    own = own[order, :-1]
+    own[0] = True  # row 0 holds each slot's shared matrix
     slots, rows = np.nonzero(own.T)  # by slot, row 0 first in each
     bounds = np.searchsorted(slots, np.arange(n_params + 1)).tolist()
-    angles, is_rx = thetas[rows, slots], rx[slots]
-    u = np.zeros((len(angles), 2, 2), dtype=complex)
-    half = (angles[is_rx] / 2.0).tolist()
-    u[is_rx, 0, 0] = u[is_rx, 1, 1] = [math.cos(a) for a in half]
-    u.imag[is_rx, 0, 1] = u.imag[is_rx, 1, 0] = [-math.sin(a) for a in half]
-    phase = np.exp(-0.5j * angles[~is_rx])
-    u[~is_rx, 0, 0], u[~is_rx, 1, 1] = phase, phase.conj()
-    return len(thetas), rows, bounds, u
+    is_rx = rx[slots]
+    half = np.exp(-0.5j * thetas[order[rows], slots])  # cos(a / 2) - i sin(a / 2)
+    u = np.zeros((len(half), 2, 2), dtype=complex)
+    u[:, 0, 0] = np.where(is_rx, half.real, half)
+    u[:, 1, 1] = np.where(is_rx, half.real, half.conj())
+    u.imag[:, 0, 1] = u.imag[:, 1, 0] = np.where(is_rx, half.imag, 0.0)
+    return order, starts, rows, bounds, u
+
+
+@lru_cache(maxsize=64)
+def _layouts(circuit: CircuitSpec) -> tuple:
+    """The statevector walk's steps.  The state is (2, B, 2^(n-1)): a leading
+    qubit, the batch, then the other qubits in ascending order.  A rotation is
+    (qubit, slot, perm), perm the transpose of the state's (n + 1)-axis view
+    that brings the qubit to lead (None if it leads); the CNOTs of a
+    sub-covering are (None, (lead, rest), None), each amplitude's source as one
+    gather into qubit 0's lead; then the transpose of the last state to
+    (B, qubits)."""
+    n = circuit.n_qubits
+
+    def axes(q):  # the (n + 1)-axis view with q leading; axis n is the batch
+        return (q, n) + tuple(a for a in range(n) if a != q)
+
+    lead, walk = 0, []
+    for qubit, arg in _plan(circuit)[0]:
+        if qubit is None:
+            source, low = _cnot_permutation(n, arg).reshape(2, 1, -1), n - 1 - lead
+            rest = source >> (low + 1) << low | source & ((1 << low) - 1)
+            walk.append((None, (source >> low & 1, rest), None))
+            lead = 0
+        else:
+            walk.append((qubit, arg, None if qubit == lead else tuple(map(axes(lead).index, axes(qubit)))))
+            lead = qubit
+    return tuple(walk), tuple(map(axes(lead).index, (n, *range(n))))
 
 
 def run_statevector(circuit: CircuitSpec, theta) -> np.ndarray:
@@ -300,18 +344,45 @@ def run_statevector(circuit: CircuitSpec, theta) -> np.ndarray:
     n = circuit.n_qubits
     if n > MAX_STATEVECTOR_QUBITS:
         raise ValueError(f"statevector simulation capped at {MAX_STATEVECTOR_QUBITS} qubits")
-    batch, rows, bounds, u = _rotations(circuit, theta)
-    psi = np.zeros((batch,) + (2,) * n, dtype=complex)
-    psi[(slice(None),) + (0,) * n] = 1.0
-    for qubit, arg in _plan(circuit)[0]:
-        if qubit is None:
-            psi = psi.reshape(batch, -1)[:, _cnot_permutation(n, arg)].reshape(psi.shape)
+    order, starts, rows, bounds, u = _rotations(circuit, theta)
+    walk, final = _layouts(circuit)
+    batch, width = len(order), 2 ** (n - 1)
+    shape = (2, batch) + (2,) * (n - 1)
+    # two C-ordered states (BLAS rounds by the output's order) that the walk
+    # alternates between, each with its rows as (2, width) matrices and row 0
+    states = np.zeros((2, 2, batch * width), dtype=complex)
+    rows_of = states.reshape(2, 2, batch, width).transpose(0, 2, 1, 3)
+    psi, out = [(state, each, state[:, :width]) for state, each in zip(states, rows_of)]
+    psi[0][0, 0] = 1.0
+    every = np.arange(batch)[:, None]
+    for qubit, slot, perm in walk:
+        if qubit is None:  # the CNOTs of a sub-covering: one gather
+            lead, rest = slot
+            out[0].reshape(2, batch, width)[...] = psi[0].reshape(2, batch, width)[lead, every, rest]
+            psi, out = out, psi
             continue
-        lo, hi = bounds[arg : arg + 2]
-        out = contract_axis(psi, qubit, u[lo])  # one product at row 0's matrix
-        if hi - lo > 1:  # then the rows that differ, redone alone
-            out[rows[lo + 1 : hi]] = contract_axis(psi[rows[lo + 1 : hi]], qubit, u[lo + 1 : hi])
-        psi = out
+        if perm is not None:  # bring the qubit to lead
+            np.copyto(out[0].reshape(shape), psi[0].reshape(shape).transpose(perm))
+            psi, out = out, psi
+        (x, x_rows, x0), (y, y_rows, _) = psi, out
+        lo, hi, k, joined = bounds[slot], bounds[slot + 1], starts[slot], starts[slot + 1]
+        mid = hi - joined + k  # u[lo + 1:mid] redo joined rows, u[mid:hi] make the joining ones
+        shared = 1 if mid - lo == k else k  # row 0 alone when every other joined row is redone
+        if width >= 4:
+            np.matmul(u[lo], x[:, : shared * width], out=y[:, : shared * width])
+        else:  # a row of 1 or 2 columns takes another BLAS kernel: a product per row
+            np.matmul(u[lo], x_rows[:shared], out=y_rows[:shared])
+        if joined > k:
+            np.matmul(u[mid:hi], x0, out=y_rows[k:joined])
+        if shared < k:  # every other joined row differs again: redone in place
+            np.matmul(u[lo + 1 : mid], x_rows[1:k], out=y_rows[1:k])
+        elif mid > lo + 1:  # some joined rows differ again: redone by a gather
+            redo = rows[lo + 1 : mid]
+            y_rows[redo] = u[lo + 1 : mid] @ x_rows[redo]
+        psi, out = out, psi
+    back = np.argsort(order)
+    back[back >= starts[-1]] = 0  # rows that never differ are row 0
+    psi = psi[0].reshape(shape).transpose(final).reshape(batch, -1).take(back, axis=0)
     return psi.reshape(np.shape(theta)[:-1] + (2**n,))
 
 
@@ -360,7 +431,8 @@ def evolve_density(circuit: CircuitSpec, theta, noise: NoiseModel | None = None)
         raise ValueError(f"density-matrix simulation capped at {MAX_DENSITY_QUBITS} qubits")
     noise = noise or NoiseModel()
     depolarize, edge, damp = _superoperators(noise.p1, noise.p2, noise.t_damp)
-    batch, rows, bounds, u = _rotations(circuit, theta)
+    order, _, rows, bounds, u = _rotations(circuit, theta)
+    batch, rows = len(order), order[rows]
     mats = depolarize @ _in_coordinates(broadcast_kron(u, u.conj()))
     steps, split, final = _schedule(circuit)
     rho = np.zeros((4,) * n + (batch,))

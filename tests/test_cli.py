@@ -128,27 +128,34 @@ def snapshot(path):
     return {p: p.read_bytes() for p in paths if p.is_file()}
 
 
-@pytest.mark.parametrize("command", ["train", "warmstart", "sweep", "deploy"])
+@pytest.mark.parametrize(
+    "command", ["train", "warmstart", "sweep", "deploy", "deploy_no_parent", "deploy_file_parent"]
+)
 def test_an_output_path_of_the_wrong_kind_is_refused_before_work(
     command, tiny_run, tmp_path, monkeypatch, capsys
 ):
     """A file where a run or sweep directory goes, or a directory where
-    deploy's CSV goes, exits 1 naming it, with or without --force, before
-    anything is trained or simulated, and is left as it was."""
+    deploy's CSV goes, or a CSV whose parent is missing or a file, exits 1
+    naming it, with or without --force, before anything is trained or
+    simulated, and is left as it was."""
     from bornbench import cli
 
     config, run = tiny_run
     taken = tmp_path / "taken"
     taken.write_text("keep\n")
+    deploy = ["deploy", str(run), "--noise", str(MODERATE), "--out"]
     argv = {
         "train": ["train", "-c", str(config), "-o", str(taken)],
         "warmstart": ["warmstart", str(run), "--step", "0", "-o", str(taken)],
         "sweep": ["sweep", "-c", str(config), "-o", str(taken)],
-        "deploy": ["deploy", str(run), "--noise", str(MODERATE), "--out", "checkpoints"],
+        "deploy": deploy + ["checkpoints"],
+        "deploy_no_parent": deploy + ["missing/d.csv"],
+        "deploy_file_parent": deploy + ["config.txt/d.csv"],
     }[command]
-    if command == "deploy":
-        taken = run / "checkpoints"
-    before = snapshot(taken)
+    if command.startswith("deploy"):
+        taken = run / argv[-1]
+    kept = taken.parent if command == "deploy_file_parent" else taken
+    before = snapshot(run) if command == "deploy_no_parent" else snapshot(kept)
     calls = []
     for name in ("train", "resume", "circuit_probabilities"):
         monkeypatch.setattr(cli, name, lambda *args, name=name: calls.append(name))
@@ -157,7 +164,10 @@ def test_an_output_path_of_the_wrong_kind_is_refused_before_work(
         assert main(argv + force) == 1
         assert str(taken) in capsys.readouterr().err
     assert calls == []
-    assert before and snapshot(taken) == before
+    if command == "deploy_no_parent":
+        assert not taken.parent.exists() and snapshot(run) == before
+    else:
+        assert before and snapshot(kept) == before
 
 
 def test_train_invalid_config(tmp_path):

@@ -35,7 +35,6 @@ from bornbench import (
 from bornbench import sim, training
 from bornbench.ansatz import CircuitSpec, EntanglerLayer
 from bornbench.mmd import shift_batch
-from bornbench.noise import contract_axis
 from bornbench.runio import config_from_items, load_config_file, read_sweep, write_run
 from bornbench.training import TAG_GRAD
 from conftest import density_matrix
@@ -485,66 +484,136 @@ def test_density_bytes_unchanged_on_every_register(register, noise):
     assert density_pin(*register, PIN_NOISE[noise]) == DENSITY_PINS[key]
 
 
+class Recorded(np.ndarray):
+    """An array that records the shape of every matrix product it enters as
+    the only recorded operand into ``products``, and the shape of the other
+    operand into ``operands``."""
+
+    products: list = []
+    operands: list = []
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        mine = [isinstance(a, Recorded) for a in inputs]
+        out = getattr(ufunc, method)(*map(np.asarray, inputs), **kwargs)
+        if ufunc is np.matmul and mine.count(True) == 1:
+            Recorded.products.append(inputs[mine.index(True)].shape)
+            Recorded.operands.append(inputs[mine.index(False)].shape)
+        return out.view(Recorded) if all(mine) else out
+
+
 @pytest.fixture
 def density_products(monkeypatch):
     """The shape of the matrix side of every product ``evolve_density`` takes
     of one of its gate matrices (a rotation, an edge or a damping) with the
     state, in the order taken.  Each matrix comes out of ``_in_coordinates``
     as an array that records the products it enters."""
-    products, in_coordinates = [], sim._in_coordinates
-
-    class Recorded(np.ndarray):
-        def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
-            mine = [isinstance(a, Recorded) for a in inputs]
-            out = getattr(ufunc, method)(*map(np.asarray, inputs), **kwargs)
-            if ufunc is np.matmul and mine.count(True) == 1:
-                products.append(inputs[mine.index(True)].shape)
-            return out.view(Recorded) if all(mine) else out
-
+    in_coordinates = sim._in_coordinates
+    monkeypatch.setattr(Recorded, "products", [])
+    monkeypatch.setattr(Recorded, "operands", [])
     monkeypatch.setattr(sim, "_in_coordinates", lambda s: in_coordinates(s).view(Recorded))
     sim._superoperators.cache_clear()
-    yield products
+    yield Recorded.products
     sim._superoperators.cache_clear()
 
 
-@pytest.mark.parametrize("case", ["column_all_differ", "all_rows_equal", "signed_zero"])
+@pytest.fixture
+def statevector_products(monkeypatch):
+    """The shape of the matrix side of every product ``run_statevector``
+    takes of its rotation matrices with the state, in the order taken."""
+    rotations = sim._rotations
+
+    def recorded(circuit, theta):
+        *rest, u = rotations(circuit, theta)
+        return (*rest, u.view(Recorded))
+
+    monkeypatch.setattr(Recorded, "products", [])
+    monkeypatch.setattr(Recorded, "operands", [])
+    monkeypatch.setattr(sim, "_rotations", recorded)
+    return Recorded.products
+
+
+GROUPING_CASES = [
+    "column_all_differ",
+    "all_rows_equal",
+    "signed_zero",
+    "reversed_shift",
+    "row_0_copy_in_middle",
+    "every_row_every_slot",
+]
+
+
+@pytest.mark.parametrize("case", GROUPING_CASES)
 @pytest.mark.parametrize("noisy", [False, True], ids=["noiseless", "noisy"])
-def test_grouping_edge_cases_match_rows_bit_for_bit(case, noisy, request, monkeypatch):
+def test_grouping_edge_cases_match_rows_bit_for_bit(case, noisy, request):
+    """Batches that the two walks group otherwise than a shift batch: each
+    row comes out as it does alone.  The density path redoes the rows whose
+    angle differs from row 0's with one stack of their matrices per slot.
+    The statevector walk takes the rows in join order; per slot it makes the
+    rows joining there with one stack, then redoes the joined rows that
+    differ again with another, and its shared product covers row 0 alone
+    when every other joined row is redone."""
     circuit = TrainingConfig(d_c=2, n_layers=2).circuit()
+    n_params = circuit.parameter_count
     rng = np.random.default_rng(11)
-    theta = rng.uniform(-7.0, 7.0, circuit.parameter_count)
+    theta = rng.uniform(-7.0, 7.0, n_params)
     zeros = [0, 5, 11]
     if case == "column_all_differ":
         thetas = shift_batch(theta)
         thetas[:, 7] = rng.uniform(-7.0, 7.0, len(thetas))
     elif case == "all_rows_equal":
         thetas = np.tile(theta, (6, 1))
-    else:  # rows 1 and 3 hold -0.0 where rows 0 and 2 hold 0.0
+    elif case == "signed_zero":  # rows 1 and 3 hold -0.0 where rows 0 and 2 hold 0.0
         thetas = np.tile(theta, (4, 1))
         thetas[:, zeros] = 0.0
         thetas[1::2, zeros] = -0.0
+    elif case == "reversed_shift":  # row 0 is theta_27 - pi/2, so every row differs at slot 27
+        thetas = shift_batch(theta)[::-1].copy()
+    elif case == "row_0_copy_in_middle":
+        thetas = shift_batch(theta)
+        thetas = np.insert(thetas, len(thetas) // 2, thetas[0], axis=0)
+    else:  # what deploy simulates: a trajectory of unrelated angle vectors
+        thetas = rng.uniform(-7.0, 7.0, (7, n_params))
     noise = load_noise(MODERATE) if noisy else None
     assert_batch_is_rows_alone(circuit, thetas, noise)
 
-    stacks = []
-    if noisy:  # the density path redoes rows in one product with a stack of matrices
-        products = request.getfixturevalue("density_products")
-    else:
-
-        def counting(t, axis, m):
-            if m.ndim == 3:
-                stacks.append(len(m))
-            return contract_axis(t, axis, m)
-
-        monkeypatch.setattr(sim, "contract_axis", counting)
+    products = request.getfixturevalue("density_products" if noisy else "statevector_products")
     circuit_probabilities(circuit, thetas, noise)
-    if noisy:
-        stacks = [shape[0] for shape in products if len(shape) == 3]
-    expected = {
-        "column_all_differ": [2] * 7 + [len(thetas) - 1] + [2] * (circuit.parameter_count - 8),
-        "all_rows_equal": [],
-        "signed_zero": [2] * len(zeros),  # angles are told apart by bit pattern
-    }[case]
+    stacks = [shape[0] for shape in products if len(shape) == 3]
+    if noisy:  # the rows that differ from row 0 at each slot, in one stack
+        expected = {
+            "column_all_differ": [2] * 7 + [len(thetas) - 1] + [2] * (n_params - 8),
+            "all_rows_equal": [],
+            "signed_zero": [2] * len(zeros),  # angles are told apart by bit pattern
+            "reversed_shift": [2] * (n_params - 1) + [len(thetas) - 1],
+            "row_0_copy_in_middle": [2] * n_params,
+            "every_row_every_slot": [len(thetas) - 1] * n_params,
+        }[case]
+    else:  # per slot: the joining rows' stack, then the redone rows' stack
+        slots = {
+            # rows of slots 0-6 join there and are redone at 7, where the
+            # other 42 shifted rows join; at its slot a shifted row is redone
+            "column_all_differ": [[2]] * 7 + [[42, 14]] + [[2]] * (n_params - 8),
+            "all_rows_equal": [[]] * n_params,
+            "signed_zero": [[2], [], [], [], [], [2]] + [[]] * 5 + [[2]] + [[]] * 16,
+            # the row with theta and the row with theta_27 + pi/2 join last
+            "reversed_shift": [[2]] * (n_params - 1) + [[2, 2 * (n_params - 1)]],
+            "row_0_copy_in_middle": [[2]] * n_params,  # the copy never joins
+            "every_row_every_slot": [[6]] * n_params,  # all join at slot 0, then redone
+        }[case]
+        expected = [size for stack in slots for size in stack]
+        # rows under the shared product: those joined, or row 0 alone when
+        # every other joined row is redone
+        rows = {
+            "column_all_differ": [1 + 2 * s for s in range(7)] + [1] + [57] * (n_params - 8),
+            "all_rows_equal": [1] * n_params,
+            "signed_zero": [1] + [3] * 4 + [1] + [3] * 5 + [1] + [3] * 16,
+            "reversed_shift": [1 + 2 * s for s in range(n_params - 1)] + [1],
+            "row_0_copy_in_middle": [1 + 2 * s for s in range(n_params)],
+            "every_row_every_slot": [1] * n_params,
+        }[case]
+        width = 2 ** (circuit.n_qubits - 1)
+        shared = [other[1] // width for shape, other in zip(products, Recorded.operands) if len(shape) == 2]
+        assert shared == rows
     assert stacks == expected
 
 

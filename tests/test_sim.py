@@ -84,6 +84,36 @@ def test_rz_inverse_pair():
     assert np.allclose(back, run_statevector(prepared_2q(()), PREP_2Q), rtol=0.0, atol=1e-12)
 
 
+def test_rotation_matrices_are_the_scalar_formulas_bit_for_bit():
+    """``_rotations`` takes every matrix entry from numpy's complex exp:
+    Rx(a) is [[c, -i s], [-i s, c]] with c, s = math.cos(a / 2) and
+    math.sin(a / 2) bit for bit (off-diagonal real parts +0.0), and Rz(a) is
+    diag(exp(-i a / 2), exp(i a / 2)) with the second the conjugate of the
+    first.  Signed zeros, pi and huge angles included."""
+    rng = np.random.default_rng(3)
+    specials = [0.0, -0.0, math.pi, -math.pi, 2 * math.pi, 1e-300, -1e-300, 1e300]
+    angles = np.concatenate([[1.0], rng.uniform(-60.0, 60.0, 5000), specials])
+    circuit = CircuitSpec(1, (("rx", "rz"),), ())
+    _, _, rows, bounds, u = sim._rotations(circuit, np.stack([angles, angles], axis=1))
+    # every row but row 0 (angle 1.0) differs at both slots, so rows are in input order
+    assert rows.tolist() == list(range(len(angles))) * 2 and bounds == [0, len(angles), 2 * len(angles)]
+    rx, rz = u[: len(angles)], u[len(angles) :]
+    c = np.array([math.cos(a / 2.0) for a in angles])
+    s = np.array([math.sin(a / 2.0) for a in angles])
+
+    def bits(a):
+        return np.ascontiguousarray(a).view(np.uint64)
+
+    for entry in (rx[:, 0, 0], rx[:, 1, 1]):
+        assert np.array_equal(bits(entry.real), bits(c)) and not bits(entry.imag).any()
+    for entry in (rx[:, 0, 1], rx[:, 1, 0]):
+        assert np.array_equal(bits(entry.imag), bits(-s)) and not bits(entry.real).any()
+    phase = np.array([complex(math.cos(a / 2.0), -math.sin(a / 2.0)) for a in angles])
+    assert np.array_equal(bits(rz[:, 0, 0]), bits(phase))
+    assert np.array_equal(bits(rz[:, 1, 1]), bits(phase.conj()))
+    assert not bits(rz[:, 0, 1]).any() and not bits(rz[:, 1, 0]).any()
+
+
 def test_rz_changes_interference():
     # oracle: multiply the 2x2 matrices directly; Rx(pi/2) then Rz(pi/2)
     # prepares |+> up to phase, on which a further Rx(pi/2) keeps both
