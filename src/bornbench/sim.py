@@ -27,9 +27,11 @@ state is (gate qubit, batch, other qubits in ascending order), transposed as
 fixed per circuit (``_layouts``), and the CNOTs of a sub-covering only
 permute entries, so they are one cached gather.  Each amplitude goes through
 the same 2x2 BLAS arithmetic whatever a product's width, given a C-ordered
-output and rows of at least 4 columns; narrower registers take a product
-per row.  The density path shares one product over the whole batch and
-redoes the differing rows alone.
+output (numpy transposes the product for another), rows of at least 4
+columns and the other qubits in ascending order (a column's zero signs
+depend on its position); narrower registers take a product per row.  The
+density path shares one product over the whole batch and redoes the
+differing rows alone.
 
 A density matrix is held in real coordinates: qubit q's (ket bit, bra bit)
 pair holds the coefficients of |0><0|, X, Y and |1><1| at 0, 1, 2, 3, so the
