@@ -40,8 +40,9 @@ from .runio import (
     write_csv,
     write_run,
 )
-from .sim import circuit_probabilities
-from .training import TAG_DEPLOY, TrainingConfig, resume, rng_stream, train
+from .sim import circuit_probabilities, generators, stream_seeds
+# rng_stream is unused here, but perfbench traces it at this module
+from .training import TAG_DEPLOY, TrainingConfig, resume, rng_stream, train  # noqa: F401
 
 
 class CliError(Exception):
@@ -79,18 +80,15 @@ def cmd_deploy(args) -> int:
     circuit = config.circuit()
     target = config.target()
     both = (circuit_probabilities(circuit, thetas), circuit_probabilities(circuit, thetas, noise))
+    # TAG_DEPLOY's last stream coordinate: 0 noiseless, 1 noisy
+    keys = [(config.seed, TAG_DEPLOY, step, stream) for step in steps for stream in (0, 1)]
+    seeds = iter(stream_seeds(keys, [config.kl_repeats] * len(keys)))
     rows = []
     for step, *pair in zip(steps, *both):
         row = [str(step)]
-        # TAG_DEPLOY's last stream coordinate: 0 noiseless, 1 noisy
-        for stream, probs in enumerate(pair):
-            kl = kl_sampling_summary(
-                target,
-                probs,
-                rng_stream(config.seed, TAG_DEPLOY, step, stream),
-                n_repeats=config.kl_repeats,
-                n_shots=config.kl_shots,
-            )
+        for probs in pair:
+            streams = generators(next(seeds))
+            kl = kl_sampling_summary(target, probs, streams, n_shots=config.kl_shots)
             row += [fmt_float(kl.mean), fmt_float(kl.std)]
         rows.append(row)
     header = ["step", "kl_mean_noiseless", "kl_std_noiseless", "kl_mean_noisy", "kl_std_noisy"]

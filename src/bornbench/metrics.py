@@ -32,7 +32,7 @@ import numpy as np
 
 from .bas import TargetDistribution
 # circuit_probabilities is unused here, but perfbench traces it at this module
-from .sim import circuit_probabilities, sample_counts, spawn  # noqa: F401
+from .sim import circuit_probabilities, sample_counts  # noqa: F401
 
 RESAMPLE_CHUNK = 1024  # rows per draw in qbas_score; bounds its memory
 
@@ -78,19 +78,17 @@ def kl_divergence(p: TargetDistribution, counts) -> list[float]:
 def kl_sampling_summary(
     p: TargetDistribution,
     probs,
-    rng: np.random.Generator,
-    n_repeats: int = 10,
+    streams,
     n_shots: int = 2048,
 ) -> KlEstimate:
     """Mean and sample standard deviation of KL over independent histograms
-    drawn from an outcome distribution, histogram k from the k-th child of
-    ``rng`` as ``sim.spawn`` computes it, which equals numpy's
-    ``Generator.spawn`` (a test pins this).  ``rng`` acts as a seed and is
-    not advanced; it must be a fresh ``PCG64`` generator."""
-    if n_repeats < 2:
+    drawn from an outcome distribution, histogram k from generator
+    ``streams[k]``; the training loop passes the ``kl_repeats`` children of
+    the step's KL stream, as ``sim.stream_seeds`` derives them."""
+    if len(streams) < 2:
         raise ValueError("need at least 2 repeats for a standard deviation")
-    rows = np.broadcast_to(probs, (n_repeats,) + np.shape(probs))
-    counts = sample_counts(rows, n_shots, spawn(rng, n_repeats))
+    rows = np.broadcast_to(probs, (len(streams),) + np.shape(probs))
+    counts = sample_counts(rows, n_shots, streams)
     values = kl_divergence(p, counts)
     smoothed = bool(np.any(counts[:, p.support] == 0))
     return KlEstimate(math.fsum(values) / len(values), float(np.std(values, ddof=1)), smoothed)
@@ -171,27 +169,26 @@ def qbas_aggregate(scores) -> QbasResult:
 def qbas_from_probs(
     probs,
     bas_states,
-    rng: np.random.Generator,
+    streams,
     pool,
     shots: int = 1024,
-    repeats: int = 11,
     sample_size: int = 15,
     resamples: int = 10000,
 ):
-    """qBAS protocol on an outcome distribution: ``repeats`` independent
-    histograms, each scored by resampling.  The histograms are drawn here and
-    their ``qbas_score`` calls queued with ``pool.map`` (an ``Executor``);
-    the returned iterator yields each histogram's (mean, variance) in order,
-    and ``qbas_aggregate`` of it is the ``QbasResult``, the same whatever the
-    pool's size.  Counts row k is drawn from, then resampled on, the k-th
-    child of ``rng`` as ``sim.spawn`` computes it, which equals numpy's
-    ``Generator.spawn`` (a test pins this); ``rng`` acts as a seed and is not
-    advanced, and it must be a fresh ``PCG64`` generator.
+    """qBAS protocol on an outcome distribution: one histogram per generator
+    in ``streams``, each scored by resampling.  The histograms are drawn here
+    and their ``qbas_score`` calls queued with ``pool.map`` (an
+    ``Executor``); the returned iterator yields each histogram's (mean,
+    variance) in order, and ``qbas_aggregate`` of it is the ``QbasResult``,
+    the same whatever the pool's size.  Counts row k is drawn from, then
+    resampled on, ``streams[k]``; the training loop passes the
+    ``qbas_repeats`` children of the step's qBAS stream, as
+    ``sim.stream_seeds`` derives them.
     """
-    if repeats < 1:
-        raise ValueError(f"repeats must be positive, got {repeats}")
-    streams = spawn(rng, repeats)
-    counts = sample_counts(np.broadcast_to(probs, (repeats,) + np.shape(probs)), shots, streams)
+    if not len(streams):
+        raise ValueError("repeats must be positive, got 0")
+    rows = np.broadcast_to(probs, (len(streams),) + np.shape(probs))
+    counts = sample_counts(rows, shots, streams)
     return pool.map(
         qbas_score, counts, repeat(bas_states), repeat(sample_size), repeat(resamples), streams
     )

@@ -26,9 +26,11 @@ import numpy as np
 from .ansatz import CircuitSpec
 from .bas import TargetDistribution
 from .noise import NoiseModel
-from .sim import circuit_probabilities, sample_counts, spawn
+from .sim import circuit_probabilities, sample_counts
 
 MAX_KERNEL_BITS = 12
+# a kernel whose smallest eigenvalue is below -PSD_TOLERANCE is refused
+PSD_TOLERANCE = 1e-10
 
 DISTANCE_KINDS = ("integer-squared", "hamming-squared")
 
@@ -73,6 +75,30 @@ class KernelSpec:
         with np.errstate(over="ignore"):  # -d / denom may round to -inf: entry 0
             d /= -denom  # in place, as d is the largest array built here
             self.matrix = np.exp(d, out=d)
+        # exp(-h^2 / (2 sigma)), h^2 the fourth power of a Euclidean distance,
+        # is indefinite at large sigma, and then the MMD can go negative; the
+        # Gaussian over integer labels is positive definite at every sigma
+        if self.distance == "hamming-squared":
+            smallest = walsh_hadamard(self.matrix[0]).min()
+            if smallest < -PSD_TOLERANCE:
+                raise ValueError(
+                    f"sigma = {self.sigma!r} with kernel_distance = {self.distance} gives a "
+                    f"kernel that is not positive semi-definite (smallest eigenvalue "
+                    f"{smallest:.3g}); take a smaller sigma or integer-squared"
+                )
+
+
+def walsh_hadamard(row: np.ndarray) -> np.ndarray:
+    """Walsh-Hadamard transform of a length-2^n vector.  Of row 0 of a kernel
+    that depends on x XOR y, as a Hamming-distance kernel does, it gives the
+    kernel's eigenvalues: the kernel is a convolution on the group Z_2^n."""
+    out = np.asarray(row, dtype=float)
+    half = 1
+    while half < len(out):
+        pairs = out.reshape(-1, 2, half)
+        out = np.stack((pairs[:, 0] + pairs[:, 1], pairs[:, 0] - pairs[:, 1]), axis=1).reshape(-1)
+        half *= 2
+    return out
 
 
 def mmd_loss(counts, p: TargetDistribution, spec: KernelSpec) -> float:
@@ -125,28 +151,27 @@ def mmd_gradient(
     spec: KernelSpec,
     mode: str = "exact",
     n_shots: int | None = None,
-    rng: np.random.Generator | None = None,
+    streams=None,
 ) -> np.ndarray:
     """Parameter-shift gradient of the MMD loss from the outcome
     distributions (2P+1, 2^n) that ``shift_probabilities`` returns.
 
     In ``sampled`` mode each row is estimated from a fresh independent
-    ``n_shots`` histogram, row k drawing from the k-th child of ``rng`` as
-    ``sim.spawn`` computes it, which equals numpy's ``Generator.spawn`` (a
-    test pins this).  ``rng`` acts as a seed and is not advanced; it must be
-    a fresh ``PCG64`` generator.  ``exact`` mode uses the distributions
+    ``n_shots`` histogram, row k drawn from generator ``streams[k]``; the
+    training loop passes the 2P+1 children of the step's gradient stream, as
+    ``sim.stream_seeds`` derives them.  ``exact`` mode uses the distributions
     themselves.
     """
     q = np.asarray(q, dtype=float)
     sampled = mode == "sampled"
     if mode not in ("sampled", "exact"):
         raise ValueError(f"unknown gradient mode {mode!r}")
-    if sampled and (n_shots is None or rng is None):
-        raise ValueError("sampled mode needs n_shots and rng")
+    if sampled and (n_shots is None or streams is None):
+        raise ValueError("sampled mode needs n_shots and streams")
     if q.ndim != 2 or len(q) % 2 == 0 or q.shape[1] != len(p.probs):
         raise ValueError(f"need the distributions of a shift batch, got shape {q.shape}")
     if sampled:
-        q = sample_counts(q, n_shots, spawn(rng, len(q))) / n_shots
+        q = sample_counts(q, n_shots, streams) / n_shots
     weight = spec.matrix @ (q[0] - p.probs)
     # a dot product per parameter: one matrix-vector product would round differently
     return np.array([row @ weight for row in q[1::2] - q[2::2]])

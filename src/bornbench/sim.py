@@ -98,12 +98,11 @@ _MASK32 = 0xFFFFFFFF
 _POOL_SIZE = 4
 
 
-def _word_count(value) -> int:
+def _word_count(entropy) -> int:
     """How many 32-bit words ``SeedSequence`` assembles from an int or a
-    (nested) sequence of ints."""
-    if isinstance(value, (int, np.integer)):
-        return max(1, -(-int(value).bit_length() // 32))
-    return sum(map(_word_count, value))
+    sequence of ints."""
+    values = (entropy,) if isinstance(entropy, (int, np.integer)) else entropy
+    return sum([(int(value).bit_length() + 31) // 32 or 1 for value in values])
 
 
 @lru_cache(maxsize=16)
@@ -131,10 +130,10 @@ def _mix(x, y):
 
 @lru_cache(maxsize=1)
 def _seed_type() -> type:
-    """A seed sequence holding one spawned stream's seed words: all that
-    ``PCG64`` asks of one.  Built on first use, as importing numpy.random
-    with the package would add about 2.5 MB to every process that imports
-    it, sampling or not."""
+    """A seed sequence holding one stream's seed words: all that ``PCG64``
+    asks of one.  Built on first use, as importing numpy.random with the
+    package would add about 2.5 MB to every process that imports it,
+    sampling or not."""
     from numpy.random.bit_generator import ISeedSequence
 
     class Seed(ISeedSequence):
@@ -142,50 +141,57 @@ def _seed_type() -> type:
             self.words = words
 
         def generate_state(self, n_words, dtype=np.uint32):
-            if n_words != len(self.words) or np.dtype(dtype) != np.uint64:
-                raise ValueError(f"a spawned stream holds {len(self.words)} uint64 words")
+            uint64 = dtype is np.uint64 or np.dtype(dtype) == np.uint64
+            if n_words != len(self.words) or not uint64:
+                raise ValueError(f"a seeded stream holds {len(self.words)} uint64 words")
             return self.words
 
     return Seed
 
 
-def spawn(rng: np.random.Generator, n: int) -> list[np.random.Generator]:
-    """``n`` independent generators whose ``PCG64`` states are exactly those
-    of ``rng.spawn(n)``, computed in one vectorised pass.
+def stream_seeds(entropies, counts) -> list[np.ndarray]:
+    """Seed words of numpy's ``PCG64`` streams, computed in one vectorised
+    pass: for each entropy and count, a (1, 4) uint64 array for the stream of
+    ``SeedSequence(entropy)`` when the count is None, else (n, 4) for its n
+    children, those of ``Generator.spawn(n)`` on that stream.  ``generators``
+    makes the streams.
 
-    numpy's ``SeedSequence`` seeds child k from the parent's entropy and
-    spawn key followed by the word k.  Everything before that word is what
-    numpy already hashed into the parent's pool, so the word k is mixed into
-    that pool for all children at once, and each child's ``PCG64`` gets its
-    seed words directly.  ``rng`` acts as a seed: its spawn counter is not
-    advanced, so equal generators spawn equal children.  Only a ``PCG64``
-    generator seeded by a 4-word ``SeedSequence`` that has spawned nothing is
-    accepted.
+    Each parent's pool is numpy's own.  numpy seeds child k from the parent's
+    entropy followed by the word k, and everything before that word is what
+    it already hashed into the pool; so the word k of every child of every
+    parent is mixed into its pool at once, then every stream's seed words
+    are hashed from its pool at once.
     """
-    bit_generator = rng.bit_generator
-    seq = bit_generator.seed_seq
-    if type(bit_generator) is not np.random.PCG64:
-        raise ValueError(f"spawn needs a PCG64 generator, got {type(bit_generator).__name__}")
-    if type(seq) is not np.random.SeedSequence or seq.pool_size != _POOL_SIZE:
-        raise ValueError(f"spawn needs a SeedSequence with a {_POOL_SIZE}-word pool")
-    if seq.n_children_spawned:
-        raise ValueError("spawn needs a generator that has not spawned yet")
-    if n < 0:
-        raise ValueError(f"cannot spawn {n} generators")
-
-    # The parent's pool took one hash per pool word, 12 to mix them, and 4
-    # per word past the pool size, counting the entropy padded to the pool
-    # size when the spawn key is nonempty; the child's word k continues the
-    # hash constant from there, one row of (n, 4) pool words per child.
-    extra = max(0, _word_count(seq.entropy) - _POOL_SIZE) + _word_count(seq.spawn_key)
-    xor, mul = _hash_constants(_INIT_A, _MULT_A, _POOL_SIZE * (_POOL_SIZE + extra), _POOL_SIZE)
-    index = np.arange(n, dtype=np.uint32)[:, None]
-    pool = _mix(seq.pool, _hash(index, xor, mul))
+    pools, tables, sizes, spawned = [], [], [], []
+    for entropy, n in zip(entropies, counts, strict=True):
+        if n is not None and n < 0:
+            raise ValueError(f"cannot spawn {n} streams")
+        pools.append(np.random.SeedSequence(entropy).pool)
+        # The pool took one hash per pool word, 12 to mix them, and 4 per
+        # word past the pool size; a child's word k continues the hash
+        # constant from there, its entropy padded to the pool size.
+        skip = _POOL_SIZE * max(_POOL_SIZE, _word_count(entropy))
+        tables.append(_hash_constants(_INIT_A, _MULT_A, skip, _POOL_SIZE))
+        sizes.append(1 if n is None else n)
+        spawned.append(n is not None)
+    if not pools:
+        return []
+    ends = np.cumsum(sizes)
+    pool, table = (np.repeat(a, sizes, axis=0) for a in (pools, tables))
+    index = (np.arange(ends[-1]) - np.repeat(ends - sizes, sizes)).astype(np.uint32)
+    mixed = _mix(pool, _hash(index[:, None], table[:, 0], table[:, 1]))
+    pool = np.where(np.repeat(spawned, sizes)[:, None], mixed, pool)
     # generate_state(4, np.uint64): 8 words hashed from the pool in turn,
     # paired little-endian into 64-bit words
     xor, mul = _hash_constants(_INIT_B, _MULT_B, 0, 8)
     state = _hash(np.tile(pool, 2), xor, mul)
     seeds = state.astype("<u4").view("<u8").astype(np.uint64)
+    return [seeds[end - size : end] for end, size in zip(ends.tolist(), sizes)]
+
+
+def generators(seeds) -> list[np.random.Generator]:
+    """A generator per row of ``stream_seeds`` words, drawing what numpy's
+    stream with those words draws."""
     seed = _seed_type()
     return [np.random.Generator(np.random.PCG64(seed(row))) for row in seeds]
 
@@ -199,13 +205,18 @@ def sample_counts(probs, n_shots: int, streams) -> np.ndarray:
     if p.ndim != 2 or len(p) != len(streams):
         raise ValueError(f"need one generator per row, got {len(streams)} for {p.shape}")
     totals = p.sum(axis=-1, keepdims=True)
-    if np.any(p < 0.0) or not np.all((totals > 0.0) & np.isfinite(totals)):
+    # NaN fails every comparison; initial values let an empty batch through
+    if not (
+        p.min(initial=0.0) >= 0.0
+        and totals.min(initial=np.inf) > 0.0
+        and totals.max(initial=0.0) < np.inf
+    ):
         raise ValueError("probabilities must be nonnegative with positive sum")
     p = p / totals
-    return np.array(
-        [stream.multinomial(n_shots, row) for stream, row in zip(streams, p)],
-        dtype=np.int64,
-    )
+    counts = np.empty(p.shape, dtype=np.int64)
+    for stream, row, out in zip(streams, p, counts):
+        out[...] = stream.multinomial(n_shots, row)
+    return counts
 
 
 def sample_histogram(probs, n_shots: int, rng: np.random.Generator) -> np.ndarray:

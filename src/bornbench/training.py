@@ -28,7 +28,7 @@ from .metrics import (
 )
 from .mmd import KernelSpec, mmd_gradient, mmd_loss, mmd_loss_exact, shift_probabilities
 from .noise import NoiseModel
-from .sim import circuit_probabilities, sample_histogram
+from .sim import circuit_probabilities, generators, sample_histogram, stream_seeds
 
 # Stream purposes; each combines with the seed and global step index.
 TAG_INIT = 0
@@ -44,9 +44,15 @@ CONFIG_DIGEST_VERSION = 1
 # a change to noisy bytes leaves every noiseless digest and checkpoint alone.
 DENSITY_PATH_VERSION = 3
 
+# Steps whose sampling streams are seeded in one ``stream_seeds`` call; only
+# run time depends on it, as each stream is keyed on its global step.
+STREAM_BLOCK = 64
+
 
 def rng_stream(seed: int, *path: int) -> np.random.Generator:
-    """Independent generator for a (seed, purpose, ...) coordinate."""
+    """Independent generator for a (seed, purpose, ...) coordinate: the
+    stream of ``SeedSequence((seed, *path))``, the entropy that
+    ``stream_seeds`` takes for the run's sampling streams."""
     return np.random.default_rng(np.random.SeedSequence((seed, *path)))
 
 
@@ -263,24 +269,39 @@ def initial_theta(config: TrainingConfig, n_params: int) -> np.ndarray:
     return rng.uniform(0.0, 2.0 * np.pi, n_params)
 
 
-def _evaluate_metrics(config: TrainingConfig, probs: np.ndarray, step: int, pool):
-    """The loss and every metric at one evaluated step; qBAS, when enabled,
-    is queued on ``pool`` and its scores returned as an iterator, the
-    record's qBAS fields unset."""
+def _block_seeds(config: TrainingConfig, steps, evaluated, last_step: int) -> dict:
+    """Seed words of every stream that ``steps`` draw from, keyed on
+    (purpose, step), from one ``stream_seeds`` call: the loss, KL, F1 and
+    qBAS streams of each step that ``evaluated`` accepts, and the children
+    of the gradient stream of each step before ``last_step``."""
+    sampled = config.gradient_mode == "sampled"
+    n_rows = 2 * config.circuit().parameter_count + 1
+    keys = []  # (purpose, step, children or None for the stream itself)
+    for step in steps:
+        if evaluated(step):
+            keys += [(TAG_LOSS, step, None)] * sampled
+            keys += [(TAG_KL, step, config.kl_repeats), (TAG_F1, step, None)]
+            keys += [(TAG_QBAS, step, config.qbas_repeats)] * config.qbas_enabled
+        if sampled and step < last_step:
+            keys.append((TAG_GRAD, step, n_rows))
+    seeds = stream_seeds([(config.seed, tag, step) for tag, step, _ in keys], [n for *_, n in keys])
+    return {key[:2]: words for key, words in zip(keys, seeds)}
+
+
+def _evaluate_metrics(config: TrainingConfig, probs: np.ndarray, step: int, seeds: dict, pool):
+    """The loss and every metric at one evaluated step, drawn from the
+    streams of ``seeds`` (``_block_seeds``); qBAS, when enabled, is queued on
+    ``pool`` and its scores returned as an iterator, the record's qBAS
+    fields unset."""
     target, kernel = config.target(), config.kernel()
     if config.gradient_mode == "exact":
         loss = mmd_loss_exact(probs, target, kernel)
     else:
-        hist = sample_histogram(probs, config.n_shots_train, rng_stream(config.seed, TAG_LOSS, step))
+        hist = sample_histogram(probs, config.n_shots_train, *generators(seeds[TAG_LOSS, step]))
         loss = mmd_loss(hist, target, kernel)
-    kl = kl_sampling_summary(
-        target,
-        probs,
-        rng_stream(config.seed, TAG_KL, step),
-        n_repeats=config.kl_repeats,
-        n_shots=config.kl_shots,
-    )
-    f1_hist = sample_histogram(probs, config.kl_shots, rng_stream(config.seed, TAG_F1, step))
+    kl_streams = generators(seeds[TAG_KL, step])
+    kl = kl_sampling_summary(target, probs, kl_streams, n_shots=config.kl_shots)
+    f1_hist = sample_histogram(probs, config.kl_shots, *generators(seeds[TAG_F1, step]))
     f1 = f1_per_state(target, f1_hist)
     record = MetricRecord(step, loss, kl.mean, kl.std, f1, kl.smoothed)
     if pool is None:
@@ -288,10 +309,9 @@ def _evaluate_metrics(config: TrainingConfig, probs: np.ndarray, step: int, pool
     scores = qbas_from_probs(
         probs,
         target.support,
-        rng_stream(config.seed, TAG_QBAS, step),
+        generators(seeds[TAG_QBAS, step]),
         pool,
         shots=config.qbas_shots,
-        repeats=config.qbas_repeats,
         sample_size=config.qbas_sample_size,
         resamples=config.qbas_resamples,
     )
@@ -332,6 +352,11 @@ def _run(
         cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
         pool = ThreadPoolExecutor(cpus or 1)
     pending = []
+    sampled = config.gradient_mode == "sampled"
+
+    def evaluated(step: int) -> bool:
+        return step in (start_step, last_step) or step % config.metric_every == 0
+
     try:
         for step in range(start_step, last_step + 1):
             boundary = step in (start_step, last_step)
@@ -340,8 +365,11 @@ def _run(
                 probs = q[0]
             else:
                 probs = circuit_probabilities(circuit, theta, config.noise)
-            if boundary or step % config.metric_every == 0:
-                record, scores = _evaluate_metrics(config, probs, step, pool)
+            if (step - start_step) % STREAM_BLOCK == 0:
+                block = range(step, min(step + STREAM_BLOCK, last_step + 1))
+                seeds = _block_seeds(config, block, evaluated, last_step)
+            if evaluated(step):
+                record, scores = _evaluate_metrics(config, probs, step, seeds, pool)
                 metrics.append(record)
                 if scores is not None:
                     pending.append((record, scores))
@@ -359,7 +387,7 @@ def _run(
                 kernel,
                 mode=config.gradient_mode,
                 n_shots=config.n_shots_train,
-                rng=rng_stream(config.seed, TAG_GRAD, step),
+                streams=generators(seeds[TAG_GRAD, step]) if sampled else None,
             )
             adam, theta = adam_step(
                 adam, grad, theta, config.alpha, config.beta1, config.beta2, config.epsilon

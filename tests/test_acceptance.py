@@ -209,7 +209,7 @@ def test_a5_qbas_scores():
                 qbas_from_probs(
                     circuit_probabilities(config.circuit(), record.final_theta),
                     BAS22,
-                    rng_stream(0, 50, d_c),
+                    rng_stream(0, 50, d_c).spawn(11),
                     pool,
                 )
             )
@@ -349,7 +349,7 @@ def test_a8_noise_model_properties(runs_dc2_L2_2048):
     for k, p2 in enumerate((0.0, 0.01, 0.02, 0.04)):
         noise = NoiseModel(p2=p2)
         probs = circuit_probabilities(circuit, theta, noise)
-        estimates.append(kl_sampling_summary(target, probs, rng_stream(77, k)))
+        estimates.append(kl_sampling_summary(target, probs, rng_stream(77, k).spawn(10)))
     monotone = all(
         b.mean >= a.mean - 3 * math.hypot(a.std, b.std) / math.sqrt(10)
         for a, b in zip(estimates, estimates[1:])
@@ -361,12 +361,12 @@ def test_a8_noise_model_properties(runs_dc2_L2_2048):
     )
     record4 = train(config4)
     noisy2 = kl_sampling_summary(
-        target, circuit_probabilities(circuit, theta, NOISE_PROFILE), rng_stream(78, 2)
+        target, circuit_probabilities(circuit, theta, NOISE_PROFILE), rng_stream(78, 2).spawn(10)
     )
     noisy4 = kl_sampling_summary(
         target,
         circuit_probabilities(config4.circuit(), record4.final_theta, NOISE_PROFILE),
-        rng_stream(78, 4),
+        rng_stream(78, 4).spawn(10),
     )
 
     ok = (

@@ -178,6 +178,17 @@ def test_train_invalid_config(tmp_path):
     assert main(["train", "-c", str(config)]) == 1
 
 
+def test_an_indefinite_kernel_exits_1_before_any_directory(tmp_path, capsys):
+    config = tmp_path / "hamming.cfg"
+    config.write_text("d_c = 2\nn_layers = 1\nsigma = 0.5\nkernel_distance = hamming-squared\n")
+    out = tmp_path / "runs" / "hamming"
+    assert main(["train", "-c", str(config), "-o", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "sigma = 0.5 with kernel_distance = hamming-squared" in err
+    assert "not positive semi-definite" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["hamming.cfg"]
+
+
 def test_usage_error_exit_code():
     assert main(["train"]) == 1  # missing required -c
     assert main(["embed", "--graph", "plaquette4"]) == 1  # neither --dc nor --edges

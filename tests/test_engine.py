@@ -192,12 +192,19 @@ def noisy_gradient(mode: str) -> np.ndarray:
         config.kernel(),
         mode=mode,
         n_shots=config.n_shots_train,
-        rng=rng_stream(0, TAG_GRAD, 0),
+        streams=rng_stream(0, TAG_GRAD, 0).spawn(2 * circuit.parameter_count + 1),
     )
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_RUNS))
 def test_short_run_bytes_unchanged(name, tmp_path):
+    assert short_run_digests(name, tmp_path / name) == GOLDEN_RUNS[name]
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_RUNS))
+def test_short_run_bytes_do_not_depend_on_the_stream_block(name, tmp_path, monkeypatch):
+    # blocks of 2 steps: the 5-step run seeds its streams in three calls
+    monkeypatch.setattr(training, "STREAM_BLOCK", 2)
     assert short_run_digests(name, tmp_path / name) == GOLDEN_RUNS[name]
 
 

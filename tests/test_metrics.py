@@ -60,19 +60,19 @@ def test_kl_smoothing_floor(target22):
 def test_kl_summary_flags_smoothing(target22):
     spiky = np.zeros(16)
     spiky[BAS22[:-1]] = 0.2  # support state 15 can never be drawn
-    summary = kl_sampling_summary(target22, spiky, np.random.default_rng(0), n_repeats=5, n_shots=64)
+    summary = kl_sampling_summary(target22, spiky, np.random.default_rng(0).spawn(5), n_shots=64)
     assert summary.smoothed
     assert math.isfinite(summary.mean)
 
     clean = kl_sampling_summary(
-        target22, target22.probs, np.random.default_rng(0), n_repeats=5, n_shots=4096
+        target22, target22.probs, np.random.default_rng(0).spawn(5), n_shots=4096
     )
     assert not clean.smoothed
 
 
 def test_kl_summary_validation(target22):
     with pytest.raises(ValueError):
-        kl_sampling_summary(target22, target22.probs, np.random.default_rng(0), n_repeats=1)
+        kl_sampling_summary(target22, target22.probs, np.random.default_rng(0).spawn(1))
 
 
 def test_kl_of_perfect_circuit_small_bias(target22):
@@ -87,14 +87,14 @@ def test_kl_of_perfect_circuit_small_bias(target22):
     oracle_mean = float(np.mean(oracle_draws))
     assert oracle_mean < 0.02
 
-    summary = kl_sampling_summary(target22, target22.probs, np.random.default_rng(9))
+    summary = kl_sampling_summary(target22, target22.probs, np.random.default_rng(9).spawn(10))
     assert summary.mean == pytest.approx(oracle_mean, abs=3 * np.std(oracle_draws))
     assert 0.0 <= summary.mean < 0.02
 
 
 def test_kl_summary_deterministic(target22):
-    a = kl_sampling_summary(target22, target22.probs, np.random.default_rng(77))
-    b = kl_sampling_summary(target22, target22.probs, np.random.default_rng(77))
+    a = kl_sampling_summary(target22, target22.probs, np.random.default_rng(77).spawn(10))
+    b = kl_sampling_summary(target22, target22.probs, np.random.default_rng(77).spawn(10))
     assert a == b
 
 
@@ -102,12 +102,12 @@ def test_mean_kl_defaults_and_noise_path(trained_dc2_L2):
     import inspect
 
     defaults = inspect.signature(kl_sampling_summary).parameters
-    assert defaults["n_repeats"].default == 10
+    assert TrainingConfig.kl_repeats == 10
     assert defaults["n_shots"].default == 2048
 
     config, record = trained_dc2_L2
     probs = circuit_probabilities(config.circuit(), record.final_theta, config.noise)
-    estimate = kl_sampling_summary(config.target(), probs, np.random.default_rng(3))
+    estimate = kl_sampling_summary(config.target(), probs, np.random.default_rng(3).spawn(10))
     assert estimate.mean < 0.1  # converged circuit
     assert estimate.std > 0.0
 
@@ -123,7 +123,7 @@ def test_mean_kl_std_scaling(target22):
     stds = {}
     for shots in (512, 2048, 8192):
         summary = kl_sampling_summary(
-            target22, probs, np.random.default_rng(13), n_repeats=200, n_shots=shots
+            target22, probs, np.random.default_rng(13).spawn(200), n_shots=shots
         )
         stds[shots] = summary.std
     for small, big in ((512, 2048), (2048, 8192)):
@@ -219,7 +219,7 @@ def test_qbas_binomial_oracle():
 
 
 def test_qbas_uniform_target_range(target22, pool):
-    result = qbas_aggregate(qbas_from_probs(target22.probs, BAS22, np.random.default_rng(4), pool))
+    result = qbas_aggregate(qbas_from_probs(target22.probs, BAS22, np.random.default_rng(4).spawn(11), pool))
     assert 0.95 <= result.mean <= 0.98
     assert result.variance > 0.0
     assert not result.degenerate_weights
@@ -235,7 +235,7 @@ def test_qbas_monotone_under_junk_mass(target22, pool):
         probs = (1 - eps) * target22.probs + eps * uniform_junk
         draws = [
             qbas_aggregate(
-                qbas_from_probs(probs, BAS22, np.random.default_rng(100 + s), pool, resamples=4000)
+                qbas_from_probs(probs, BAS22, np.random.default_rng(100 + s).spawn(11), pool, resamples=4000)
             ).mean
             for s in range(4)
         ]
@@ -247,7 +247,7 @@ def test_qbas_monotone_under_junk_mass(target22, pool):
 def test_qbas_protocol_degenerate_flag(pool):
     probs = np.zeros(16)
     probs[3] = 1.0  # every histogram is a point mass; per-histogram variance 0
-    result = qbas_aggregate(qbas_from_probs(probs, BAS22, np.random.default_rng(5), pool))
+    result = qbas_aggregate(qbas_from_probs(probs, BAS22, np.random.default_rng(5).spawn(11), pool))
     assert result.degenerate_weights
     assert result.mean == pytest.approx(2.0 / 7.0, abs=1e-12)
 
@@ -259,7 +259,7 @@ def test_qbas_protocol_deterministic(trained_dc2_L2, pool):
             qbas_from_probs(
                 circuit_probabilities(config.circuit(), record.final_theta),
                 BAS22,
-                np.random.default_rng(6),
+                np.random.default_rng(6).spawn(11),
                 pool,
                 resamples=2000,
             )
@@ -350,7 +350,7 @@ def test_kl_summary_matches_per_histogram_loop(rows, cols, floor, unsampled):
     target, probs = noisy_target(ImageShape(rows, cols), 10 * rows + cols, unsampled)
     for n_shots, seed in ((64, 1), (2048, 2)):
         got = kl_sampling_summary(
-            target, probs, np.random.default_rng(seed), n_repeats=7, n_shots=n_shots
+            target, probs, np.random.default_rng(seed).spawn(7), n_shots=n_shots
         )
         with np.errstate(invalid="ignore"):  # numpy's std of infinite values is nan
             expected = reference_kl_summary(
@@ -391,11 +391,11 @@ def test_qbas_from_probs_matches_per_histogram_loop(rows, cols, pool):
     point = np.zeros(2**shape.n_bits)
     point[bas_states[1]] = 1.0  # degenerate weights
     for case in (probs, point):
-        scores = qbas_from_probs(case, bas_states, np.random.default_rng(8), pool, resamples=2000)
+        scores = qbas_from_probs(case, bas_states, np.random.default_rng(8).spawn(11), pool, resamples=2000)
         got = qbas_aggregate(scores)
         expected = reference_qbas(case, bas_states, np.random.default_rng(8), 1024, 11, 15, 2000)
         assert repr(got) == repr(expected)
-    result = qbas_aggregate(qbas_from_probs(probs, bas_states, np.random.default_rng(8), pool))
+    result = qbas_aggregate(qbas_from_probs(probs, bas_states, np.random.default_rng(8).spawn(11), pool))
     assert not result.degenerate_weights
 
 
@@ -407,9 +407,11 @@ def test_each_metric_draws_its_histograms_in_one_batch(target22, monkeypatch, po
         return sample_counts(probs, n_shots, streams)
 
     monkeypatch.setattr(metrics, "sample_counts", counting)
-    kl_sampling_summary(target22, target22.probs, np.random.default_rng(0), n_shots=100)
+    kl_sampling_summary(target22, target22.probs, np.random.default_rng(0).spawn(10), n_shots=100)
     assert calls == [((10, 16), 100, 10)]
-    qbas_aggregate(qbas_from_probs(target22.probs, BAS22, np.random.default_rng(0), pool, resamples=100))
+    qbas_aggregate(
+        qbas_from_probs(target22.probs, BAS22, np.random.default_rng(0).spawn(11), pool, resamples=100)
+    )
     assert calls[1:] == [((11, 16), 1024, 11)]
 
 
@@ -458,7 +460,7 @@ def test_qbas_from_probs_does_not_depend_on_threads(target22, monkeypatch, n_cpu
     with futures.ThreadPoolExecutor(cpus) as pool:
         for case, repeats in ((probs, 11), (target22.probs, 3)):
             scores = qbas_from_probs(
-                case, BAS22, np.random.default_rng(9), pool, repeats=repeats, resamples=3000
+                case, BAS22, np.random.default_rng(9).spawn(repeats), pool, resamples=3000
             )
             expected = reference_qbas(case, BAS22, np.random.default_rng(9), 1024, repeats, 15, 3000)
             assert repr(qbas_aggregate(scores)) == repr(expected)
@@ -486,9 +488,8 @@ def test_qbas_from_probs_does_not_depend_on_threads(target22, monkeypatch, n_cpu
 
 
 def test_qbas_from_probs_rejects_no_repeats(target22, pool):
-    for repeats in (0, -1):
-        with pytest.raises(ValueError, match="repeats"):
-            qbas_from_probs(target22.probs, BAS22, np.random.default_rng(0), pool, repeats=repeats)
+    with pytest.raises(ValueError, match="repeats"):
+        qbas_from_probs(target22.probs, BAS22, [], pool)
 
 
 def test_qbas_score_memory_is_bounded():

@@ -14,6 +14,7 @@ from bornbench import (
     sample_histogram,
     shift_probabilities,
 )
+from bornbench.mmd import PSD_TOLERANCE, walsh_hadamard
 
 
 @pytest.fixture(scope="module")
@@ -42,7 +43,7 @@ def test_kernel_hamming_variant():
     assert spec.matrix[0b0000, 0b0011] == pytest.approx(math.exp(-20.0))
 
 
-def three_axis_kernel(n, sigma, distance, sigma_is_variance):
+def three_axis_kernel(n, sigma, distance, sigma_is_variance=True):
     """The kernel as built before the distances were accumulated bit by bit:
     hamming distances from a (2^n, 2^n, n) array of bit comparisons."""
     denom = 2.0 * sigma if sigma_is_variance else 2.0 * sigma**2
@@ -56,14 +57,46 @@ def three_axis_kernel(n, sigma, distance, sigma_is_variance):
         return np.exp(-d / denom)
 
 
+def is_indefinite(n, sigma, distance, sigma_is_variance=True):
+    """Whether ``eigvalsh`` finds the kernel's smallest eigenvalue below
+    -PSD_TOLERANCE: the kernels ``KernelSpec`` must refuse."""
+    matrix = three_axis_kernel(n, sigma, distance, sigma_is_variance)
+    return np.linalg.eigvalsh(matrix).min() < -PSD_TOLERANCE
+
+
 @pytest.mark.parametrize("n", range(1, 9))
 def test_kernel_matrix_is_byte_equal_to_the_three_axis_construction(n):
+    """Every kernel is byte-equal to the reference, or refused when the
+    reference is indefinite; among these, the Hamming kernels at sigma = 2.5
+    and 1e6 (as a variance) from 2 bits on."""
     for distance, sigma, as_variance in itertools.product(
         ("integer-squared", "hamming-squared"), (1e-3, 0.1, 2.5, 1e6), (True, False)
     ):
+        case = (distance, sigma, as_variance)
+        if is_indefinite(n, sigma, distance, as_variance):
+            assert distance == "hamming-squared" and sigma >= 2.5 and n >= 2, case
+            with pytest.raises(ValueError, match="sigma .* kernel_distance = hamming-squared"):
+                KernelSpec(n, sigma, distance, as_variance)
+            continue
+        assert not (distance == "hamming-squared" and sigma == 2.5 and n >= 2), case
         spec = KernelSpec(n, sigma, distance, as_variance)
         expected = three_axis_kernel(n, sigma, distance, as_variance)
-        assert spec.matrix.tobytes() == expected.tobytes(), (distance, sigma, as_variance)
+        assert spec.matrix.tobytes() == expected.tobytes(), case
+
+
+@pytest.mark.parametrize("n", [4, 6, 9])
+def test_hamming_kernel_eigenvalues_are_the_transform_of_row_0(n):
+    for sigma in (0.1, 0.2, 0.3, 0.5, 1.0, 2.5):
+        matrix = three_axis_kernel(n, sigma, "hamming-squared")
+        got = np.sort(walsh_hadamard(matrix[0]))
+        assert np.max(np.abs(got - np.linalg.eigvalsh(matrix))) <= 1e-12, sigma
+
+
+def test_indefinite_hamming_kernel_is_refused():
+    # smallest eigenvalues -0.362 at sigma = 0.5 on 4 bits, +0.018 at 0.2 on 12
+    with pytest.raises(ValueError, match=r"sigma = 0.5 .*smallest eigenvalue -0.362"):
+        KernelSpec(4, 0.5, "hamming-squared")
+    assert walsh_hadamard(KernelSpec(12, 0.2, "hamming-squared").matrix[0]).min() > 0.017
 
 
 def test_kernel_sigma_as_std():
@@ -165,7 +198,7 @@ def test_sampled_gradient_unbiased(target22):
                 kernel,
                 mode="sampled",
                 n_shots=512,
-                rng=np.random.default_rng(1000 + s),
+                streams=np.random.default_rng(1000 + s).spawn(len(q)),
             )
             for s in range(200)
         ]
@@ -180,10 +213,10 @@ def test_sampled_gradient_deterministic(target22):
     theta = np.linspace(0, 2 * np.pi, circuit.parameter_count)
     q = shift_probabilities(circuit, theta)
     a = mmd_gradient(
-        q, target22, kernel, mode="sampled", n_shots=256, rng=np.random.default_rng(5)
+        q, target22, kernel, mode="sampled", n_shots=256, streams=np.random.default_rng(5).spawn(len(q))
     )
     b = mmd_gradient(
-        q, target22, kernel, mode="sampled", n_shots=256, rng=np.random.default_rng(5)
+        q, target22, kernel, mode="sampled", n_shots=256, streams=np.random.default_rng(5).spawn(len(q))
     )
     assert np.array_equal(a, b)
 
@@ -195,7 +228,7 @@ def test_gradient_mode_validation(target22, kernel4):
     with pytest.raises(ValueError):
         mmd_gradient(q, target22, kernel4, mode="spsa")
     with pytest.raises(ValueError):
-        mmd_gradient(q, target22, kernel4, mode="sampled")  # no shots/rng
+        mmd_gradient(q, target22, kernel4, mode="sampled")  # no shots/streams
     for bad in (q[1:], q[0], q[:, :8]):  # an even row count, one row, a narrow row
         with pytest.raises(ValueError):
             mmd_gradient(bad, target22, kernel4)

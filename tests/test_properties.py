@@ -24,6 +24,7 @@ from bornbench.mmd import DISTANCE_KINDS
 from bornbench.runio import config_from_items
 from conftest import density_matrix, on_qubit_pairs
 from test_engine import reference_amplitudes, reference_density
+from test_mmd import is_indefinite
 
 # reproducible from run to run, and no example database left on disk
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -157,8 +158,23 @@ def _sigmas(sigma_is_variance: bool):
     return _floats(min_value=1e-150, max_value=1e150)
 
 
+def proper_or_refused(**fields):
+    """The config of ``fields``, or None when it is refused for an indefinite
+    Hamming kernel, which ``is_indefinite`` (an ``eigvalsh`` check) must
+    then find; the refusal names sigma and kernel_distance."""
+    indefinite = fields["kernel_distance"] == "hamming-squared" and is_indefinite(
+        fields["n_rows"] * fields["n_cols"], fields["sigma"], "hamming-squared", fields["sigma_is_variance"]
+    )
+    if not indefinite:
+        return TrainingConfig(**fields)
+    with pytest.raises(ValueError, match="^sigma = .* with kernel_distance = hamming-squared"):
+        TrainingConfig(**fields)
+    return None
+
+
 @st.composite
 def run_configs(draw):
+    """A config, or None for one refused as ``proper_or_refused`` says."""
     d_c, layers = draw(st.sampled_from(SHAPES))
     registers = [(2, 2), (1, 4), (4, 1)]
     if d_c == 0:  # the product circuit takes any register
@@ -178,7 +194,7 @@ def run_configs(draw):
     # the layer of a d_c = 3 circuit takes no self-loop
     edge = st.tuples(pixel, pixel).filter(lambda e: e[0] != e[1])
     edges = st.lists(edge, min_size=3, max_size=3) if n_qubits > 1 else st.nothing()
-    return TrainingConfig(
+    return proper_or_refused(
         d_c=d_c,
         n_layers=draw(st.integers(layers, 5)),
         n_shots_train=draw(st.integers(2, 10**6)),
@@ -212,6 +228,8 @@ def run_configs(draw):
 @PROPERTY
 @given(run_configs())
 def test_config_text_form_round_trips(config):
+    if config is None:  # refused, as run_configs checked
+        return
     items = config.kv_items()
     keys = {key for key, _ in items}
     # every field has a key, so a field of a type the codec lacks fails here
@@ -237,9 +255,11 @@ def test_float_fields_fail_at_config_time_or_give_a_proper_kernel(
     alpha, epsilon, sigma, sigma_is_variance, distance
 ):
     """alpha, epsilon and sigma must be finite and positive; a sigma in
-    [1e-150, 1e150] is always accepted, one nearer the ends of the float range
-    may be rejected for its kernel denominator.  A rejection is a ValueError
-    naming the first bad key; an accepted config has a proper kernel."""
+    [1e-150, 1e150] is accepted unless its Hamming kernel is indefinite, one
+    nearer the ends of the float range may be rejected for its kernel
+    denominator.  A rejection is a ValueError naming the first bad key (sigma
+    and kernel_distance for an indefinite kernel); an accepted config has a
+    proper kernel, positive semi-definite."""
     bad = [k for k, v in (("alpha", alpha), ("epsilon", epsilon)) if not _finite_positive(v)]
     try:
         config = TrainingConfig(
@@ -255,6 +275,9 @@ def test_float_fields_fail_at_config_time_or_give_a_proper_kernel(
         message = str(exc)
         if bad:
             assert message.startswith(f"{bad[0]} must be finite and positive")
+        elif "kernel_distance" in message:
+            assert message.startswith(f"sigma = {sigma!r} with kernel_distance = hamming-squared")
+            assert is_indefinite(4, sigma, distance, sigma_is_variance)
         else:
             assert message.startswith("sigma")
             assert not (_finite_positive(sigma) and 1e-150 <= sigma <= 1e150)
@@ -263,3 +286,5 @@ def test_float_fields_fail_at_config_time_or_give_a_proper_kernel(
     matrix = config.kernel().matrix
     assert np.all(np.isfinite(matrix)) and np.all((matrix >= 0.0) & (matrix <= 1.0))
     assert np.all(np.diag(matrix) == 1.0) and np.array_equal(matrix, matrix.T)
+    if distance == "hamming-squared":
+        assert not is_indefinite(4, sigma, distance, sigma_is_variance)

@@ -25,7 +25,7 @@ from bornbench import (
 from bornbench import sim
 from bornbench.mmd import shift_batch
 from bornbench.noise import broadcast_kron
-from bornbench.sim import spawn
+from bornbench.sim import generators, stream_seeds
 from bornbench.training import TAG_DEPLOY, TAG_GRAD
 from conftest import density_matrix
 from test_properties import PROPERTY
@@ -225,9 +225,12 @@ def test_sampling_errors():
         sample_histogram(np.full(4, 0.25), 0, np.random.default_rng(0))
     with pytest.raises(ValueError):
         sample_histogram(np.array([-0.5, 1.5]), 10, np.random.default_rng(0))
-    for bad in (np.nan, np.inf):  # rejected here, not by numpy's multinomial
+    for bad in ([0.5, np.nan], [0.5, np.inf], [-np.inf, 1.0], [0.0, 0.0]):
+        # rejected here, not by numpy's multinomial, alone or in a batch
         with pytest.raises(ValueError, match="nonnegative with positive sum"):
-            sample_histogram(np.array([0.5, bad]), 10, np.random.default_rng(0))
+            sample_histogram(np.array(bad), 10, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="nonnegative with positive sum"):
+            sim.sample_counts(np.array([[0.5, 0.5], bad]), 10, np.random.default_rng(0).spawn(2))
 
 
 def test_sampling_chi_square():
@@ -281,10 +284,12 @@ def test_noise_degrades_trained_circuit(trained_dc2_L2):
     noise = NoiseModel(p1=0.002, p2=0.02, readout_flip_all=0.03)
     target = config.target()
     clean = kl_sampling_summary(
-        target, circuit_probabilities(config.circuit(), record.final_theta), rng_stream(1, 0)
+        target, circuit_probabilities(config.circuit(), record.final_theta), rng_stream(1, 0).spawn(10)
     )
     noisy = kl_sampling_summary(
-        target, circuit_probabilities(config.circuit(), record.final_theta, noise), rng_stream(1, 1)
+        target,
+        circuit_probabilities(config.circuit(), record.final_theta, noise),
+        rng_stream(1, 1).spawn(10),
     )
     assert noisy.mean > clean.mean
 
@@ -307,60 +312,48 @@ deploy_key = st.tuples(st.integers(0, 2**31), st.just(TAG_DEPLOY), st.integers(0
 SPAWN_COUNTS = [0, 1, 2, 10, 57, 113, 1025]
 
 
-def assert_spawns_like_numpy(seq_args, n):
-    """``spawn`` gives each child the state, and so the draws, of numpy's
-    ``Generator.spawn`` on an equal generator."""
-    entropy, spawn_key = seq_args
-    ours = spawn(np.random.default_rng(np.random.SeedSequence(entropy, spawn_key=spawn_key)), n)
-    theirs = np.random.default_rng(np.random.SeedSequence(entropy, spawn_key=spawn_key)).spawn(n)
-    assert len(ours) == len(theirs) == n
+def assert_seeds_like_numpy(entropies, counts):
+    """Each row of ``stream_seeds`` gives the state, and so the draws, of
+    numpy's ``SeedSequence(entropy)`` stream for a count of None, else of
+    child k of its ``Generator.spawn(n)``."""
+    seeds = stream_seeds(entropies, counts)
+    assert len(seeds) == len(entropies)
     probs = np.full(16, 1 / 16)
-    for a, b in zip(ours, theirs):
-        assert a.bit_generator.state == b.bit_generator.state
-        assert np.array_equal(a.multinomial(100, probs), b.multinomial(100, probs))
+    for entropy, n, words in zip(entropies, counts, seeds):
+        theirs = np.random.default_rng(np.random.SeedSequence(entropy))
+        theirs = [theirs] if n is None else theirs.spawn(n)
+        ours = generators(words)
+        assert words.shape == (len(theirs), 4) and len(ours) == len(theirs)
+        for a, b in zip(ours, theirs):
+            assert a.bit_generator.state == b.bit_generator.state
+            assert np.array_equal(a.multinomial(100, probs), b.multinomial(100, probs))
+
+
+# An entropy is a seed's words, then those a spawn key adds to them, or a
+# deploy key; several of them, of different widths, go to one call.
+entropy = st.tuples(st.lists(seed_int, min_size=1, max_size=5), st.lists(seed_int, max_size=2)).map(
+    lambda pair: tuple(pair[0] + pair[1])
+) | deploy_key
 
 
 @PROPERTY
-@given(
-    st.tuples(st.lists(seed_int, min_size=1, max_size=5), st.lists(seed_int, max_size=2))
-    | st.tuples(deploy_key, st.just(())),
-    st.sampled_from(SPAWN_COUNTS),
-)
-def test_spawn_matches_numpy_spawn(seq_args, n):
-    assert_spawns_like_numpy(seq_args, n)
+@given(st.lists(st.tuples(entropy, st.none() | st.sampled_from(SPAWN_COUNTS)), min_size=1, max_size=3))
+def test_spawn_matches_numpy_spawn(cases):
+    entropies, counts = zip(*cases)
+    assert_seeds_like_numpy(entropies, counts)
 
 
 @pytest.mark.parametrize("n", SPAWN_COUNTS)
 def test_spawn_matches_numpy_spawn_on_stream_keys(n):
-    for entropy in ((0, TAG_GRAD, 0), (7, TAG_DEPLOY, 100, 1), 12345):
-        assert_spawns_like_numpy((entropy, ()), n)
+    entropies = ((0, TAG_GRAD, 0), (7, TAG_DEPLOY, 100, 1), 12345, (0, TAG_GRAD, 2**32))
+    assert_seeds_like_numpy(entropies, [n] * len(entropies))
+    assert_seeds_like_numpy(entropies, [n, None, n, None])
 
 
-def test_spawn_reads_rng_as_a_seed():
-    rng = rng_stream(3, TAG_GRAD, 9)
-    state = rng.bit_generator.state
-    first = [g.bit_generator.state for g in spawn(rng, 5)]
-    assert [g.bit_generator.state for g in spawn(rng, 5)] == first
-    assert rng.bit_generator.seed_seq.n_children_spawned == 0
-    assert rng.bit_generator.state == state
-    assert [g.bit_generator.state for g in rng.spawn(5)] == first
-
-
-def test_spawn_refusals():
-    spawned = np.random.default_rng(1)
-    spawned.spawn(2)
-    cases = {
-        "has already spawned": spawned,
-        "MT19937": np.random.Generator(np.random.MT19937(1)),
-        "PCG64DXSM": np.random.Generator(np.random.PCG64DXSM(1)),
-        "pool of 8 words": np.random.Generator(np.random.PCG64(np.random.SeedSequence(1, pool_size=8))),
-        "child of spawn": spawn(np.random.default_rng(1), 1)[0],
-    }
-    for rng in cases.values():
-        with pytest.raises(ValueError):
-            spawn(rng, 3)
-    with pytest.raises(ValueError):
-        spawn(np.random.default_rng(1), -1)
+def test_stream_seeds_refuse_a_negative_count():
+    assert stream_seeds([], []) == []
+    with pytest.raises(ValueError, match="cannot spawn -1 streams"):
+        stream_seeds([(0, TAG_GRAD, 0), (0, TAG_GRAD, 1)], [3, -1])
 
 
 @pytest.mark.parametrize("d_c", [2, 3, 4])
@@ -383,7 +376,7 @@ def test_sampled_gradient_matches_per_row_reference(d_c):
         kernel,
         "sampled",
         n_shots=512,
-        rng=rng_stream(5, TAG_GRAD, d_c),
+        streams=rng_stream(5, TAG_GRAD, d_c).spawn(len(rows)),
     )
     assert got.tobytes() == expected.tobytes()
 

@@ -279,18 +279,51 @@ def test_checkpoint_file_roundtrip(tmp_path):
     assert loaded.config_digest == checkpoint.config_digest
 
 
-def test_resume_reproduces_run_bit_exactly():
+def test_resume_reproduces_run_bit_exactly(monkeypatch):
+    """A resumed run seeds its streams in blocks from its own start step, so
+    from a checkpoint inside one of the full run's blocks its blocks differ
+    from the full run's; its bytes do not."""
     config = TrainingConfig(d_c=2, n_layers=2, n_steps=30, seed=4)
-    full = train(config)
-    for start in (0, 10, 20):
-        checkpoint = checkpoint_at(full, start)
-        continued = resume(config, checkpoint, 30 - start)
-        assert np.array_equal(
-            continued.theta_trajectory, full.theta_trajectory[start:]
-        )
-        full_metrics = [m for m in full.metrics if m.step >= start]
-        assert [m.kl_mean for m in continued.metrics] == [m.kl_mean for m in full_metrics]
-        assert [m.f1 for m in continued.metrics] == [m.f1 for m in full_metrics]
+    starts = (0, 10, 20)
+    for block in (training.STREAM_BLOCK, 8):
+        monkeypatch.setattr(training, "STREAM_BLOCK", block)
+        assert any(start % block for start in starts)
+        full = train(config)
+        for start in starts:
+            checkpoint = checkpoint_at(full, start)
+            continued = resume(config, checkpoint, 30 - start)
+            assert np.array_equal(continued.theta_trajectory, full.theta_trajectory[start:])
+            full_metrics = [m for m in full.metrics if m.step >= start]
+            assert [m.loss for m in continued.metrics] == [m.loss for m in full_metrics]
+            assert [m.kl_mean for m in continued.metrics] == [m.kl_mean for m in full_metrics]
+            assert [m.f1 for m in continued.metrics] == [m.f1 for m in full_metrics]
+
+
+def test_a_run_derives_one_stream_alone(monkeypatch):
+    """Only the initial angles take a stream of their own; every sampling
+    stream of every step comes from ``stream_seeds``, a block of steps per
+    call."""
+    streams, seeds = [], []
+    rng_stream, stream_seeds = training.rng_stream, training.stream_seeds
+
+    def spy_stream(*args):
+        streams.append(args)
+        return rng_stream(*args)
+
+    def spy_seeds(entropies, counts):
+        seeds.append(list(entropies))
+        return stream_seeds(entropies, counts)
+
+    monkeypatch.setattr(training, "rng_stream", spy_stream)
+    monkeypatch.setattr(training, "stream_seeds", spy_seeds)
+    monkeypatch.setattr(training, "STREAM_BLOCK", 4)
+    config = TrainingConfig(d_c=2, n_layers=1, n_steps=9, seed=3, qbas_enabled=True, qbas_resamples=50)
+    train(config)
+    assert streams == [(3, training.TAG_INIT)]
+    assert [entropies[0][2] for entropies in seeds] == [0, 4, 8]  # each block's first step
+    tags = (training.TAG_LOSS, training.TAG_KL, training.TAG_F1, training.TAG_QBAS, training.TAG_GRAD)
+    expected = [(3, tag, step) for step in range(10) for tag in tags if tag != training.TAG_GRAD or step < 9]
+    assert sorted(e for entropies in seeds for e in entropies) == sorted(expected)
 
 
 def test_resume_under_noise_warm_start(trained_dc2_L2):
