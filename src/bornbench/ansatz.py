@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .bas import ImageShape, TargetDistribution
-from .kv import parse_value
+from .kv import content_lines, parse_value
 
 # The two perfect matchings of the 4-qubit square plaquette 0-1-3-2.
 MATCHING_A = ((0, 1), (2, 3))
@@ -348,11 +348,7 @@ def load_coupling_graph(path) -> CouplingGraph:
     """Read a graph from an edge-list file: first line ``n <vertex_count>``,
     then one ``u v`` pair per line.  Blank lines and ``#`` comments allowed."""
     path = Path(path)
-    lines = []  # (file:line, text) of each line that is not blank
-    for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            lines.append((f"{path}:{lineno}", line))
+    lines = list(content_lines(path.read_text(), str(path)))
     if not lines:
         raise ValueError(f"{path}: empty graph file")
     where, head = lines[0][0], lines[0][1].split()
@@ -360,7 +356,7 @@ def load_coupling_graph(path) -> CouplingGraph:
         raise ValueError(f"{where}: first line must be 'n <vertex_count>'")
     n = parse_value(where, head[1], int)
     edges = set()
-    for where, line in lines[1:]:
+    for where, line, _ in lines[1:]:
         parts = line.split()
         if len(parts) != 2:
             raise ValueError(f"{where}: bad edge line {line!r}")

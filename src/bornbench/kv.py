@@ -5,22 +5,28 @@ from __future__ import annotations
 from pathlib import Path
 
 
+def content_lines(text: str, source: str):
+    """(``source:lineno``, line, raw line) of each line of ``text`` that is
+    not blank once its '#' comment is cut; the line stripped."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield f"{source}:{lineno}", line, raw
+
+
 def parse_kv_text(text: str, source: str = "<string>") -> dict[str, str]:
     """Parse lines of ``key = value``; '#' starts a comment, blanks skipped."""
     items: dict[str, str] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for where, line, raw in content_lines(text, source):
         if "=" not in line:
-            raise ValueError(f"{source}:{lineno}: expected 'key = value', got {raw!r}")
+            raise ValueError(f"{where}: expected 'key = value', got {raw!r}")
         key, value = line.split("=", 1)
         key = key.strip()
         value = value.strip()
         if not key:
-            raise ValueError(f"{source}:{lineno}: empty key")
+            raise ValueError(f"{where}: empty key")
         if key in items:
-            raise ValueError(f"{source}:{lineno}: duplicate key {key!r}")
+            raise ValueError(f"{where}: duplicate key {key!r}")
         items[key] = value
     return items
 

@@ -75,20 +75,13 @@ def kl_divergence(p: TargetDistribution, counts) -> list[float]:
     return [float(np.sum(row)) for row in ps * np.log(ps / q_hat)]
 
 
-def kl_sampling_summary(
-    p: TargetDistribution,
-    probs,
-    streams,
-    n_shots: int = 2048,
-) -> KlEstimate:
-    """Mean and sample standard deviation of KL over independent histograms
-    drawn from an outcome distribution, histogram k from generator
-    ``streams[k]``; the training loop passes the ``kl_repeats`` children of
-    the step's KL stream, as ``sim.stream_seeds`` derives them."""
-    if len(streams) < 2:
+def kl_sampling_summary(p: TargetDistribution, counts) -> KlEstimate:
+    """Mean and sample standard deviation of KL over the histograms of a
+    counts stack (R, 2^n), R >= 2; the training loop draws row k from the
+    k-th child of the step's KL stream, as ``sim.stream_seeds`` derives
+    them."""
+    if len(counts) < 2:
         raise ValueError("need at least 2 repeats for a standard deviation")
-    rows = np.broadcast_to(probs, (len(streams),) + np.shape(probs))
-    counts = sample_counts(rows, n_shots, streams)
     values = kl_divergence(p, counts)
     smoothed = bool(np.any(counts[:, p.support] == 0))
     return KlEstimate(math.fsum(values) / len(values), float(np.std(values, ddof=1)), smoothed)
@@ -187,8 +180,7 @@ def qbas_from_probs(
     """
     if not len(streams):
         raise ValueError("repeats must be positive, got 0")
-    rows = np.broadcast_to(probs, (len(streams),) + np.shape(probs))
-    counts = sample_counts(rows, shots, streams)
+    counts = sample_counts(probs, shots, streams)
     return pool.map(
         qbas_score, counts, repeat(bas_states), repeat(sample_size), repeat(resamples), streams
     )

@@ -26,7 +26,7 @@ import numpy as np
 from .ansatz import CircuitSpec
 from .bas import TargetDistribution
 from .noise import NoiseModel
-from .sim import circuit_probabilities, sample_counts
+from .sim import circuit_probabilities
 
 MAX_KERNEL_BITS = 12
 # a kernel whose smallest eigenvalue is below -PSD_TOLERANCE is refused
@@ -75,6 +75,11 @@ class KernelSpec:
         with np.errstate(over="ignore"):  # -d / denom may round to -inf: entry 0
             d /= -denom  # in place, as d is the largest array built here
             self.matrix = np.exp(d, out=d)
+        if self.matrix[0, -1] == 1.0:  # the farthest pair's entry, the smallest
+            raise ValueError(
+                f"sigma = {self.sigma!r} gives a kernel whose every entry is 1.0, so the MMD "
+                "and its gradient are 0 for every model; take a smaller sigma"
+            )
         # exp(-h^2 / (2 sigma)), h^2 the fourth power of a Euclidean distance,
         # is indefinite at large sigma, and then the MMD can go negative; the
         # Gaussian over integer labels is positive definite at every sigma
@@ -145,33 +150,14 @@ def shift_probabilities(circuit: CircuitSpec, theta, noise: NoiseModel | None = 
     return circuit_probabilities(circuit, shift_batch(theta), noise)
 
 
-def mmd_gradient(
-    q,
-    p: TargetDistribution,
-    spec: KernelSpec,
-    mode: str = "exact",
-    n_shots: int | None = None,
-    streams=None,
-) -> np.ndarray:
+def mmd_gradient(q, p: TargetDistribution, spec: KernelSpec) -> np.ndarray:
     """Parameter-shift gradient of the MMD loss from the outcome
-    distributions (2P+1, 2^n) that ``shift_probabilities`` returns.
-
-    In ``sampled`` mode each row is estimated from a fresh independent
-    ``n_shots`` histogram, row k drawn from generator ``streams[k]``; the
-    training loop passes the 2P+1 children of the step's gradient stream, as
-    ``sim.stream_seeds`` derives them.  ``exact`` mode uses the distributions
-    themselves.
-    """
+    distributions (2P+1, 2^n) of a shift batch: the exact ones that
+    ``shift_probabilities`` returns, or for the sampled gradient each row's
+    histogram over its shot count, as the training loop draws them."""
     q = np.asarray(q, dtype=float)
-    sampled = mode == "sampled"
-    if mode not in ("sampled", "exact"):
-        raise ValueError(f"unknown gradient mode {mode!r}")
-    if sampled and (n_shots is None or streams is None):
-        raise ValueError("sampled mode needs n_shots and streams")
     if q.ndim != 2 or len(q) % 2 == 0 or q.shape[1] != len(p.probs):
         raise ValueError(f"need the distributions of a shift batch, got shape {q.shape}")
-    if sampled:
-        q = sample_counts(q, n_shots, streams) / n_shots
     weight = spec.matrix @ (q[0] - p.probs)
     # a dot product per parameter: one matrix-vector product would round differently
     return np.array([row @ weight for row in q[1::2] - q[2::2]])

@@ -198,11 +198,12 @@ def generators(seeds) -> list[np.random.Generator]:
 
 def sample_counts(probs, n_shots: int, streams) -> np.ndarray:
     """Draw ``n_shots`` basis-state samples from each row of ``probs``
-    (shape (B, 2^n)), row k from generator ``streams[k]``; counts (B, 2^n)."""
+    (shape (B, 2^n)), row k from generator ``streams[k]``, or from one
+    distribution (2^n,) with every generator; counts (len(streams), 2^n)."""
     if n_shots <= 0:
         raise ValueError("n_shots must be positive")
     p = np.asarray(probs, dtype=float)
-    if p.ndim != 2 or len(p) != len(streams):
+    if p.ndim not in (1, 2) or p.ndim == 2 and len(p) != len(streams):
         raise ValueError(f"need one generator per row, got {len(streams)} for {p.shape}")
     totals = p.sum(axis=-1, keepdims=True)
     # NaN fails every comparison; initial values let an empty batch through
@@ -212,9 +213,8 @@ def sample_counts(probs, n_shots: int, streams) -> np.ndarray:
         and totals.max(initial=0.0) < np.inf
     ):
         raise ValueError("probabilities must be nonnegative with positive sum")
-    p = p / totals
-    counts = np.empty(p.shape, dtype=np.int64)
-    for stream, row, out in zip(streams, p, counts):
+    counts = np.empty((len(streams), p.shape[-1]), dtype=np.int64)
+    for stream, row, out in zip(streams, np.broadcast_to(p / totals, counts.shape), counts):
         out[...] = stream.multinomial(n_shots, row)
     return counts
 
@@ -222,7 +222,7 @@ def sample_counts(probs, n_shots: int, streams) -> np.ndarray:
 def sample_histogram(probs, n_shots: int, rng: np.random.Generator) -> np.ndarray:
     """Counts (2^n,) of ``n_shots`` i.i.d. basis-state samples; deterministic
     given ``rng``."""
-    return sample_counts(np.asarray(probs, dtype=float)[None], n_shots, [rng])[0]
+    return sample_counts(probs, n_shots, [rng])[0]
 
 
 # ---------------------------------------------------------------------------

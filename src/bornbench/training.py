@@ -28,7 +28,7 @@ from .metrics import (
 )
 from .mmd import KernelSpec, mmd_gradient, mmd_loss, mmd_loss_exact, shift_probabilities
 from .noise import NoiseModel
-from .sim import circuit_probabilities, generators, sample_histogram, stream_seeds
+from .sim import circuit_probabilities, generators, sample_counts, sample_histogram, stream_seeds
 
 # Stream purposes; each combines with the seed and global step index.
 TAG_INIT = 0
@@ -299,8 +299,8 @@ def _evaluate_metrics(config: TrainingConfig, probs: np.ndarray, step: int, seed
     else:
         hist = sample_histogram(probs, config.n_shots_train, *generators(seeds[TAG_LOSS, step]))
         loss = mmd_loss(hist, target, kernel)
-    kl_streams = generators(seeds[TAG_KL, step])
-    kl = kl_sampling_summary(target, probs, kl_streams, n_shots=config.kl_shots)
+    kl_counts = sample_counts(probs, config.kl_shots, generators(seeds[TAG_KL, step]))
+    kl = kl_sampling_summary(target, kl_counts)
     f1_hist = sample_histogram(probs, config.kl_shots, *generators(seeds[TAG_F1, step]))
     f1 = f1_per_state(target, f1_hist)
     record = MetricRecord(step, loss, kl.mean, kl.std, f1, kl.smoothed)
@@ -381,14 +381,10 @@ def _run(
                 )
             if step == last_step:
                 break
-            grad = mmd_gradient(
-                q,
-                target,
-                kernel,
-                mode=config.gradient_mode,
-                n_shots=config.n_shots_train,
-                streams=generators(seeds[TAG_GRAD, step]) if sampled else None,
-            )
+            if sampled:  # a fresh histogram of each row, over its shot count
+                n = config.n_shots_train
+                q = sample_counts(q, n, generators(seeds[TAG_GRAD, step])) / n
+            grad = mmd_gradient(q, target, kernel)
             adam, theta = adam_step(
                 adam, grad, theta, config.alpha, config.beta1, config.beta2, config.epsilon
             )

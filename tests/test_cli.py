@@ -829,6 +829,8 @@ STD_FORM = "sigma_is_variance = false\n"
 BAD_FLOATS = [
     ("sigma = 1e200\n" + STD_FORM, "sigma = 1e+200 gives the kernel denominator inf"),
     ("sigma = 1e-200\n" + STD_FORM, "sigma = 1e-200 gives the kernel denominator 0.0"),
+    ("sigma = 1e30\n", "sigma = 1e+30 gives a kernel whose every entry is 1.0"),
+    ("sigma = 1e15\n" + STD_FORM, "sigma = 1000000000000000.0 gives a kernel whose every entry is 1.0"),
     ("sigma = nan\n", "sigma must be finite and positive, got nan"),
     ("alpha = inf\n", "alpha must be finite and positive, got inf"),
     ("epsilon = inf\n", "epsilon must be finite and positive, got inf"),

@@ -38,6 +38,7 @@ from bornbench.mmd import shift_batch
 from bornbench.runio import config_from_items, load_config_file, read_sweep, write_run
 from bornbench.training import TAG_GRAD
 from conftest import density_matrix
+from test_mmd import sampled_gradient
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 MODERATE = CONFIGS / "noise" / "moderate.profile"
@@ -186,14 +187,11 @@ def noisy_gradient(mode: str) -> np.ndarray:
     config = TrainingConfig(d_c=4, n_layers=2, n_shots_train=2048, noise=load_noise(MODERATE))
     circuit = config.circuit()
     theta = np.linspace(0.1, 6.2, circuit.parameter_count)
-    return mmd_gradient(
-        shift_probabilities(circuit, theta, config.noise),
-        config.target(),
-        config.kernel(),
-        mode=mode,
-        n_shots=config.n_shots_train,
-        streams=rng_stream(0, TAG_GRAD, 0).spawn(2 * circuit.parameter_count + 1),
-    )
+    q = shift_probabilities(circuit, theta, config.noise)
+    if mode == "exact":
+        return mmd_gradient(q, config.target(), config.kernel())
+    streams = rng_stream(0, TAG_GRAD, 0).spawn(len(q))
+    return sampled_gradient(q, config.target(), config.kernel(), config.n_shots_train, streams)
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_RUNS))
@@ -377,8 +375,18 @@ def test_sample_counts_draws_row_k_from_stream_k():
     for k, row in enumerate(probs):
         assert np.array_equal(counts[k], sample_histogram(row, 300, np.random.default_rng(k)))
     assert counts.dtype == np.int64 and np.all(counts.sum(axis=1) == 300)
+    # one distribution, unnormalised, for every stream: its broadcast rows' bytes
+    one = 3.0 * probs[0]
+    rows = np.broadcast_to(one, probs.shape)
+    for shots in (1, 300, 10**6):
+        got = sim.sample_counts(one, shots, [np.random.default_rng(k) for k in range(5)])
+        expected = sim.sample_counts(rows, shots, [np.random.default_rng(k) for k in range(5)])
+        assert got.shape == (5, 16) and got.tobytes() == expected.tobytes()
+    assert sim.sample_counts(one, 300, []).shape == (0, 16)
     with pytest.raises(ValueError):
         sim.sample_counts(probs, 300, [np.random.default_rng(0)])  # one stream short
+    with pytest.raises(ValueError):
+        sim.sample_counts(probs[None], 300, [np.random.default_rng(0)])  # 3-d
     with pytest.raises(ValueError):
         sim.sample_counts(-probs, 300, [np.random.default_rng(k) for k in range(5)])
 
@@ -489,6 +497,31 @@ def density_pin(rows, cols, d_c, layers, noise):
 def test_density_bytes_unchanged_on_every_register(register, noise):
     key = "%dx%d_dc%d_L%d/%s" % (*register, noise)
     assert density_pin(*register, PIN_NOISE[noise]) == DENSITY_PINS[key]
+
+
+# SHA-256 of the bytes of noiseless ``circuit_probabilities`` on the
+# parameter-shift batch and on the lone angle vector that ``density_pin``
+# draws, for the 1- and 2-qubit registers of REGISTERS, whose rows take a
+# product per row.  Recorded with SkylakeX OpenBLAS kernels; these narrow
+# products round otherwise on other BLAS cores (Haswell and Sandybridge move
+# 3 of the 4), so the pins hold per core, as ROADMAP item 7 records.
+NARROW_PINS = {
+    "1x1_dc0_L1/batch": "244a08465c1c6d97997c74ec79685fb688a1a5a0daa43f71c5679f942af5b16a",
+    "1x1_dc0_L1/row": "68d7152658d24dfcbf09ff25f18fcb38e98109be0462485915e5aff7eed87a68",
+    "1x2_dc0_L2/batch": "da3f3cae225d98045c828deae8eb737fa10138e42011636562fa05679d7c47c8",
+    "1x2_dc0_L2/row": "2008ea3c2899fdf27746d862f725959ac97fbfd27e1dec3890fafe3e0d9b1743",
+}
+
+
+@pytest.mark.parametrize("register", [(1, 1, 0, 1), (1, 2, 0, 2)], ids=lambda r: "%dx%d_dc%d_L%d" % r)
+def test_noiseless_bytes_unchanged_on_narrow_registers(register):
+    rows, cols, d_c, layers = register
+    circuit = TrainingConfig(d_c=d_c, n_layers=layers, n_rows=rows, n_cols=cols).circuit()
+    rng = np.random.default_rng(list(register))
+    theta, lone = rng.uniform(0.0, 2.0 * math.pi, (2, circuit.parameter_count))
+    key = "%dx%d_dc%d_L%d" % register
+    assert _sha(circuit_probabilities(circuit, shift_batch(theta)).tobytes()) == NARROW_PINS[f"{key}/batch"]
+    assert _sha(circuit_probabilities(circuit, lone).tobytes()) == NARROW_PINS[f"{key}/row"]
 
 
 class Recorded(np.ndarray):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -14,7 +15,15 @@ from bornbench import (
     sample_histogram,
     shift_probabilities,
 )
-from bornbench.mmd import PSD_TOLERANCE, walsh_hadamard
+from bornbench.mmd import DISTANCE_KINDS, PSD_TOLERANCE, walsh_hadamard
+from bornbench.sim import sample_counts
+
+
+def sampled_gradient(q, p, spec, n_shots, streams):
+    """The sampled gradient as the training loop takes it: ``mmd_gradient``
+    of each row's histogram over its shot count, row k drawn from
+    ``streams[k]``."""
+    return mmd_gradient(sample_counts(q, n_shots, streams) / n_shots, p, spec)
 
 
 @pytest.fixture(scope="module")
@@ -99,6 +108,19 @@ def test_indefinite_hamming_kernel_is_refused():
     assert walsh_hadamard(KernelSpec(12, 0.2, "hamming-squared").matrix[0]).min() > 0.017
 
 
+def test_all_ones_kernel_is_refused():
+    """A sigma so wide that every entry rounds to 1.0 makes the MMD and its
+    gradient 0 for every model, so training could not move."""
+    for sigma, as_variance in ((1e30, True), (1e15, False)):
+        for distance in DISTANCE_KINDS:
+            message = re.escape(f"sigma = {sigma!r} gives a kernel whose every entry is 1.0")
+            with pytest.raises(ValueError, match=message):
+                KernelSpec(4, sigma, distance, as_variance)
+    # at 1e17 only the farthest pairs' entries stay below 1.0: accepted
+    matrix = KernelSpec(4, 1e17).matrix
+    assert matrix[0, -1] < 1.0 and matrix[0, 1] == 1.0
+
+
 def test_kernel_sigma_as_std():
     spec = KernelSpec(4, sigma=0.5, sigma_is_variance=False)
     assert spec.matrix[0, 1] == pytest.approx(math.exp(-1 / (2 * 0.25)))
@@ -164,7 +186,7 @@ def test_exact_gradient_matches_finite_differences(d_c, layers):
     rng = np.random.default_rng(d_c * 10 + layers)
     for _ in range(3):
         theta = rng.uniform(0, 2 * np.pi, circuit.parameter_count)
-        exact = mmd_gradient(shift_probabilities(circuit, theta), target, kernel, mode="exact")
+        exact = mmd_gradient(shift_probabilities(circuit, theta), target, kernel)
         fd = finite_difference_gradient(circuit, theta, target, kernel)
         assert np.abs(exact - fd).max() < 1e-6
 
@@ -179,7 +201,7 @@ def test_gradient_zero_at_product_stationary_point():
     theta[[0, 2, 4, 6]] = math.pi / 2  # first-layer Rx(pi/2) per qubit, everything else 0
     probs = circuit_probabilities(circuit, theta)
     assert np.allclose(probs, 1 / 16, atol=1e-12)
-    grad = mmd_gradient(shift_probabilities(circuit, theta), target, kernel, mode="exact")
+    grad = mmd_gradient(shift_probabilities(circuit, theta), target, kernel)
     assert np.linalg.norm(grad) < 1e-8
 
 
@@ -189,17 +211,10 @@ def test_sampled_gradient_unbiased(target22):
     rng = np.random.default_rng(123)
     theta = rng.uniform(0, 2 * np.pi, circuit.parameter_count)
     q = shift_probabilities(circuit, theta)
-    exact = mmd_gradient(q, target22, kernel, mode="exact")
+    exact = mmd_gradient(q, target22, kernel)
     draws = np.array(
         [
-            mmd_gradient(
-                q,
-                target22,
-                kernel,
-                mode="sampled",
-                n_shots=512,
-                streams=np.random.default_rng(1000 + s).spawn(len(q)),
-            )
+            sampled_gradient(q, target22, kernel, 512, np.random.default_rng(1000 + s).spawn(len(q)))
             for s in range(200)
         ]
     )
@@ -212,12 +227,8 @@ def test_sampled_gradient_deterministic(target22):
     circuit, kernel = config.circuit(), config.kernel()
     theta = np.linspace(0, 2 * np.pi, circuit.parameter_count)
     q = shift_probabilities(circuit, theta)
-    a = mmd_gradient(
-        q, target22, kernel, mode="sampled", n_shots=256, streams=np.random.default_rng(5).spawn(len(q))
-    )
-    b = mmd_gradient(
-        q, target22, kernel, mode="sampled", n_shots=256, streams=np.random.default_rng(5).spawn(len(q))
-    )
+    a = sampled_gradient(q, target22, kernel, 256, np.random.default_rng(5).spawn(len(q)))
+    b = sampled_gradient(q, target22, kernel, 256, np.random.default_rng(5).spawn(len(q)))
     assert np.array_equal(a, b)
 
 
@@ -225,10 +236,6 @@ def test_gradient_mode_validation(target22, kernel4):
     circuit = TrainingConfig(d_c=2, n_layers=1).circuit()
     theta = np.zeros(circuit.parameter_count)
     q = shift_probabilities(circuit, theta)
-    with pytest.raises(ValueError):
-        mmd_gradient(q, target22, kernel4, mode="spsa")
-    with pytest.raises(ValueError):
-        mmd_gradient(q, target22, kernel4, mode="sampled")  # no shots/streams
     for bad in (q[1:], q[0], q[:, :8]):  # an even row count, one row, a narrow row
         with pytest.raises(ValueError):
             mmd_gradient(bad, target22, kernel4)

@@ -3,7 +3,6 @@ channels over random channel strengths, circuit shapes and angles, and of the
 config text form over random configs."""
 
 import math
-import sys
 from dataclasses import fields
 
 import numpy as np
@@ -24,7 +23,7 @@ from bornbench.mmd import DISTANCE_KINDS
 from bornbench.runio import config_from_items
 from conftest import density_matrix, on_qubit_pairs
 from test_engine import reference_amplitudes, reference_density
-from test_mmd import is_indefinite
+from test_mmd import is_indefinite, three_axis_kernel
 
 # reproducible from run to run, and no example database left on disk
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -152,10 +151,11 @@ def _floats(**bounds):
 
 def _sigmas(sigma_is_variance: bool):
     """Bandwidths whose kernel denominator, 2 sigma or 2 sigma^2, is a
-    positive finite float."""
+    positive float of at most 1e15: from about 2.2e16 on, even the 1-bit
+    kernel is all ones, which is refused."""
     if sigma_is_variance:
-        return _floats(min_value=0.0, max_value=sys.float_info.max / 2.0, exclude_min=True)
-    return _floats(min_value=1e-150, max_value=1e150)
+        return _floats(min_value=0.0, max_value=5e14, exclude_min=True)
+    return _floats(min_value=1e-150, max_value=math.sqrt(5e14))
 
 
 def proper_or_refused(**fields):
@@ -255,11 +255,12 @@ def test_float_fields_fail_at_config_time_or_give_a_proper_kernel(
     alpha, epsilon, sigma, sigma_is_variance, distance
 ):
     """alpha, epsilon and sigma must be finite and positive; a sigma in
-    [1e-150, 1e150] is accepted unless its Hamming kernel is indefinite, one
-    nearer the ends of the float range may be rejected for its kernel
-    denominator.  A rejection is a ValueError naming the first bad key (sigma
-    and kernel_distance for an indefinite kernel); an accepted config has a
-    proper kernel, positive semi-definite."""
+    [1e-150, 1e150] is accepted unless its Hamming kernel is indefinite or
+    every entry of its kernel is 1.0, one nearer the ends of the float range
+    may be rejected for its kernel denominator.  A rejection is a ValueError
+    naming the first bad key (sigma and kernel_distance for an indefinite
+    kernel); an accepted config has a proper kernel, positive semi-definite
+    and not all ones."""
     bad = [k for k, v in (("alpha", alpha), ("epsilon", epsilon)) if not _finite_positive(v)]
     try:
         config = TrainingConfig(
@@ -278,6 +279,9 @@ def test_float_fields_fail_at_config_time_or_give_a_proper_kernel(
         elif "kernel_distance" in message:
             assert message.startswith(f"sigma = {sigma!r} with kernel_distance = hamming-squared")
             assert is_indefinite(4, sigma, distance, sigma_is_variance)
+        elif "every entry is 1.0" in message:
+            assert message.startswith(f"sigma = {sigma!r} gives a kernel")
+            assert np.all(three_axis_kernel(4, sigma, distance, sigma_is_variance) == 1.0)
         else:
             assert message.startswith("sigma")
             assert not (_finite_positive(sigma) and 1e-150 <= sigma <= 1e150)
@@ -286,5 +290,6 @@ def test_float_fields_fail_at_config_time_or_give_a_proper_kernel(
     matrix = config.kernel().matrix
     assert np.all(np.isfinite(matrix)) and np.all((matrix >= 0.0) & (matrix <= 1.0))
     assert np.all(np.diag(matrix) == 1.0) and np.array_equal(matrix, matrix.T)
+    assert not np.all(three_axis_kernel(4, sigma, distance, sigma_is_variance) == 1.0)
     if distance == "hamming-squared":
         assert not is_indefinite(4, sigma, distance, sigma_is_variance)

@@ -15,8 +15,6 @@ from bornbench import (
     circuit_probabilities,
     depolarizing_kraus,
     evolve_density,
-    kl_sampling_summary,
-    mmd_gradient,
     rng_stream,
     run_statevector,
     sample_histogram,
@@ -28,6 +26,8 @@ from bornbench.noise import broadcast_kron
 from bornbench.sim import generators, stream_seeds
 from bornbench.training import TAG_DEPLOY, TAG_GRAD
 from conftest import density_matrix
+from test_metrics import kl_summary
+from test_mmd import sampled_gradient
 from test_properties import PROPERTY
 
 
@@ -231,6 +231,8 @@ def test_sampling_errors():
             sample_histogram(np.array(bad), 10, np.random.default_rng(0))
         with pytest.raises(ValueError, match="nonnegative with positive sum"):
             sim.sample_counts(np.array([[0.5, 0.5], bad]), 10, np.random.default_rng(0).spawn(2))
+        with pytest.raises(ValueError, match="nonnegative with positive sum"):
+            sim.sample_counts(np.array(bad), 10, np.random.default_rng(0).spawn(3))
 
 
 def test_sampling_chi_square():
@@ -283,10 +285,10 @@ def test_noise_degrades_trained_circuit(trained_dc2_L2):
     config, record = trained_dc2_L2
     noise = NoiseModel(p1=0.002, p2=0.02, readout_flip_all=0.03)
     target = config.target()
-    clean = kl_sampling_summary(
+    clean = kl_summary(
         target, circuit_probabilities(config.circuit(), record.final_theta), rng_stream(1, 0).spawn(10)
     )
-    noisy = kl_sampling_summary(
+    noisy = kl_summary(
         target,
         circuit_probabilities(config.circuit(), record.final_theta, noise),
         rng_stream(1, 1).spawn(10),
@@ -370,13 +372,12 @@ def test_sampled_gradient_matches_per_row_reference(d_c):
     ]
     weight = kernel.matrix @ (q[0] - target.probs)
     expected = np.array([(plus - minus) @ weight for plus, minus in zip(q[1::2], q[2::2])])
-    got = mmd_gradient(
+    got = sampled_gradient(
         shift_probabilities(circuit, theta),
         target,
         kernel,
-        "sampled",
-        n_shots=512,
-        streams=rng_stream(5, TAG_GRAD, d_c).spawn(len(rows)),
+        512,
+        rng_stream(5, TAG_GRAD, d_c).spawn(len(rows)),
     )
     assert got.tobytes() == expected.tobytes()
 

@@ -229,12 +229,13 @@ def test_metric_schedule_and_checkpoints():
 def test_each_step_simulates_once_and_scores_row_0_of_its_batch(noisy, monkeypatch):
     """A step that takes a gradient simulates its 2P+1 shifted circuits in one
     batch and scores the loss and metrics on row 0, theta itself; only the
-    last step, which takes no gradient, simulates theta alone."""
+    last step, which takes no gradient, simulates theta alone.  The sampled
+    gradient draws from the whole batch."""
     noise = NoiseModel(p1=0.002, p2=0.02, readout_flip_all=0.03) if noisy else None
     config = TrainingConfig(d_c=2, n_layers=1, n_steps=5, kl_repeats=2, noise=noise)
     simulator = "evolve_density" if noisy else "run_statevector"
-    simulate, summarise = getattr(sim, simulator), training.kl_sampling_summary
-    calls, batches, scored = [], [], []
+    simulate, draw = getattr(sim, simulator), training.sample_counts
+    calls, batches, scored, drawn = [], [], [], []
 
     def counting(*args):
         calls.append(args)
@@ -244,18 +245,19 @@ def test_each_step_simulates_once_and_scores_row_0_of_its_batch(noisy, monkeypat
         batches.append(shift_probabilities(*args))
         return batches[-1]
 
-    def scoring(target, probs, *args, **kwargs):
-        scored.append(probs.copy())
-        return summarise(target, probs, *args, **kwargs)
+    def drawing(probs, *args):  # KL draws from one distribution, the gradient from a batch
+        (scored if np.ndim(probs) == 1 else drawn).append(probs.copy())
+        return draw(probs, *args)
 
     monkeypatch.setattr(sim, simulator, counting)
     monkeypatch.setattr(training, "shift_probabilities", recording)
-    monkeypatch.setattr(training, "kl_sampling_summary", scoring)
+    monkeypatch.setattr(training, "sample_counts", drawing)
     record = train(config)
     assert len(calls) == 6  # 5 batches and the last step's theta
-    assert len(batches) == 5 and len(scored) == 6
-    for probs, batch in zip(scored, batches):
+    assert len(batches) == len(drawn) == 5 and len(scored) == 6
+    for probs, rows, batch in zip(scored, drawn, batches):
         assert probs.tobytes() == batch[0].tobytes()
+        assert rows.tobytes() == batch.tobytes()
     last = circuit_probabilities(config.circuit(), record.final_theta, noise)
     assert scored[-1].tobytes() == last.tobytes()
 
