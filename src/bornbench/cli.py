@@ -40,7 +40,7 @@ from .runio import (
     write_csv,
     write_run,
 )
-from .sim import circuit_probabilities, generators, sample_counts, stream_seeds
+from .sim import circuit_probabilities, generators, stream_seeds
 # rng_stream is unused here, but perfbench traces it at this module
 from .training import TAG_DEPLOY, TrainingConfig, resume, rng_stream, train  # noqa: F401
 
@@ -87,8 +87,7 @@ def cmd_deploy(args) -> int:
     for step, *pair in zip(steps, *both):
         row = [str(step)]
         for probs in pair:
-            counts = sample_counts(probs, config.kl_shots, generators(next(seeds)))
-            kl = kl_sampling_summary(target, counts)
+            kl = kl_sampling_summary(target, probs, generators(next(seeds)), config.kl_shots)
             row += [fmt_float(kl.mean), fmt_float(kl.std)]
         rows.append(row)
     header = ["step", "kl_mean_noiseless", "kl_std_noiseless", "kl_mean_noisy", "kl_std_noisy"]

@@ -13,7 +13,8 @@ precision when undershooting.
 Every metric scores counts over the 2^n basis states, as
 ``sim.sample_counts`` and ``sim.sample_histogram`` draw them: KL a stack of
 histograms (R, 2^n), F1 and qBAS one histogram (2^n,); a histogram's shot
-count is its sum.
+count is its sum.  ``kl_sampling_summary`` and ``qbas_from_probs`` draw
+their stacks from one outcome distribution themselves.
 
 The qBAS score resamples small batches (size 15 for 2x2 images) from a
 measured histogram; precision is the fraction of valid target-state draws in
@@ -75,13 +76,14 @@ def kl_divergence(p: TargetDistribution, counts) -> list[float]:
     return [float(np.sum(row)) for row in ps * np.log(ps / q_hat)]
 
 
-def kl_sampling_summary(p: TargetDistribution, counts) -> KlEstimate:
-    """Mean and sample standard deviation of KL over the histograms of a
-    counts stack (R, 2^n), R >= 2; the training loop draws row k from the
-    k-th child of the step's KL stream, as ``sim.stream_seeds`` derives
-    them."""
-    if len(counts) < 2:
+def kl_sampling_summary(p: TargetDistribution, probs, streams, n_shots: int = 2048) -> KlEstimate:
+    """Mean and sample standard deviation of KL over independent histograms
+    drawn from one outcome distribution (2^n,), histogram k from generator
+    ``streams[k]``; the training loop passes the ``kl_repeats`` children of
+    the step's KL stream, as ``sim.stream_seeds`` derives them."""
+    if len(streams) < 2:
         raise ValueError("need at least 2 repeats for a standard deviation")
+    counts = sample_counts(probs, n_shots, streams)
     values = kl_divergence(p, counts)
     smoothed = bool(np.any(counts[:, p.support] == 0))
     return KlEstimate(math.fsum(values) / len(values), float(np.std(values, ddof=1)), smoothed)

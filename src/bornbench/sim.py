@@ -220,8 +220,10 @@ def sample_counts(probs, n_shots: int, streams) -> np.ndarray:
 
 
 def sample_histogram(probs, n_shots: int, rng: np.random.Generator) -> np.ndarray:
-    """Counts (2^n,) of ``n_shots`` i.i.d. basis-state samples; deterministic
-    given ``rng``."""
+    """Counts (2^n,) of ``n_shots`` i.i.d. basis-state samples from one
+    distribution (2^n,); deterministic given ``rng``."""
+    if np.ndim(probs) != 1:
+        raise ValueError(f"need one distribution (2^n,), got shape {np.shape(probs)}")
     return sample_counts(probs, n_shots, [rng])[0]
 
 

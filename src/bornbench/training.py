@@ -299,8 +299,7 @@ def _evaluate_metrics(config: TrainingConfig, probs: np.ndarray, step: int, seed
     else:
         hist = sample_histogram(probs, config.n_shots_train, *generators(seeds[TAG_LOSS, step]))
         loss = mmd_loss(hist, target, kernel)
-    kl_counts = sample_counts(probs, config.kl_shots, generators(seeds[TAG_KL, step]))
-    kl = kl_sampling_summary(target, kl_counts)
+    kl = kl_sampling_summary(target, probs, generators(seeds[TAG_KL, step]), config.kl_shots)
     f1_hist = sample_histogram(probs, config.kl_shots, *generators(seeds[TAG_F1, step]))
     f1 = f1_per_state(target, f1_hist)
     record = MetricRecord(step, loss, kl.mean, kl.std, f1, kl.smoothed)

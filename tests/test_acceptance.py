@@ -30,6 +30,7 @@ from bornbench import (
     evolve_density,
     f1_per_state,
     kl_divergence,
+    kl_sampling_summary,
     load_noise,
     mmd_gradient,
     mmd_loss_exact,
@@ -42,7 +43,6 @@ from bornbench import (
     train,
 )
 from bornbench.cli import main
-from test_metrics import kl_summary
 
 SEEDS = (0, 1, 2, 3, 4)
 BAS22 = [0, 3, 5, 10, 12, 15]
@@ -349,7 +349,7 @@ def test_a8_noise_model_properties(runs_dc2_L2_2048):
     for k, p2 in enumerate((0.0, 0.01, 0.02, 0.04)):
         noise = NoiseModel(p2=p2)
         probs = circuit_probabilities(circuit, theta, noise)
-        estimates.append(kl_summary(target, probs, rng_stream(77, k).spawn(10)))
+        estimates.append(kl_sampling_summary(target, probs, rng_stream(77, k).spawn(10)))
     monotone = all(
         b.mean >= a.mean - 3 * math.hypot(a.std, b.std) / math.sqrt(10)
         for a, b in zip(estimates, estimates[1:])
@@ -360,10 +360,10 @@ def test_a8_noise_model_properties(runs_dc2_L2_2048):
         d_c=4, n_layers=2, n_shots_train=2048, n_steps=100, alpha=0.2, seed=0
     )
     record4 = train(config4)
-    noisy2 = kl_summary(
+    noisy2 = kl_sampling_summary(
         target, circuit_probabilities(circuit, theta, NOISE_PROFILE), rng_stream(78, 2).spawn(10)
     )
-    noisy4 = kl_summary(
+    noisy4 = kl_sampling_summary(
         target,
         circuit_probabilities(config4.circuit(), record4.final_theta, NOISE_PROFILE),
         rng_stream(78, 4).spawn(10),

@@ -520,8 +520,10 @@ def test_noiseless_bytes_unchanged_on_narrow_registers(register):
     rng = np.random.default_rng(list(register))
     theta, lone = rng.uniform(0.0, 2.0 * math.pi, (2, circuit.parameter_count))
     key = "%dx%d_dc%d_L%d" % register
-    assert _sha(circuit_probabilities(circuit, shift_batch(theta)).tobytes()) == NARROW_PINS[f"{key}/batch"]
-    assert _sha(circuit_probabilities(circuit, lone).tobytes()) == NARROW_PINS[f"{key}/row"]
+    # a mismatch on a CPU family other than SkylakeX may be BLAS rounding, not a regression
+    where = "recorded with SkylakeX OpenBLAS kernels; other cores round these otherwise (ROADMAP item 7)"
+    assert _sha(circuit_probabilities(circuit, shift_batch(theta)).tobytes()) == NARROW_PINS[f"{key}/batch"], where
+    assert _sha(circuit_probabilities(circuit, lone).tobytes()) == NARROW_PINS[f"{key}/row"], where
 
 
 class Recorded(np.ndarray):

@@ -28,12 +28,6 @@ from bornbench.sim import sample_counts
 BAS22 = [0, 3, 5, 10, 12, 15]
 
 
-def kl_summary(p, probs, streams, n_shots=2048):
-    """KL summary of histograms of ``probs`` as the training loop draws
-    them, histogram k from ``streams[k]``."""
-    return kl_sampling_summary(p, sample_counts(probs, n_shots, streams))
-
-
 @pytest.fixture
 def pool():
     with futures.ThreadPoolExecutor(2) as executor:
@@ -66,17 +60,19 @@ def test_kl_smoothing_floor(target22):
 def test_kl_summary_flags_smoothing(target22):
     spiky = np.zeros(16)
     spiky[BAS22[:-1]] = 0.2  # support state 15 can never be drawn
-    summary = kl_summary(target22, spiky, np.random.default_rng(0).spawn(5), n_shots=64)
+    summary = kl_sampling_summary(target22, spiky, np.random.default_rng(0).spawn(5), n_shots=64)
     assert summary.smoothed
     assert math.isfinite(summary.mean)
 
-    clean = kl_summary(target22, target22.probs, np.random.default_rng(0).spawn(5), n_shots=4096)
+    clean = kl_sampling_summary(
+        target22, target22.probs, np.random.default_rng(0).spawn(5), n_shots=4096
+    )
     assert not clean.smoothed
 
 
 def test_kl_summary_validation(target22):
     with pytest.raises(ValueError):
-        kl_summary(target22, target22.probs, np.random.default_rng(0).spawn(1))
+        kl_sampling_summary(target22, target22.probs, np.random.default_rng(0).spawn(1))
 
 
 def test_kl_of_perfect_circuit_small_bias(target22):
@@ -91,24 +87,27 @@ def test_kl_of_perfect_circuit_small_bias(target22):
     oracle_mean = float(np.mean(oracle_draws))
     assert oracle_mean < 0.02
 
-    summary = kl_summary(target22, target22.probs, np.random.default_rng(9).spawn(10))
+    summary = kl_sampling_summary(target22, target22.probs, np.random.default_rng(9).spawn(10))
     assert summary.mean == pytest.approx(oracle_mean, abs=3 * np.std(oracle_draws))
     assert 0.0 <= summary.mean < 0.02
 
 
 def test_kl_summary_deterministic(target22):
-    a = kl_summary(target22, target22.probs, np.random.default_rng(77).spawn(10))
-    b = kl_summary(target22, target22.probs, np.random.default_rng(77).spawn(10))
+    a = kl_sampling_summary(target22, target22.probs, np.random.default_rng(77).spawn(10))
+    b = kl_sampling_summary(target22, target22.probs, np.random.default_rng(77).spawn(10))
     assert a == b
 
 
 def test_mean_kl_defaults_and_noise_path(trained_dc2_L2):
+    import inspect
+
+    defaults = inspect.signature(kl_sampling_summary).parameters
     assert TrainingConfig.kl_repeats == 10
-    assert TrainingConfig.kl_shots == 2048
+    assert defaults["n_shots"].default == 2048
 
     config, record = trained_dc2_L2
     probs = circuit_probabilities(config.circuit(), record.final_theta, config.noise)
-    estimate = kl_summary(config.target(), probs, np.random.default_rng(3).spawn(10))
+    estimate = kl_sampling_summary(config.target(), probs, np.random.default_rng(3).spawn(10))
     assert estimate.mean < 0.1  # converged circuit
     assert estimate.std > 0.0
 
@@ -123,7 +122,9 @@ def test_mean_kl_std_scaling(target22):
     probs = circuit_probabilities(config.circuit(), record.final_theta)
     stds = {}
     for shots in (512, 2048, 8192):
-        summary = kl_summary(target22, probs, np.random.default_rng(13).spawn(200), n_shots=shots)
+        summary = kl_sampling_summary(
+            target22, probs, np.random.default_rng(13).spawn(200), n_shots=shots
+        )
         stds[shots] = summary.std
     for small, big in ((512, 2048), (2048, 8192)):
         ratio = stds[small] / stds[big]
@@ -348,7 +349,9 @@ def test_kl_summary_matches_per_histogram_loop(rows, cols, floor, unsampled):
     a support state, and it is always finite."""
     target, probs = noisy_target(ImageShape(rows, cols), 10 * rows + cols, unsampled)
     for n_shots, seed in ((64, 1), (2048, 2)):
-        got = kl_summary(target, probs, np.random.default_rng(seed).spawn(7), n_shots=n_shots)
+        got = kl_sampling_summary(
+            target, probs, np.random.default_rng(seed).spawn(7), n_shots=n_shots
+        )
         with np.errstate(invalid="ignore"):  # numpy's std of infinite values is nan
             expected = reference_kl_summary(
                 target, probs, np.random.default_rng(seed), 7, n_shots, floor
@@ -397,17 +400,16 @@ def test_qbas_from_probs_matches_per_histogram_loop(rows, cols, pool):
 
 
 def test_each_metric_draws_its_histograms_in_one_batch(target22, monkeypatch, pool):
-    """The training loop draws KL's histograms, and ``qbas_from_probs``
-    qBAS's, each in one call on the one distribution."""
+    """KL and qBAS each draw their histograms in one call on the one
+    distribution."""
     calls = []
 
     def counting(probs, n_shots, streams):
         calls.append((np.shape(probs), n_shots, len(streams)))
         return sample_counts(probs, n_shots, streams)
 
-    monkeypatch.setattr(training, "sample_counts", counting)
     monkeypatch.setattr(metrics, "sample_counts", counting)
-    train(TrainingConfig(d_c=2, n_layers=1, n_steps=0, kl_shots=100, gradient_mode="exact"))
+    kl_sampling_summary(target22, target22.probs, np.random.default_rng(0).spawn(10), n_shots=100)
     assert calls == [((16,), 100, 10)]
     qbas_aggregate(
         qbas_from_probs(target22.probs, BAS22, np.random.default_rng(0).spawn(11), pool, resamples=100)

@@ -3,11 +3,12 @@ channels over random channel strengths, circuit shapes and angles, and of the
 config text form over random configs."""
 
 import math
+import sys
 from dataclasses import fields
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from bornbench import (
     NoiseModel,
@@ -151,23 +152,28 @@ def _floats(**bounds):
 
 def _sigmas(sigma_is_variance: bool):
     """Bandwidths whose kernel denominator, 2 sigma or 2 sigma^2, is a
-    positive float of at most 1e15: from about 2.2e16 on, even the 1-bit
-    kernel is all ones, which is refused."""
+    positive finite float, drawn up to one of three bounds on the variance
+    alike: 5e14, below which no kernel is all ones; 1e20, beyond which every
+    register's is, and which is refused; and the largest finite one."""
     if sigma_is_variance:
-        return _floats(min_value=0.0, max_value=5e14, exclude_min=True)
-    return _floats(min_value=1e-150, max_value=math.sqrt(5e14))
+        bounds = (5e14, 1e20, sys.float_info.max / 2.0)
+        return st.one_of(_floats(min_value=0.0, max_value=b, exclude_min=True) for b in bounds)
+    return st.one_of(_floats(min_value=1e-150, max_value=b) for b in (math.sqrt(5e14), 1e10, 1e150))
 
 
 def proper_or_refused(**fields):
-    """The config of ``fields``, or None when it is refused for an indefinite
-    Hamming kernel, which ``is_indefinite`` (an ``eigvalsh`` check) must
-    then find; the refusal names sigma and kernel_distance."""
-    indefinite = fields["kernel_distance"] == "hamming-squared" and is_indefinite(
-        fields["n_rows"] * fields["n_cols"], fields["sigma"], "hamming-squared", fields["sigma_is_variance"]
-    )
-    if not indefinite:
+    """The config of ``fields``, or None when it is refused for a kernel
+    whose every entry is 1.0, as ``three_axis_kernel`` must then be, or for
+    an indefinite Hamming kernel, which ``is_indefinite`` (an ``eigvalsh``
+    check) must then find; either refusal names sigma."""
+    kernel = (fields["n_rows"] * fields["n_cols"], fields["sigma"], fields["kernel_distance"])
+    if np.all(three_axis_kernel(*kernel, fields["sigma_is_variance"]) == 1.0):
+        refusal = "^sigma = .* gives a kernel whose every entry is 1.0"
+    elif kernel[2] == "hamming-squared" and is_indefinite(*kernel, fields["sigma_is_variance"]):
+        refusal = "^sigma = .* with kernel_distance = hamming-squared"
+    else:
         return TrainingConfig(**fields)
-    with pytest.raises(ValueError, match="^sigma = .* with kernel_distance = hamming-squared"):
+    with pytest.raises(ValueError, match=refusal):
         TrainingConfig(**fields)
     return None
 
@@ -227,6 +233,7 @@ def run_configs(draw):
 
 @PROPERTY
 @given(run_configs())
+@example(TrainingConfig(d_c=2, n_layers=2, sigma=1e17))  # a wide kernel that is not yet all ones, written '1e+17'
 def test_config_text_form_round_trips(config):
     if config is None:  # refused, as run_configs checked
         return

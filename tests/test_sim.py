@@ -15,6 +15,7 @@ from bornbench import (
     circuit_probabilities,
     depolarizing_kraus,
     evolve_density,
+    kl_sampling_summary,
     rng_stream,
     run_statevector,
     sample_histogram,
@@ -26,7 +27,6 @@ from bornbench.noise import broadcast_kron
 from bornbench.sim import generators, stream_seeds
 from bornbench.training import TAG_DEPLOY, TAG_GRAD
 from conftest import density_matrix
-from test_metrics import kl_summary
 from test_mmd import sampled_gradient
 from test_properties import PROPERTY
 
@@ -233,6 +233,8 @@ def test_sampling_errors():
             sim.sample_counts(np.array([[0.5, 0.5], bad]), 10, np.random.default_rng(0).spawn(2))
         with pytest.raises(ValueError, match="nonnegative with positive sum"):
             sim.sample_counts(np.array(bad), 10, np.random.default_rng(0).spawn(3))
+    with pytest.raises(ValueError, match=r"need one distribution \(2\^n,\), got shape \(1, 2\)"):
+        sample_histogram(np.full((1, 2), 0.5), 10, np.random.default_rng(0))
 
 
 def test_sampling_chi_square():
@@ -285,10 +287,10 @@ def test_noise_degrades_trained_circuit(trained_dc2_L2):
     config, record = trained_dc2_L2
     noise = NoiseModel(p1=0.002, p2=0.02, readout_flip_all=0.03)
     target = config.target()
-    clean = kl_summary(
+    clean = kl_sampling_summary(
         target, circuit_probabilities(config.circuit(), record.final_theta), rng_stream(1, 0).spawn(10)
     )
-    noisy = kl_summary(
+    noisy = kl_sampling_summary(
         target,
         circuit_probabilities(config.circuit(), record.final_theta, noise),
         rng_stream(1, 1).spawn(10),

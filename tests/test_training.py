@@ -234,7 +234,8 @@ def test_each_step_simulates_once_and_scores_row_0_of_its_batch(noisy, monkeypat
     noise = NoiseModel(p1=0.002, p2=0.02, readout_flip_all=0.03) if noisy else None
     config = TrainingConfig(d_c=2, n_layers=1, n_steps=5, kl_repeats=2, noise=noise)
     simulator = "evolve_density" if noisy else "run_statevector"
-    simulate, draw = getattr(sim, simulator), training.sample_counts
+    simulate, summarise = getattr(sim, simulator), training.kl_sampling_summary
+    draw = training.sample_counts
     calls, batches, scored, drawn = [], [], [], []
 
     def counting(*args):
@@ -245,12 +246,17 @@ def test_each_step_simulates_once_and_scores_row_0_of_its_batch(noisy, monkeypat
         batches.append(shift_probabilities(*args))
         return batches[-1]
 
-    def drawing(probs, *args):  # KL draws from one distribution, the gradient from a batch
-        (scored if np.ndim(probs) == 1 else drawn).append(probs.copy())
+    def scoring(target, probs, *args, **kwargs):
+        scored.append(probs.copy())
+        return summarise(target, probs, *args, **kwargs)
+
+    def drawing(probs, *args):
+        drawn.append(probs.copy())
         return draw(probs, *args)
 
     monkeypatch.setattr(sim, simulator, counting)
     monkeypatch.setattr(training, "shift_probabilities", recording)
+    monkeypatch.setattr(training, "kl_sampling_summary", scoring)
     monkeypatch.setattr(training, "sample_counts", drawing)
     record = train(config)
     assert len(calls) == 6  # 5 batches and the last step's theta
