@@ -2,9 +2,12 @@
 
 Subcommands: ``train`` (run a config), ``deploy`` (re-evaluate a trained
 trajectory under a noise profile), ``warmstart`` (resume a checkpoint, usually
-with noise enabled), ``embed`` (map an entangling layer onto a coupling
-graph), ``sweep`` (grid of training runs) and ``bas`` (list the target
-states).  Exit codes: 0 success, 1 usage or config error, 2 runtime failure.
+with noise enabled), ``embed`` (place an edge list, or the union of a whole
+circuit's entangling layers, on a coupling graph), ``sweep`` (grid of training
+runs, run one at a time and each reported as it finishes; ``--jobs`` is
+accepted so that existing command lines keep working, and changes nothing)
+and ``bas`` (list the target states).  Exit codes: 0 success, 1 usage or
+config error, 2 runtime failure.
 """
 
 from __future__ import annotations
@@ -28,7 +31,10 @@ from .kv import format_value, parse_kv_file
 from .metrics import kl_sampling_summary
 from .noise import load_noise
 from .runio import (
+    CHECKPOINT_DIR,
     CONFIG_FILE,
+    RUN_FILES,
+    WARMSTART_SUMMARY_FILE,
     check_run_dir,
     config_from_items,
     fmt_float,
@@ -70,6 +76,9 @@ def cmd_deploy(args) -> int:
     config = load_config_file(run_dir / CONFIG_FILE)
     noise = load_noise(args.noise)
     out_path = run_dir / args.out
+    resolved, own = out_path.resolve(), [(run_dir / name).resolve() for name in RUN_FILES]
+    if resolved in own or resolved.is_relative_to((run_dir / CHECKPOINT_DIR).resolve()):
+        raise FileExistsError(f"{out_path} is the run's own file or under its {CHECKPOINT_DIR}/")
     if not out_path.parent.is_dir():
         raise FileNotFoundError(f"{out_path}: {out_path.parent} is not a directory")
     if out_path.is_dir():
@@ -127,7 +136,7 @@ def cmd_warmstart(args) -> int:
     header = ["start_step", "steps", *(f"kl_{n}_{s}" for n in named for s in ("mean", "std"))]
     row = [str(args.step), str(args.steps)]
     row += [fmt_float(x) for m in named.values() for x in (m.kl_mean, m.kl_std)]
-    write_csv(out_dir / "warmstart_summary.csv", header, [row])
+    write_csv(out_dir / WARMSTART_SUMMARY_FILE, header, [row])
     print(
         f"S={args.step}: "
         + ", ".join(f"{n} {m.kl_mean:.3f}+-{m.kl_std:.3f}" for n, m in named.items())
@@ -186,49 +195,26 @@ def cmd_sweep(args) -> int:
         except (ValueError, FileNotFoundError, KeyError) as exc:
             raise CliError(f"sweep: {sweep_path}: row {index}: {exc}") from None
     out_dir = prepare_run_dir(args.out or "sweep", force=args.force)
-
-    def run_row(index: int):
-        try:
-            return _run_sweep_row(configs[index], out_dir / f"row{index:03d}"), "ok"
-        except Exception as exc:  # a run-time failure fails its row; keep sweeping
-            return None, f"failed: {exc}"
-
-    if args.jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor  # only sweeps with threads need it
-
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(run_row, range(len(configs))))
-    else:
-        results = [run_row(i) for i in range(len(configs))]
-
-    rows = []
-    table: dict[tuple[int, int], dict[int, str]] = {}
-    for index, (config, (best, status)) in enumerate(zip(configs, results)):
+    rows, failed = [], False
+    for index, config in enumerate(configs):
         used = dict(config.kv_items())
-        row = [str(index), *(used[key] for key in SUMMARY_KEYS), status]
-        if best is not None:
-            row += [fmt_float(best.kl_mean), fmt_float(best.kl_std), str(best.step)]
-            cell = f"{best.kl_mean:.3f}+-{best.kl_std:.3f}"
-            table.setdefault((config.n_layers, config.n_shots_train), {})[config.d_c] = cell
-        else:
-            row += ["", "", ""]
-            print(f"row {index}: {status}", file=sys.stderr)
-        rows.append(row)
+        row = [str(index), *(used[key] for key in SUMMARY_KEYS)]
+        try:
+            best = _run_sweep_row(config, out_dir / f"row{index:03d}")
+        except Exception as exc:  # a run-time failure fails its row; keep sweeping
+            failed = True
+            rows.append(row + [f"failed: {exc}", "", "", ""])
+            print(f"row {index}: failed: {exc}", file=sys.stderr)
+            continue
+        rows.append(row + ["ok", fmt_float(best.kl_mean), fmt_float(best.kl_std), str(best.step)])
+        keys = " ".join(f"{key}={used[key]}" for key in SUMMARY_KEYS)
+        kl = f"min mean KL {best.kl_mean:.3f}+-{best.kl_std:.3f} at step {best.step}"
+        print(f"row {index}: {keys}: {kl}", flush=True)
 
     header = ["row", *SUMMARY_KEYS, "status", "min_kl_mean", "min_kl_std", "min_kl_step"]
     write_csv(out_dir / "summary.csv", header, rows)
-    if table:
-        dcs = sorted({dc for cells in table.values() for dc in cells})
-        print("min mean KL by (L, n_shots) x d_c:")
-        print("  L  n_shots  " + "  ".join(f"d_c={dc:<12}" for dc in dcs))
-        for (layers, shots) in sorted(table):
-            cells = table[(layers, shots)]
-            print(
-                f"  {layers}  {shots:<7}  "
-                + "  ".join(f"{cells.get(dc, '-'):<16}" for dc in dcs)
-            )
     print(f"summary written to {out_dir / 'summary.csv'}")
-    return 2 if any(best is None for best, _ in results) else 0
+    return 2 if failed else 0
 
 
 def cmd_bas(args) -> int:
@@ -267,7 +253,7 @@ def build_parser() -> _Parser:
     p.add_argument("--force", action="store_true")
     p.set_defaults(func=cmd_warmstart)
 
-    p = sub.add_parser("embed", help="map an entangling layer onto a coupling graph")
+    p = sub.add_parser("embed", help="place a layer, or a whole circuit's layers, on a coupling graph")
     layer = p.add_mutually_exclusive_group(required=True)
     layer.add_argument("--dc", type=int, choices=(2, 3, 4), help="built-in layer density")
     layer.add_argument("--edges", help="explicit edge list, e.g. 0-1,0-2,0-3")
@@ -281,7 +267,7 @@ def build_parser() -> _Parser:
         "-c", "--config", required=True, help="sweep file (list-valued int, float and bool keys fan out)"
     )
     p.add_argument("-o", "--out", help="output directory (default ./sweep)")
-    p.add_argument("--jobs", type=int, default=1, help="concurrent runs")
+    p.add_argument("--jobs", type=int, default=1, help="kept for existing command lines; changes nothing")
     p.add_argument("--force", action="store_true")
     p.set_defaults(func=cmd_sweep)
 

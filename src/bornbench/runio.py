@@ -45,6 +45,9 @@ METRICS_FILE = "metrics.csv"
 TRAJECTORY_FILE = "theta_trajectory.csv"
 FINAL_THETA_FILE = "final_theta.json"
 CHECKPOINT_DIR = "checkpoints"
+WARMSTART_SUMMARY_FILE = "warmstart_summary.csv"
+# every file a command writes into a run directory besides its checkpoints
+RUN_FILES = (CONFIG_FILE, METRICS_FILE, TRAJECTORY_FILE, FINAL_THETA_FILE, WARMSTART_SUMMARY_FILE)
 CHECKPOINT_VERSION = 1
 
 # Declared type of every config field a file sets as one bool, int, float or

@@ -134,6 +134,9 @@ class TrainingConfig:
     label: str = "run"  # names the run's default directory and its sweep summary row
 
     def __post_init__(self) -> None:
+        # commands join the label to a parent directory and may remove the result
+        if self.label in ("", ".", "..") or any(s and s in self.label for s in (os.sep, os.altsep)):
+            raise ValueError(f"label must name one directory, not {self.label!r}")
         if self.n_shots_train < 2:
             raise ValueError("n_shots_train must be at least 2")
         if self.n_steps < 0:

@@ -123,28 +123,52 @@ def test_warmstart_collision_refused(tiny_run, tmp_path, monkeypatch):
 
 
 def snapshot(path):
-    """Every file at or under ``path``, with its bytes."""
+    """Every directory and file at or under ``path``, with the files' bytes."""
     paths = [path, *path.rglob("*")] if path.is_dir() else [path]
-    return {p: p.read_bytes() for p in paths if p.is_file()}
+    return {p: p.read_bytes() if p.is_file() else None for p in paths if p.exists()}
+
+
+# deploy --out paths that are, or resolve to, a run's own files
+RUN_OWN_FILES = [
+    "config.txt",
+    "metrics.csv",
+    "theta_trajectory.csv",
+    "final_theta.json",
+    "warmstart_summary.csv",
+    "checkpoints/step_000000.json",
+    "checkpoints/d.csv",
+    "checkpoints/../metrics.csv",
+]
 
 
 @pytest.mark.parametrize(
-    "command", ["train", "warmstart", "sweep", "deploy", "deploy_no_parent", "deploy_file_parent"]
+    "command",
+    [
+        "train",
+        "warmstart",
+        "sweep",
+        "deploy",
+        "deploy_no_parent",
+        "deploy_file_parent",
+        *(f"deploy_over:{name}" for name in RUN_OWN_FILES),
+    ],
 )
 def test_an_output_path_of_the_wrong_kind_is_refused_before_work(
     command, tiny_run, tmp_path, monkeypatch, capsys
 ):
     """A file where a run or sweep directory goes, or a directory where
-    deploy's CSV goes, or a CSV whose parent is missing or a file, exits 1
-    naming it, with or without --force, before anything is trained or
-    simulated, and is left as it was."""
+    deploy's CSV goes, or a CSV whose parent is missing or a file, or one of
+    the run's own files or a path under its checkpoints, exits 1 naming it,
+    with or without --force, before anything is trained or simulated, and is
+    left as it was."""
     from bornbench import cli
 
     config, run = tiny_run
     taken = tmp_path / "taken"
     taken.write_text("keep\n")
     deploy = ["deploy", str(run), "--noise", str(MODERATE), "--out"]
-    argv = {
+    over = command.startswith("deploy_over:")
+    argv = deploy + [command.partition(":")[2]] if over else {
         "train": ["train", "-c", str(config), "-o", str(taken)],
         "warmstart": ["warmstart", str(run), "--step", "0", "-o", str(taken)],
         "sweep": ["sweep", "-c", str(config), "-o", str(taken)],
@@ -154,7 +178,7 @@ def test_an_output_path_of_the_wrong_kind_is_refused_before_work(
     }[command]
     if command.startswith("deploy"):
         taken = run / argv[-1]
-    kept = taken.parent if command == "deploy_file_parent" else taken
+    kept = taken.parent if command == "deploy_file_parent" else run if over else taken
     before = snapshot(run) if command == "deploy_no_parent" else snapshot(kept)
     calls = []
     for name in ("train", "resume", "circuit_probabilities"):
@@ -937,9 +961,81 @@ def test_sweep_jobs_below_one_is_a_usage_error(tmp_path, capsys, jobs):
     assert not out.exists()
 
 
+def test_a_sweep_with_jobs_starts_no_pool(tmp_path):
+    # rows run one at a time on the calling thread, whatever --jobs says
+    sweep = tmp_path / "grid.sweep"
+    sweep.write_text(TINY_CONFIG.replace("n_steps = 4", "n_steps = 1").replace("d_c = 2", "d_c = 2 4"))
+    argv = ["sweep", "-c", str(sweep), "-o", str(tmp_path / "out"), "--jobs", "2"]
+    code = (
+        "import sys\n"
+        "from bornbench.cli import main\n"
+        f"assert main({argv!r}) == 0\n"
+        "print('concurrent.futures' in sys.modules)\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=60,
+    )
+    assert done.stdout.splitlines()[-1] == "False"
+
+
+@pytest.mark.parametrize("line, axis", [("seed = 3", "seed = 3 5"), ("d_c = 2", "d_c = 2 4")])
+def test_a_sweep_reports_each_row_in_row_order(line, axis, tmp_path, capsys):
+    sweep = tmp_path / "grid.sweep"
+    sweep.write_text(TINY_CONFIG.replace("n_steps = 4", "n_steps = 1").replace(line, axis))
+    out = tmp_path / "sweep"
+    assert main(["sweep", "-c", str(sweep), "-o", str(out)]) == 0
+    printed = capsys.readouterr().out.splitlines()
+    header, *rows = read_csv(out / "summary.csv")
+    assert len(rows) == 2 and printed[2:] == [f"summary written to {out / 'summary.csv'}"]
+    key = axis.split()[0]
+    for text, row in zip(printed, rows):
+        assert text.startswith(f"row {row[0]}: ") and f" {key}={row[header.index(key)]}" in text
+        assert f"min mean KL {float(row[header.index('min_kl_mean')]):.3f}+-" in text
+
+
+@pytest.mark.parametrize("label", ["", ".", "..", "a/b", "/"])
+def test_train_refuses_a_label_that_is_not_one_directory(label, tmp_path, monkeypatch, capsys):
+    """``train`` puts a run in runs/<label> and --force removes what is
+    there, so an empty label or ``.`` would remove every run and ``..`` the
+    working directory; such a label exits 1 before any directory is made
+    or removed."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "runs" / "keep").mkdir(parents=True)
+    (tmp_path / "runs" / "keep" / "metrics.csv").write_text("keep\n")
+    config = tmp_path / "bad.cfg"
+    config.write_text(TINY_CONFIG.replace("label = tiny", f"label = {label}"))
+    before = snapshot(tmp_path)
+    assert main(["train", "-c", str(config), "--force"]) == 1
+    assert f"label must name one directory, not {label!r}" in capsys.readouterr().err
+    assert snapshot(tmp_path) == before
+
+
+def test_warmstart_refuses_a_label_override_that_leaves_the_run(tmp_path, capsys):
+    # the default output is <run>/../<label>, which --force would remove
+    config = tmp_path / "tiny.cfg"
+    config.write_text(TINY_CONFIG)
+    run = tmp_path / "runs" / "tiny"
+    assert main(["train", "-c", str(config), "-o", str(run)]) == 0
+    (tmp_path / "runs" / "keep").mkdir()
+    (tmp_path / "runs" / "keep" / "metrics.csv").write_text("keep\n")
+    override = tmp_path / "over.cfg"
+    override.write_text("label = ..\n")
+    before = snapshot(tmp_path)
+    warm = ["warmstart", str(run), "--step", "0", "--steps", "1", "-c", str(override), "--force"]
+    assert main(warm) == 1
+    assert "label must name one directory, not '..'" in capsys.readouterr().err
+    assert snapshot(tmp_path) == before
+
+
 def test_importing_the_command_line_loads_only_what_it_uses():
-    # a sweep with --jobs above 1 and qBAS load concurrent.futures (and with
-    # it logging) on first use; statistics would bring fractions and decimal
+    # only a qBAS run loads concurrent.futures (and with it logging), when
+    # it starts; statistics would bring fractions and decimal
     unused = ["concurrent.futures", "logging", "statistics", "fractions", "decimal"]
     code = f"import sys, bornbench.cli; print([m for m in {unused!r} if m in sys.modules])"
     src = str(Path(__file__).resolve().parent.parent / "src")

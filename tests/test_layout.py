@@ -61,12 +61,12 @@ def test_the_check_sees_runio_write():
 
 def test_scoring_starts_no_threads():
     """The run loop owns the one qBAS thread pool of a run, and the metrics
-    score on whatever pool it hands them.  Besides ``training``, only the
-    command line's ``sweep --jobs`` fan-out imports ``concurrent.futures``."""
+    score on whatever pool it hands them.  ``training`` is the only module
+    that imports ``concurrent.futures``: sweep rows run on the calling thread."""
     importers = {
         path.stem for path in MODULES if "concurrent.futures" in imports(ast.parse(path.read_text()))
     }
-    assert importers == {"cli", "training"}
+    assert importers == {"training"}
 
 
 

@@ -162,12 +162,15 @@ def _sigmas(sigma_is_variance: bool):
 
 
 def proper_or_refused(**fields):
-    """The config of ``fields``, or None when it is refused for a kernel
-    whose every entry is 1.0, as ``three_axis_kernel`` must then be, or for
-    an indefinite Hamming kernel, which ``is_indefinite`` (an ``eigvalsh``
-    check) must then find; either refusal names sigma."""
+    """The config of ``fields``, or None when it is refused for a label of
+    ``.`` or ``..``, which names no directory of its own, for a kernel whose
+    every entry is 1.0, as ``three_axis_kernel`` must then be, or for an
+    indefinite Hamming kernel, which ``is_indefinite`` (an ``eigvalsh``
+    check) must then find; a kernel refusal names sigma."""
     kernel = (fields["n_rows"] * fields["n_cols"], fields["sigma"], fields["kernel_distance"])
-    if np.all(three_axis_kernel(*kernel, fields["sigma_is_variance"]) == 1.0):
+    if fields["label"] in (".", ".."):
+        refusal = "^label must name one directory"
+    elif np.all(three_axis_kernel(*kernel, fields["sigma_is_variance"]) == 1.0):
         refusal = "^sigma = .* gives a kernel whose every entry is 1.0"
     elif kernel[2] == "hamming-squared" and is_indefinite(*kernel, fields["sigma_is_variance"]):
         refusal = "^sigma = .* with kernel_distance = hamming-squared"
