@@ -61,7 +61,6 @@ from .training import (
     TrainingConfig,
     adam_step,
     initial_theta,
-    resume,
     rng_stream,
     train,
 )

@@ -1,13 +1,14 @@
 """Command-line experiment harness.
 
 Subcommands: ``train`` (run a config), ``deploy`` (re-evaluate a trained
-trajectory under a noise profile), ``warmstart`` (resume a checkpoint, usually
-with noise enabled), ``embed`` (place an edge list, or the union of a whole
-circuit's entangling layers, on a coupling graph), ``sweep`` (grid of training
-runs, run one at a time and each reported as it finishes; ``--jobs`` is
-accepted so that existing command lines keep working, and changes nothing)
-and ``bas`` (list the target states).  Exit codes: 0 success, 1 usage or
-config error, 2 runtime failure.
+trajectory under a noise profile), ``warmstart`` (run ``train`` from a
+checkpoint, usually with noise enabled), ``embed`` (place an edge list, or
+the union of a whole circuit's entangling layers, on a coupling graph),
+``sweep`` (grid of training runs, run one at a time and each reported as it
+finishes; ``--jobs`` is accepted so that existing command lines keep
+working, and changes nothing) and ``bas`` (list the target states).  No
+command writes into a directory that is, or holds, a file or run it reads.
+Exit codes: 0 success, 1 usage or config error, 2 runtime failure.
 """
 
 from __future__ import annotations
@@ -37,9 +38,11 @@ from .runio import (
     WARMSTART_SUMMARY_FILE,
     check_run_dir,
     config_from_items,
+    files_read,
     fmt_float,
     load_config_file,
     prepare_run_dir,
+    profile_path,
     read_checkpoint,
     read_sweep,
     read_trajectory,
@@ -48,7 +51,7 @@ from .runio import (
 )
 from .sim import circuit_probabilities, generators, stream_seeds
 # rng_stream is unused here, but perfbench traces it at this module
-from .training import TAG_DEPLOY, TrainingConfig, resume, rng_stream, train  # noqa: F401
+from .training import TAG_DEPLOY, TrainingConfig, rng_stream, train  # noqa: F401
 
 
 class CliError(Exception):
@@ -62,7 +65,8 @@ class _Parser(argparse.ArgumentParser):
 
 def cmd_train(args) -> int:
     config = load_config_file(args.config, seed=args.seed)
-    out_dir = check_run_dir(args.out or Path("runs") / config.label, args.force)
+    out = args.out or Path("runs") / config.label
+    out_dir = check_run_dir(out, args.force, files_read(args.config))
     record = train(config)
     path = write_run(out_dir, record, force=args.force)
     best = min(m.kl_mean for m in record.metrics)
@@ -113,7 +117,7 @@ def _override(items: dict[str, str], overrides: dict[str, str], base_dir: Path) 
             del items[key]
     items.update(overrides)
     if "noise_profile" in overrides:
-        items["noise_profile"] = str(base_dir / overrides["noise_profile"])
+        items["noise_profile"] = str(profile_path(overrides, base_dir))
 
 
 def cmd_warmstart(args) -> int:
@@ -127,14 +131,15 @@ def cmd_warmstart(args) -> int:
         _override(items, {"noise_profile": args.noise}, Path())
     items["n_steps"] = format_value(args.steps)
     new_config = config_from_items(items)
-    out_dir = check_run_dir(args.out or run_dir.parent / new_config.label, args.force)
+    read = [p for p in (run_dir, args.config, items.get("noise_profile")) if p]
+    out_dir = check_run_dir(args.out or run_dir.parent / new_config.label, args.force, read)
 
-    record = resume(new_config, checkpoint, args.steps)
+    record = train(new_config, checkpoint)
     write_run(out_dir, record, force=args.force)
     best = min(record.metrics, key=lambda m: m.kl_mean)
     named = {"initial": record.metrics[0], "final": record.metrics[-1], "min": best}
     header = ["start_step", "steps", *(f"kl_{n}_{s}" for n in named for s in ("mean", "std"))]
-    row = [str(args.step), str(args.steps)]
+    row = [str(args.step), str(new_config.n_steps)]
     row += [fmt_float(x) for m in named.values() for x in (m.kl_mean, m.kl_std)]
     write_csv(out_dir / WARMSTART_SUMMARY_FILE, header, [row])
     print(
@@ -194,7 +199,7 @@ def cmd_sweep(args) -> int:
             configs.append(config_from_items(items, base_dir=sweep_path.parent))
         except (ValueError, FileNotFoundError, KeyError) as exc:
             raise CliError(f"sweep: {sweep_path}: row {index}: {exc}") from None
-    out_dir = prepare_run_dir(args.out or "sweep", force=args.force)
+    out_dir = prepare_run_dir(args.out or "sweep", args.force, files_read(sweep_path))
     rows, failed = [], False
     for index, config in enumerate(configs):
         used = dict(config.kv_items())
@@ -243,7 +248,7 @@ def build_parser() -> _Parser:
     p.add_argument("--force", action="store_true")
     p.set_defaults(func=cmd_deploy)
 
-    p = sub.add_parser("warmstart", help="resume a checkpoint, optionally under noise")
+    p = sub.add_parser("warmstart", help="run train from a checkpoint, optionally under noise")
     p.add_argument("run_dir")
     p.add_argument("--step", type=int, required=True, help="checkpoint step to resume from")
     p.add_argument("--noise", help="noise profile file")

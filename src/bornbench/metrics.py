@@ -47,7 +47,6 @@ class KlEstimate(NamedTuple):
 class QbasResult(NamedTuple):
     mean: float
     variance: float
-    degenerate_weights: bool
 
 
 @dataclass
@@ -147,18 +146,17 @@ def qbas_aggregate(scores) -> QbasResult:
     scores, in order.
 
     The reported variance is that of the weighted mean, 1 / sum(1/var_i).
-    When any per-histogram variance is zero the unweighted mean is returned
-    with ``degenerate_weights`` set, with the spread of the per-histogram
-    means as the variance.
+    When any per-histogram variance is zero the unweighted mean is returned,
+    with the spread of the per-histogram means as the variance.
     """
     # fresh contiguous arrays: weights @ means on a strided view rounds differently
     means, variances = map(np.array, zip(*scores))
     if np.any(variances <= 1e-24):  # constant scores up to float rounding
-        return QbasResult(float(means.mean()), float(means.var()), True)
+        return QbasResult(float(means.mean()), float(means.var()))
     weights = 1.0 / variances
     weighted_mean = float((weights @ means) / weights.sum())
     weighted_variance = float(1.0 / weights.sum())
-    return QbasResult(weighted_mean, weighted_variance, False)
+    return QbasResult(weighted_mean, weighted_variance)
 
 
 def qbas_from_probs(

@@ -83,15 +83,25 @@ def config_from_items(items: dict[str, str], base_dir: Path | None = None) -> Tr
     if noise_profile is not None:
         if noise_items:
             raise ValueError("give either noise_profile or inline noise_* keys, not both")
-        profile_path = Path(noise_profile)
-        if base_dir is not None and not profile_path.is_absolute():
-            profile_path = base_dir / profile_path
-        kwargs["noise"] = load_noise(profile_path)
+        kwargs["noise"] = load_noise(profile_path(items, base_dir))
     elif noise_items:
         kwargs["noise"] = noise_from_items(noise_items)
     if "d_c" not in kwargs or "n_layers" not in kwargs:
         raise ValueError("config must set d_c and n_layers")
     return TrainingConfig(**kwargs)
+
+
+def profile_path(items: dict[str, str], base_dir: Path | None = None) -> Path | None:
+    """The noise profile that config ``items`` name, relative to ``base_dir``
+    unless absolute; None when they name none."""
+    return Path(base_dir or "", items["noise_profile"]) if "noise_profile" in items else None
+
+
+def files_read(path) -> list[Path]:
+    """A config, sweep or override file and the noise profile it names."""
+    path = Path(path)
+    profile = profile_path(parse_kv_file(path), path.parent)
+    return [path] if profile is None else [path, profile]
 
 
 def load_config_file(path, seed: int | None = None) -> TrainingConfig:
@@ -164,11 +174,15 @@ def checkpoint_path(run_dir, step: int) -> Path:
     return Path(run_dir) / CHECKPOINT_DIR / f"step_{step:06d}.json"
 
 
-def check_run_dir(out_dir, force: bool = False) -> Path:
-    """``out_dir``, refused if it is not a directory, or holds files and
-    ``force`` is off.  Commands call this before they train; ``--force``
+def check_run_dir(out_dir, force: bool = False, inputs=()) -> Path:
+    """``out_dir``, refused if it is or holds one of the ``inputs`` (the
+    paths the command reads), if it is not a directory, or if it holds files
+    and ``force`` is off.  Commands call this before they train; ``--force``
     replaces the files only when ``write_run`` writes the new ones."""
     out_dir = Path(out_dir)
+    for path in inputs:
+        if Path(path).resolve().is_relative_to(out_dir.resolve()):
+            raise FileExistsError(f"output directory {out_dir} is or holds the input {path}")
     if out_dir.exists() and not out_dir.is_dir():
         raise FileExistsError(f"output path {out_dir} exists and is not a directory")
     if not force and out_dir.exists() and any(out_dir.iterdir()):
@@ -178,8 +192,8 @@ def check_run_dir(out_dir, force: bool = False) -> Path:
     return out_dir
 
 
-def prepare_run_dir(out_dir, force: bool = False) -> Path:
-    out_dir = check_run_dir(out_dir, force)
+def prepare_run_dir(out_dir, force: bool = False, inputs=()) -> Path:
+    out_dir = check_run_dir(out_dir, force, inputs)
     if force and out_dir.exists():
         shutil.rmtree(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

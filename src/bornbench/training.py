@@ -4,7 +4,8 @@ checkpointing, and deterministic resumption.
 All randomness is drawn from counter-based streams keyed on
 (seed, purpose, step, ...), so a run is a pure function of its config, any
 step can be recomputed in isolation, and resuming from a checkpoint at step S
-reproduces the original run bit-exactly when the config is unchanged.
+reproduces the original run bit-exactly when the config differs only in
+``n_steps``.
 """
 
 from __future__ import annotations
@@ -320,30 +321,32 @@ def _evaluate_metrics(config: TrainingConfig, probs: np.ndarray, step: int, seed
     return record, scores
 
 
-def _fill_qbas(record: MetricRecord, scores) -> None:
-    result = qbas_aggregate(scores)
-    record.qbas_mean, record.qbas_var = result.mean, result.variance
+def train(config: TrainingConfig, checkpoint: Checkpoint | None = None) -> RunRecord:
+    """Train for ``config.n_steps`` steps: from ``initial_theta``, or from a
+    checkpoint's parameters, optimizer moments and global step.
 
-
-def _run(
-    config: TrainingConfig,
-    theta: np.ndarray,
-    adam: AdamState,
-    start_step: int,
-    n_steps: int,
-) -> RunRecord:
-    circuit = config.circuit()
-    kernel = config.kernel()
-    target = config.target()
+    Global step indices are preserved, so a run resumed with a config that
+    differs only in ``n_steps`` is bit-identical to the original; changing
+    anything else (for example enabling noise) warm-starts from the stored
+    state.
+    """
+    circuit, kernel, target = config.circuit(), config.kernel(), config.target()
     digest = config.digest()
-    last_step = start_step + n_steps
+    n_params = circuit.parameter_count
+    if checkpoint is None:
+        theta, adam, start_step = initial_theta(config, n_params), AdamState.zero(n_params), 0
+    elif checkpoint.theta.shape != (n_params,):
+        n = checkpoint.theta.shape[0]
+        raise ValueError(f"checkpoint has {n} parameters, circuit needs {n_params}")
+    else:
+        theta, adam, start_step = checkpoint.theta.copy(), checkpoint.adam.copy(), checkpoint.step
+    last_step = start_step + config.n_steps
 
     trajectory = [theta.copy()]
     metrics: list[MetricRecord] = []
     checkpoints: list[Checkpoint] = []
     # qBAS scoring runs on one thread pool for the whole run, overlapped with
-    # training (Generator.multinomial releases the GIL): a step's score is
-    # read back two metric steps later
+    # training (Generator.multinomial releases the GIL)
     pool = None
     if config.qbas_enabled:
         # imported here, so that importing the package or the command line
@@ -375,8 +378,12 @@ def _run(
                 metrics.append(record)
                 if scores is not None:
                     pending.append((record, scores))
-                if len(pending) > 2:
-                    _fill_qbas(*pending.pop(0))
+                # a step's qBAS scores are read back two metric steps later,
+                # and the rest at the last step
+                while len(pending) > 2 or (pending and step == last_step):
+                    done, scores = pending.pop(0)
+                    result = qbas_aggregate(scores)
+                    done.qbas_mean, done.qbas_var = result.mean, result.variance
             if boundary or step % config.checkpoint_every == 0:
                 checkpoints.append(
                     Checkpoint(step, theta.copy(), adam.copy(), config.seed, digest)
@@ -391,36 +398,8 @@ def _run(
                 adam, grad, theta, config.alpha, config.beta1, config.beta2, config.epsilon
             )
             trajectory.append(theta.copy())
-        for item in pending:
-            _fill_qbas(*item)
     finally:
         if pool is not None:  # on an error, queued scoring is dropped
             pool.shutdown(cancel_futures=True)
 
     return RunRecord(config, start_step, np.asarray(trajectory), metrics, checkpoints)
-
-
-def train(config: TrainingConfig) -> RunRecord:
-    """Train from a fresh random initialization for ``config.n_steps`` steps."""
-    n_params = config.circuit().parameter_count
-    theta = initial_theta(config, n_params)
-    return _run(config, theta, AdamState.zero(n_params), 0, config.n_steps)
-
-
-def resume(config: TrainingConfig, checkpoint: Checkpoint, n_steps: int) -> RunRecord:
-    """Continue training from a checkpoint for ``n_steps`` further steps.
-
-    Global step indices are preserved, so with an unchanged config the
-    continuation is bit-identical to the original run; changing the config
-    (for example enabling noise) warm-starts from the stored parameters and
-    optimizer moments.
-    """
-    n_params = config.circuit().parameter_count
-    if checkpoint.theta.shape != (n_params,):
-        raise ValueError(
-            f"checkpoint has {checkpoint.theta.shape[0]} parameters, "
-            f"circuit needs {n_params}"
-        )
-    return _run(
-        config, checkpoint.theta.copy(), checkpoint.adam.copy(), checkpoint.step, n_steps
-    )

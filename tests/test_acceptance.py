@@ -465,27 +465,50 @@ def test_a10_byte_identical_reruns(tmp_path):
     report("A10", ok, f"{len(identical)}/{len(names)} output files byte-identical across reruns")
 
 
-def final_kls_under_noise(scale):
-    """A11's setup (seeds 0..4, d_c in {2, 4}, L=2, 1,024 shots, 100 steps,
-    metrics at the start and the end) with every strength of the moderate
-    profile scaled by ``scale``: each d_c's final mean KL per seed."""
-    noise = NoiseModel(
+def scaled_moderate(scale):
+    """The moderate profile with every strength scaled by ``scale``."""
+    return NoiseModel(
         p1=scale * MODERATE.p1,
         p2=scale * MODERATE.p2,
         readout_flip_all=scale * MODERATE.readout_flip_all,
         readout_flip={q: scale * p for q, p in MODERATE.readout_flip.items()},
         t_damp=scale * MODERATE.t_damp,
     )
+
+
+def final_kls_under_noise(scale):
+    """A11's setup (seeds 0..4, d_c in {2, 4}, L=2, 1,024 shots, 100 steps,
+    metrics at the start and the end) with every strength of the moderate
+    profile scaled by ``scale``: each d_c's final mean KL per seed."""
     finals = {}
     for d_c in (2, 4):
-        runs = train_seeds(d_c, 2, 1024, noise=noise, metric_every=100)
+        runs = train_seeds(d_c, 2, 1024, noise=scaled_moderate(scale), metric_every=100)
         finals[d_c] = np.array([record.metrics[-1].kl_mean for _, record in runs.values()])
     return finals
+
+
+def gaps(finals_by_scale):
+    """Per scale, d_c=4's mean final KL minus d_c=2's, with the SE of the
+    gap paired by seed."""
+    out = {}
+    for scale, finals in finals_by_scale.items():
+        per_seed = finals[4] - finals[2]
+        out[scale] = (float(np.mean(per_seed)), float(np.std(per_seed, ddof=1)) / math.sqrt(len(per_seed)))
+    return out
+
+
+def format_gaps(name, by_scale):
+    return "; ".join(f"{name}({s}) = {g:+.4f} +- {se:.4f}" for s, (g, se) in by_scale.items())
 
 
 @pytest.fixture(scope="module")
 def finals_moderate():
     return final_kls_under_noise(1)
+
+
+@pytest.fixture(scope="module")
+def sampled_gaps(finals_moderate):
+    return gaps({s: finals_moderate if s == 1 else final_kls_under_noise(s) for s in (0, 1, 2)})
 
 
 def test_a11_sparse_beats_dense_under_noise(finals_moderate):
@@ -504,17 +527,40 @@ def test_a11_sparse_beats_dense_under_noise(finals_moderate):
     report("A11", difference < 0.0, detail)
 
 
-def test_a13_the_sparse_advantage_grows_with_noise(finals_moderate):
+def test_a13_the_sparse_advantage_grows_with_noise(sampled_gaps):
     """Stated in advance (ROADMAP item 8(a)): with A11's setup and every
     strength of the moderate profile scaled by s in {0, 1, 2} (s = 0 is
     noiseless), the gap g(s), d_c=4's mean final KL minus d_c=2's, grows:
     g(0) < g(1) < g(2)."""
-    gaps = {}
-    for scale in (0, 1, 2):
-        finals = finals_moderate if scale == 1 else final_kls_under_noise(scale)
-        per_seed = finals[4] - finals[2]  # paired by seed
-        se = float(np.std(per_seed, ddof=1)) / math.sqrt(len(per_seed))
-        gaps[scale] = (float(np.mean(per_seed)), se)
-    ok = gaps[0][0] < gaps[1][0] < gaps[2][0]
-    detail = "; ".join(f"g({s}) = {g:+.4f} +- {se:.4f}" for s, (g, se) in gaps.items())
-    report("A13", ok, detail)
+    ok = sampled_gaps[0][0] < sampled_gaps[1][0] < sampled_gaps[2][0]
+    report("A13", ok, format_gaps("g", sampled_gaps))
+
+
+def exact_final_kls(scale):
+    """A13's runs at noise scale ``scale`` with ``gradient_mode = exact``:
+    each d_c's exact KL of its final distribution per seed, over the target
+    support, with nothing sampled."""
+    target = bas_target_distribution(ImageShape(2, 2))
+    p = target.probs[target.support]
+    finals = {}
+    for d_c in (2, 4):
+        runs = train_seeds(
+            d_c, 2, 1024, noise=scaled_moderate(scale), metric_every=100, gradient_mode="exact"
+        )
+        kls = []
+        for config, record in runs.values():
+            q = circuit_probabilities(config.circuit(), record.final_theta, config.noise)
+            kls.append(float(np.sum(p * np.log(p / q[target.support]))))
+        finals[d_c] = np.array(kls)
+    return finals
+
+
+def test_a14_the_sparse_advantage_without_shot_noise(sampled_gaps):
+    """Stated in advance (ROADMAP item 12): with A13's setup in exact mode,
+    scored by the exact KL of the final distribution under the run's noise,
+    the gap g_x(s), d_c=4's mean minus d_c=2's, grows: g_x(0) < g_x(1) <
+    g_x(2)."""
+    exact = gaps({s: exact_final_kls(s) for s in (0, 1, 2)})
+    ok = exact[0][0] < exact[1][0] < exact[2][0]
+    detail = f"{format_gaps('g_x', exact)}; sampled (A13): {format_gaps('g', sampled_gaps)}"
+    report("A14", ok, detail)

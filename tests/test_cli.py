@@ -88,17 +88,19 @@ def test_train_rerun_byte_identical(tiny_run, tmp_path):
 
 
 def spy_on_training(monkeypatch, out):
-    """Record each call of the command line's ``train`` and ``resume``, with
-    whether ``out`` still held its metrics at that moment."""
+    """Record each call of the command line's ``train``, with whether it
+    resumed a checkpoint and whether ``out`` still held its metrics at that
+    moment."""
     from bornbench import cli
 
     calls = []
-    for name in ("train", "resume"):
-        def spied(*args, name=name, real=getattr(cli, name)):
-            calls.append((name, (out / "metrics.csv").exists()))
-            return real(*args)
+    real = cli.train
 
-        monkeypatch.setattr(cli, name, spied)
+    def spied(config, checkpoint=None):
+        calls.append((checkpoint is not None, (out / "metrics.csv").exists()))
+        return real(config, checkpoint)
+
+    monkeypatch.setattr(cli, "train", spied)
     return calls
 
 
@@ -108,7 +110,7 @@ def test_train_collision_refused(tiny_run, monkeypatch):
     assert main(["train", "-c", str(config), "-o", str(out)]) == 1
     assert calls == []  # refused before training
     assert main(["train", "-c", str(config), "-o", str(out), "--force"]) == 0
-    assert calls == [("train", True)]  # the old run stays until the new one is written
+    assert calls == [(False, True)]  # the old run stays until the new one is written
 
 
 def test_warmstart_collision_refused(tiny_run, tmp_path, monkeypatch):
@@ -119,7 +121,7 @@ def test_warmstart_collision_refused(tiny_run, tmp_path, monkeypatch):
     assert main(ws) == 1
     assert calls == []
     assert main(ws + ["--force"]) == 0
-    assert calls == [("resume", True)]
+    assert calls == [(True, True)]
 
 
 def snapshot(path):
@@ -181,7 +183,7 @@ def test_an_output_path_of_the_wrong_kind_is_refused_before_work(
     kept = taken.parent if command == "deploy_file_parent" else run if over else taken
     before = snapshot(run) if command == "deploy_no_parent" else snapshot(kept)
     calls = []
-    for name in ("train", "resume", "circuit_probabilities"):
+    for name in ("train", "circuit_probabilities"):
         monkeypatch.setattr(cli, name, lambda *args, name=name: calls.append(name))
     for force in ([], ["--force"]):
         capsys.readouterr()
@@ -812,7 +814,8 @@ def test_noiseless_wide_config_is_accepted(tmp_path):
 
 
 def test_a_built_config_is_not_rebuilt(tmp_path, monkeypatch):
-    """train, resume and deploy use the circuit and kernel the config built."""
+    """train, from scratch and from a checkpoint, and deploy use the circuit
+    and kernel the config built."""
     from bornbench import cli, mmd, training
     from bornbench.runio import CONFIG_FILE, load_config_file, write_run
 
@@ -836,7 +839,7 @@ def test_a_built_config_is_not_rebuilt(tmp_path, monkeypatch):
     assert calls == ["kernel", "circuit"]
     calls.clear()
     record = training.train(config)
-    training.resume(config, record.checkpoints[-1], 1)
+    training.train(config, record.checkpoints[-1])
     assert calls == []
 
     run = write_run(tmp_path / "run", record)
@@ -929,7 +932,7 @@ def test_readout_flip_outside_register_is_rejected(tiny_run, tmp_path, capsys):
 
 
 def test_sweep_output_does_not_depend_on_jobs(tmp_path):
-    # every row also scores qBAS on its own run pool, beside the row threads
+    # rows run one after another, each scoring qBAS on its own run pool
     sweep = tmp_path / "grid.sweep"
     sweep.write_text(
         TINY_CONFIG.replace("n_steps = 4", "n_steps = 2")
@@ -1030,6 +1033,54 @@ def test_warmstart_refuses_a_label_override_that_leaves_the_run(tmp_path, capsys
     warm = ["warmstart", str(run), "--step", "0", "--steps", "1", "-c", str(override), "--force"]
     assert main(warm) == 1
     assert "label must name one directory, not '..'" in capsys.readouterr().err
+    assert snapshot(tmp_path) == before
+
+
+# (argv, the input the refusal names), relative to a tree with a noisy
+# config and its profile in d/, a config in e/ naming ../d/p.profile, and
+# runs a and b in runs/
+OUTPUT_OVER_INPUT = {
+    "train_config": ("train -c d/x.cfg -o d", "d/x.cfg"),
+    "train_profile": ("train -c e/y.cfg -o d", "e/../d/p.profile"),
+    "train_default_out": ("train -c runs/a/config.txt", "runs/a/config.txt"),
+    "warmstart_parent": ("warmstart runs/a --step 0 --steps 1 -o runs", "runs/a"),
+    "warmstart_source": ("warmstart runs/a --step 0 --steps 1 -o runs/a", "runs/a"),
+    "warmstart_override": ("warmstart runs/a --step 0 -c d/x.cfg -o d", "d/x.cfg"),
+    "warmstart_override_profile": ("warmstart runs/a --step 0 -c e/y.cfg -o d", "e/../d/p.profile"),
+    "warmstart_noise": ("warmstart runs/a --step 0 --noise d/p.profile -o d", "d/p.profile"),
+    "sweep": ("sweep -c d/x.cfg -o d", "d/x.cfg"),
+    "sweep_profile": ("sweep -c e/y.cfg -o d", "e/../d/p.profile"),
+}
+
+
+@pytest.mark.parametrize("case", OUTPUT_OVER_INPUT)
+def test_an_output_that_is_or_holds_an_input_is_refused(case, tmp_path, monkeypatch, capsys):
+    """--force replaces the output directory, so one that is, or holds, a
+    file or run the command reads exits 1 naming both, with or without
+    --force, before anything is trained or removed."""
+    from bornbench import cli
+
+    monkeypatch.chdir(tmp_path)
+    for name, text in [
+        ("d/x.cfg", TINY_CONFIG.replace("n_steps = 4", "n_steps = 1") + "noise_profile = p.profile\n"),
+        ("d/p.profile", NOISE_PROFILE),
+        ("e/y.cfg", TINY_CONFIG.replace("n_steps = 4", "n_steps = 1") + "noise_profile = ../d/p.profile\n"),
+        ("runs/b/metrics.csv", "keep\n"),
+    ]:
+        Path(name).parent.mkdir(parents=True, exist_ok=True)
+        Path(name).write_text(text)
+    Path("a.cfg").write_text(TINY_CONFIG.replace("label = tiny", "label = a"))
+    assert main(["train", "-c", "a.cfg"]) == 0  # into runs/a
+    command, read = OUTPUT_OVER_INPUT[case]
+    out = command.split(" -o ")[1] if " -o " in command else "runs/a"
+    calls = []
+    monkeypatch.setattr(cli, "train", lambda *args: calls.append(args))
+    before = snapshot(tmp_path)
+    for force in ([], ["--force"]):
+        capsys.readouterr()
+        assert main(command.split() + force) == 1
+        assert f"output directory {out} is or holds the input {read}" in capsys.readouterr().err
+    assert calls == []
     assert snapshot(tmp_path) == before
 
 

@@ -218,11 +218,20 @@ def test_qbas_binomial_oracle():
     assert variance == pytest.approx(oracle_var, rel=0.1)
 
 
+def assert_inverse_variance_weighted(result, scores):
+    """No per-histogram variance vanished: the variance is that of the
+    inverse-variance weighted mean."""
+    variances = [v for _, v in scores]
+    assert min(variances) > 1e-24
+    assert result.variance == pytest.approx(1.0 / sum(1.0 / v for v in variances), rel=1e-12)
+
+
 def test_qbas_uniform_target_range(target22, pool):
-    result = qbas_aggregate(qbas_from_probs(target22.probs, BAS22, np.random.default_rng(4).spawn(11), pool))
+    scores = list(qbas_from_probs(target22.probs, BAS22, np.random.default_rng(4).spawn(11), pool))
+    result = qbas_aggregate(scores)
     assert 0.95 <= result.mean <= 0.98
     assert result.variance > 0.0
-    assert not result.degenerate_weights
+    assert_inverse_variance_weighted(result, scores)
 
 
 def test_qbas_monotone_under_junk_mass(target22, pool):
@@ -247,8 +256,12 @@ def test_qbas_monotone_under_junk_mass(target22, pool):
 def test_qbas_protocol_degenerate_flag(pool):
     probs = np.zeros(16)
     probs[3] = 1.0  # every histogram is a point mass; per-histogram variance 0
-    result = qbas_aggregate(qbas_from_probs(probs, BAS22, np.random.default_rng(5).spawn(11), pool))
-    assert result.degenerate_weights
+    scores = list(qbas_from_probs(probs, BAS22, np.random.default_rng(5).spawn(11), pool))
+    result = qbas_aggregate(scores)
+    assert all(v <= 1e-24 for _, v in scores)
+    # the plain mean of the per-histogram means, and their spread
+    means = np.array([m for m, _ in scores])
+    assert result.mean == float(means.mean()) and result.variance == float(means.var())
     assert result.mean == pytest.approx(2.0 / 7.0, abs=1e-12)
 
 
@@ -321,9 +334,9 @@ def reference_qbas(probs, bas_states, rng, shots, repeats, sample_size, resample
         hist = sample_histogram(probs, shots, stream)
         means[k], variances[k] = qbas_score(hist, bas_states, sample_size, resamples, stream)
     if np.any(variances <= 1e-24):
-        return QbasResult(float(means.mean()), float(means.var()), True)
+        return QbasResult(float(means.mean()), float(means.var()))
     weights = 1.0 / variances
-    return QbasResult(float((weights @ means) / weights.sum()), float(1.0 / weights.sum()), False)
+    return QbasResult(float((weights @ means) / weights.sum()), float(1.0 / weights.sum()))
 
 
 def noisy_target(shape, seed, unsampled=False):
@@ -395,8 +408,8 @@ def test_qbas_from_probs_matches_per_histogram_loop(rows, cols, pool):
         got = qbas_aggregate(scores)
         expected = reference_qbas(case, bas_states, np.random.default_rng(8), 1024, 11, 15, 2000)
         assert repr(got) == repr(expected)
-    result = qbas_aggregate(qbas_from_probs(probs, bas_states, np.random.default_rng(8).spawn(11), pool))
-    assert not result.degenerate_weights
+    scores = list(qbas_from_probs(probs, bas_states, np.random.default_rng(8).spawn(11), pool))
+    assert_inverse_variance_weighted(qbas_aggregate(scores), scores)
 
 
 def test_each_metric_draws_its_histograms_in_one_batch(target22, monkeypatch, pool):

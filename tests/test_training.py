@@ -4,7 +4,7 @@ import subprocess
 import sys
 import threading
 import time
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +18,6 @@ from bornbench import (
     circuit_probabilities,
     initial_theta,
     mmd_loss_exact,
-    resume,
     shift_probabilities,
     train,
 )
@@ -299,7 +298,7 @@ def test_resume_reproduces_run_bit_exactly(monkeypatch):
         full = train(config)
         for start in starts:
             checkpoint = checkpoint_at(full, start)
-            continued = resume(config, checkpoint, 30 - start)
+            continued = train(replace(config, n_steps=30 - start), checkpoint)
             assert np.array_equal(continued.theta_trajectory, full.theta_trajectory[start:])
             full_metrics = [m for m in full.metrics if m.step >= start]
             assert [m.loss for m in continued.metrics] == [m.loss for m in full_metrics]
@@ -336,16 +335,14 @@ def test_a_run_derives_one_stream_alone(monkeypatch):
 
 def test_resume_under_noise_warm_start(trained_dc2_L2):
     config, record = trained_dc2_L2
-    from dataclasses import replace
-
-    noisy = replace(config, noise=NoiseModel(p1=0.002, p2=0.02, readout_flip_all=0.03))
-    warm = resume(noisy, checkpoint_at(record, 50), 10)
+    noise = NoiseModel(p1=0.002, p2=0.02, readout_flip_all=0.03)
+    warm = train(replace(config, noise=noise, n_steps=10), checkpoint_at(record, 50))
     assert warm.start_step == 50
     assert warm.final_step == 60
     assert [m.step for m in warm.metrics] == list(range(50, 61))
-    with pytest.raises(ValueError):
-        other = TrainingConfig(d_c=2, n_layers=1)
-        resume(other, checkpoint_at(record, 50), 5)  # parameter count mismatch
+    other = TrainingConfig(d_c=2, n_layers=1, n_steps=5)
+    with pytest.raises(ValueError, match="checkpoint has 28 parameters, circuit needs 16"):
+        train(other, checkpoint_at(record, 50))  # parameter count mismatch
 
 
 def test_run_record_accessors():
