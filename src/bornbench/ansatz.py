@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bas import ImageShape, TargetDistribution
+from .bas import IMAGE, TargetDistribution
 from .kv import content_lines, parse_value
 
 # The two perfect matchings of the 4-qubit square plaquette 0-1-3-2.
@@ -124,8 +124,6 @@ def pairwise_mutual_information(dist: TargetDistribution) -> np.ndarray:
     diagonal is zero.
     """
     n = dist.n_bits
-    if n < 2:
-        raise ValueError("need a distribution over at least 2 bits")
     index = np.arange(2**n)
     bits = (index[:, None] >> (n - 1 - np.arange(n))[None, :]) & 1
     mi = np.zeros((n, n))
@@ -274,22 +272,20 @@ def build_circuit(
     chow_liu_source: TargetDistribution | None = None,
     dc3_edges=None,
 ) -> CircuitSpec:
-    """Assemble the benchmark ansatz.
+    """Assemble the benchmark ansatz on the 4-qubit register.
 
-    ``d_c`` selects the built-in 4-qubit entangling layers (see
+    ``d_c`` selects the built-in entangling layers (see
     ``entangler_layer``).  ``n_layers`` repeats the entangling layer that many
     times, with one more rotation layer than entangling layers;
     ``n_layers == 0`` keeps two rotation layers so the parameter space matches
     the single-layer case.
     """
+    if n_qubits != 4:
+        raise ValueError(f"the ansatz is defined on 4 qubits, got {n_qubits}")
     if n_layers < 0:
         raise ValueError("n_layers must be nonnegative")
     if d_c != 0 and n_layers == 0:
         raise ValueError(f"d_c = {d_c} needs n_layers >= 1")
-    if d_c != 0 and n_qubits != 4:
-        raise ValueError(
-            f"built-in entangling layers are defined on 4 qubits, got {n_qubits} for d_c = {d_c}"
-        )
     # only d_c = 2 alternates, so each distinct layer (a Chow-Liu tree too) is built once
     period = 2 if d_c == 2 else 1
     cycle = [entangler_layer(d_c, i, chow_liu_source, dc3_edges) for i in range(period)]
@@ -393,11 +389,11 @@ def embed_layer(layer: EntanglerLayer, graph: CouplingGraph) -> dict[int, int] |
     return next(mappings(()), None)
 
 
-def classify_pixel_pair(shape: ImageShape, u: int, v: int) -> str:
-    """'local' when the two pixels are grid neighbours, else 'non-local'."""
+def classify_pixel_pair(u: int, v: int) -> str:
+    """'local' when pixels u and v of the 2x2 image are grid neighbours, else
+    'non-local'.  Pixel r*2 + c sits at row r and column c, so neighbours
+    differ in one bit."""
     for pixel in (u, v):
-        if not 0 <= pixel < shape.n_bits:
-            raise ValueError(f"pixel {pixel} is outside the {shape.rows}x{shape.cols} image")
-    ru, cu = divmod(u, shape.cols)
-    rv, cv = divmod(v, shape.cols)
-    return "local" if abs(ru - rv) + abs(cu - cv) == 1 else "non-local"
+        if not 0 <= pixel < IMAGE.n_bits:
+            raise ValueError(f"pixel {pixel} is outside the 2x2 image")
+    return "local" if u ^ v in (1, 2) else "non-local"

@@ -27,7 +27,7 @@ from .ansatz import (
     parse_edge_list,
     preset_graph,
 )
-from .bas import ImageShape, bas_target_distribution, bitstring, enumerate_bas
+from .bas import IMAGE, bas_target_distribution, bitstring, enumerate_bas
 from .kv import format_value, parse_kv_file
 from .metrics import kl_sampling_summary
 from .noise import load_noise
@@ -46,6 +46,7 @@ from .runio import (
     read_checkpoint,
     read_sweep,
     read_trajectory,
+    refuse_inputs,
     write_csv,
     write_run,
 )
@@ -80,6 +81,7 @@ def cmd_deploy(args) -> int:
     config = load_config_file(run_dir / CONFIG_FILE)
     noise = load_noise(args.noise)
     out_path = run_dir / args.out
+    refuse_inputs(out_path, [*files_read(run_dir / CONFIG_FILE), args.noise], "file")
     resolved, own = out_path.resolve(), [(run_dir / name).resolve() for name in RUN_FILES]
     if resolved in own or resolved.is_relative_to((run_dir / CHECKPOINT_DIR).resolve()):
         raise FileExistsError(f"{out_path} is the run's own file or under its {CHECKPOINT_DIR}/")
@@ -151,12 +153,11 @@ def cmd_warmstart(args) -> int:
 
 
 def cmd_embed(args) -> int:
-    shape = ImageShape(args.rows, args.cols)
     if args.dc is None:
         layers = [("layer", layer_from_edges(parse_edge_list(args.edges, "--edges")))]
     else:
         first, second = build_circuit(
-            shape.n_bits, args.dc, 2, bas_target_distribution(shape)
+            IMAGE.n_bits, args.dc, 2, bas_target_distribution(IMAGE)
         ).entangler_layers
         layers = [("layer (depth 1)", first)]
         if second != first:  # d_c = 2 alternates matchings, and qubits do not move between layers
@@ -164,7 +165,7 @@ def cmd_embed(args) -> int:
     path = Path(args.graph)
     graph = load_coupling_graph(path) if path.exists() else preset_graph(args.graph)
     for name, layer in layers:
-        kinds = [classify_pixel_pair(shape, c, t) for c, t in layer.edges]
+        kinds = [classify_pixel_pair(c, t) for c, t in layer.edges]
         print(f"{name}: d_c={layer.d_c}, edges " + ", ".join(f"{c}->{t}" for c, t in layer.edges))
         print(
             f"connections: {kinds.count('local')} local, {kinds.count('non-local')} non-local"
@@ -223,9 +224,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_bas(args) -> int:
-    shape = ImageShape(args.rows, args.cols)
-    for state in enumerate_bas(shape):
-        print(bitstring(state, shape.n_bits))
+    for state in enumerate_bas(IMAGE):
+        print(bitstring(state, IMAGE.n_bits))
     return 0
 
 
@@ -263,8 +263,6 @@ def build_parser() -> _Parser:
     layer.add_argument("--dc", type=int, choices=(2, 3, 4), help="built-in layer density")
     layer.add_argument("--edges", help="explicit edge list, e.g. 0-1,0-2,0-3")
     p.add_argument("--graph", required=True, help="preset (plaquette4, ladder2xK) or edge-list file")
-    p.add_argument("--rows", type=int, default=2)
-    p.add_argument("--cols", type=int, default=2)
     p.set_defaults(func=cmd_embed)
 
     p = sub.add_parser("sweep", help="grid of training runs from one sweep file")
@@ -276,9 +274,7 @@ def build_parser() -> _Parser:
     p.add_argument("--force", action="store_true")
     p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("bas", help="print the bars-and-stripes states")
-    p.add_argument("--rows", type=int, required=True)
-    p.add_argument("--cols", type=int, required=True)
+    p = sub.add_parser("bas", help="print the six 2x2 bars-and-stripes states")
     p.set_defaults(func=cmd_bas)
 
     return parser

@@ -63,31 +63,21 @@ def amplitude_damping_kraus(gamma: float) -> list[np.ndarray]:
     return [k0, k1]
 
 
-# the density path's register cap; noisy models are checked against it
-MAX_DENSITY_QUBITS = 10
-
-
 @lru_cache(maxsize=256)
-def _axis_orders(ndim: int, axis: int, shared: bool) -> tuple:
-    """``contract_axis``' transpose order (the gate axis first if shared), inverse."""
-    rest = [a for a in range(1, ndim) if a != 1 + axis]
-    order = [1 + axis, 0] + rest if shared else [0, 1 + axis] + rest
+def _axis_orders(ndim: int, axis: int) -> tuple:
+    """``contract_axis``' transpose order (the gate axis first), inverse."""
+    order = [1 + axis, 0] + [a for a in range(1, ndim) if a != 1 + axis]
     return tuple(order), tuple(np.argsort(order).tolist())
 
 
 def contract_axis(t: np.ndarray, axis: int, m: np.ndarray) -> np.ndarray:
     """Contract the 2x2 ``m`` over qubit axis ``axis`` of each row of ``t``
     (B, 2, ..., 2), outcome distributions under a readout confusion matrix
-    (the simulators keep their own layouts): one (2 x B*rest) product, or one
-    (2 x rest) product per row when a row spans 1 or 2 columns.  Either way
-    each entry is the 2-term dot product of a lone row."""
-    # BLAS rounds each 4-column block of a product alike, but a lone row of 1
-    # or 2 columns takes another kernel: such narrow rows keep a product each
-    shared = t.ndim > 3
-    order, inverse = _axis_orders(t.ndim, axis, shared)
+    (the simulators keep their own layouts): one (2 x B*rest) product, whose
+    entries are each the 2-term dot product of a lone row."""
+    order, inverse = _axis_orders(t.ndim, axis)
     t = t.transpose(order)
-    flat = t.reshape(2, -1) if shared else t.reshape(len(t), 2, -1)
-    return (m @ flat).reshape(t.shape).transpose(inverse)
+    return (m @ t.reshape(2, -1)).reshape(t.shape).transpose(inverse)
 
 
 def apply_readout(probs: np.ndarray, confusion) -> np.ndarray:
@@ -143,13 +133,7 @@ class NoiseModel:
         return all(value == 0.0 for value in self._strengths().values())
 
     def check_register(self, n_qubits: int) -> None:
-        """Reject a noisy model on a register wider than the density path's
-        cap, and a per-qubit readout flip on a qubit the register lacks."""
-        if n_qubits > MAX_DENSITY_QUBITS and not self.is_noiseless():
-            raise ValueError(
-                f"density-matrix simulation capped at {MAX_DENSITY_QUBITS} qubits, "
-                f"got a noisy {n_qubits}-qubit register"
-            )
+        """Reject a per-qubit readout flip on a qubit the register lacks."""
         for qubit in sorted(self.readout_flip):
             if qubit >= n_qubits:
                 raise ValueError(

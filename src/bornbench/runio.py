@@ -174,15 +174,21 @@ def checkpoint_path(run_dir, step: int) -> Path:
     return Path(run_dir) / CHECKPOINT_DIR / f"step_{step:06d}.json"
 
 
+def refuse_inputs(out, inputs, kind: str = "directory") -> None:
+    """Refuse an output ``kind`` (a directory or a file) that is or holds
+    one of the ``inputs``, the paths the command reads."""
+    for path in inputs:
+        if Path(path).resolve().is_relative_to(Path(out).resolve()):
+            raise FileExistsError(f"output {kind} {out} is or holds the input {path}")
+
+
 def check_run_dir(out_dir, force: bool = False, inputs=()) -> Path:
-    """``out_dir``, refused if it is or holds one of the ``inputs`` (the
-    paths the command reads), if it is not a directory, or if it holds files
-    and ``force`` is off.  Commands call this before they train; ``--force``
+    """``out_dir``, refused if it is or holds one of the ``inputs``
+    (``refuse_inputs``), if it is not a directory, or if it holds files and
+    ``force`` is off.  Commands call this before they train; ``--force``
     replaces the files only when ``write_run`` writes the new ones."""
     out_dir = Path(out_dir)
-    for path in inputs:
-        if Path(path).resolve().is_relative_to(out_dir.resolve()):
-            raise FileExistsError(f"output directory {out_dir} is or holds the input {path}")
+    refuse_inputs(out_dir, inputs)
     if out_dir.exists() and not out_dir.is_dir():
         raise FileExistsError(f"output path {out_dir} exists and is not a directory")
     if not force and out_dir.exists() and any(out_dir.iterdir()):

@@ -28,10 +28,9 @@ fixed per circuit (``_layouts``), and the CNOTs of a sub-covering only
 permute entries, so they are one cached gather.  Each amplitude goes through
 the same 2x2 BLAS arithmetic whatever a product's width, given a C-ordered
 output (numpy transposes the product for another), rows of at least 4
-columns and the other qubits in ascending order (a column's zero signs
-depend on its position); narrower registers take a product per row.  The
-density path shares one product over the whole batch and redoes the
-differing rows alone.
+columns (8 on the 4-qubit register) and the other qubits in ascending order
+(a column's zero signs depend on its position).  The density path shares
+one product over the whole batch and redoes the differing rows alone.
 
 A density matrix is held in real coordinates: qubit q's (ket bit, bra bit)
 pair holds the coefficients of |0><0|, X, Y and |1><1| at 0, 1, 2, 3, so the
@@ -61,18 +60,11 @@ from functools import lru_cache
 import numpy as np
 
 from .ansatz import CircuitSpec
-from .noise import (
-    MAX_DENSITY_QUBITS,
-    NoiseModel,
-    amplitude_damping_kraus,
-    apply_readout,
-    broadcast_kron,
-    depolarizing_kraus,
-)
+from .noise import NoiseModel, amplitude_damping_kraus, apply_readout, broadcast_kron, depolarizing_kraus
 
-MAX_STATEVECTOR_QUBITS = 24
-# circuit_probabilities simulates at most this many bytes of states at once,
-# which bounds memory for wide registers and long batches
+# circuit_probabilities simulates at most this many bytes of states at once:
+# a long batch, such as the noisy half of a deploy (2 KB of density
+# coordinates per trajectory row), would otherwise hold all of its states
 MAX_BATCH_BYTES = 2**25
 
 
@@ -357,8 +349,6 @@ def run_statevector(circuit: CircuitSpec, theta) -> np.ndarray:
     """Amplitudes of |0...0> evolved through the circuit at rotation angles
     ``theta``: shape (2^n,) for one angle vector, (B, 2^n) for a batch."""
     n = circuit.n_qubits
-    if n > MAX_STATEVECTOR_QUBITS:
-        raise ValueError(f"statevector simulation capped at {MAX_STATEVECTOR_QUBITS} qubits")
     order, starts, rows, bounds, u = _rotations(circuit, theta)
     walk, final = _layouts(circuit)
     batch, width = len(order), 2 ** (n - 1)
@@ -383,10 +373,7 @@ def run_statevector(circuit: CircuitSpec, theta) -> np.ndarray:
         lo, hi, k, joined = bounds[slot], bounds[slot + 1], starts[slot], starts[slot + 1]
         mid = hi - joined + k  # u[lo + 1:mid] redo joined rows, u[mid:hi] make the joining ones
         shared = 1 if mid - lo == k else k  # row 0 alone when every other joined row is redone
-        if width >= 4:
-            np.matmul(u[lo], x[:, : shared * width], out=y[:, : shared * width])
-        else:  # a row of 1 or 2 columns takes another BLAS kernel: a product per row
-            np.matmul(u[lo], x_rows[:shared], out=y_rows[:shared])
+        np.matmul(u[lo], x[:, : shared * width], out=y[:, : shared * width])
         if joined > k:
             np.matmul(u[mid:hi], x0, out=y_rows[k:joined])
         if shared < k:  # every other joined row differs again: redone in place
@@ -406,9 +393,9 @@ def _schedule(circuit: CircuitSpec) -> tuple:
     """The density path's gates in program order, (qubits, slot, perm, turn,
     src, dst) with slot None for an edge or a damping, then the split shape and
     axes of (B, kets, bras).  Axis q holds qubit q's pair, axis n the batch,
-    from (0, ..., n): ``perm`` copies the state so that the qubits lead (after
-    the batch when they are all), ``turn`` moves them to the back in the
-    product, ``src`` and ``dst`` view it before and after as (B, qubits, rest)."""
+    from (0, ..., n): ``perm`` copies the state so that the qubits lead,
+    ``turn`` moves them to the back in the product, ``src`` and ``dst`` view
+    it before and after as (B, qubits, rest)."""
     n = circuit.n_qubits
     gates = []
     for qubit, arg in _plan(circuit)[0]:
@@ -417,16 +404,16 @@ def _schedule(circuit: CircuitSpec) -> tuple:
         else:
             touched = {q for edge in arg for q in edge}
             gates += [(e, None) for e in arg] + [((q,), None) for q in range(n) if q not in touched]
-    wants = [(n,) * (len(q) == n) + q for q, _ in gates] + [()]
+    wants = [q for q, _ in gates] + [()]
     order, steps = tuple(range(n + 1)), []
     for i, (qubits, slot) in enumerate(gates):
         k, perm = len(qubits), None
         if order[: len(wants[i])] != wants[i]:
             # the other qubits by next use, so that the next gates lead in turn
             later = [q for g, _ in gates[i:] for q in g] + list(range(n + 1))
-            new = wants[i] if k == n else tuple(dict.fromkeys(later))
+            new = tuple(dict.fromkeys(later))
             perm, order = tuple(map(order.index, new)), new
-        turn = k < n and order[: len(wants[i + 1])] != wants[i + 1]
+        turn = order[: len(wants[i + 1])] != wants[i + 1]
         front = (n, *qubits, *(a for a in order if a != n and a not in qubits))
         after = order[k:] + order[:k] if turn else order
         src, dst = (tuple(map(o.index, front)) for o in (order, after))
@@ -442,8 +429,6 @@ def evolve_density(circuit: CircuitSpec, theta, noise: NoiseModel | None = None)
     with d = 2^n or (B, d, d), diagonal the populations; each gate is followed
     by its noise channel, each entangler sub-covering by amplitude damping."""
     n = circuit.n_qubits
-    if n > MAX_DENSITY_QUBITS:
-        raise ValueError(f"density-matrix simulation capped at {MAX_DENSITY_QUBITS} qubits")
     noise = noise or NoiseModel()
     depolarize, edge, damp = _superoperators(noise.p1, noise.p2, noise.t_damp)
     order, _, rows, bounds, u = _rotations(circuit, theta)
@@ -457,8 +442,7 @@ def evolve_density(circuit: CircuitSpec, theta, noise: NoiseModel | None = None)
             rho = rho.transpose(perm).copy()
         k, shape = len(qubits), rho.shape
         m = (edge if k == 2 else damp) if slot is None else mats[bounds[slot]]
-        # a lone row is 1 column, which BLAS rounds otherwise: k == n takes a product per row
-        x = rho.reshape((-1, 4**k, 1) if k == n else (4**k, -1))
+        x = rho.reshape(4**k, -1)
         out = (x.T @ m.T).reshape(shape[k:] + shape[:k]) if turn else (m @ x).reshape(shape)
         lo, hi = (0, 1) if slot is None else bounds[slot : slot + 2]
         if hi - lo > 1:  # the rows whose angle differs, redone alone

@@ -18,7 +18,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .ansatz import CircuitSpec, build_circuit, format_edge_list
-from .bas import ImageShape, TargetDistribution, bas_target_distribution
+from .bas import IMAGE, TargetDistribution, bas_target_distribution
 from .kv import format_value
 from .metrics import (
     MetricRecord,
@@ -118,7 +118,7 @@ class TrainingConfig:
     kernel_distance: str = "integer-squared"
     sigma_is_variance: bool = True
     seed: int = 0
-    n_rows: int = 2
+    n_rows: int = 2  # the image is 2x2: both are refused otherwise, and kept as config keys
     n_cols: int = 2
     kl_shots: int = 2048
     kl_repeats: int = 10
@@ -167,7 +167,10 @@ class TrainingConfig:
                 raise ValueError(f"{name} must be positive")
         if self.gradient_mode not in ("sampled", "exact"):
             raise ValueError(f"gradient_mode must be 'sampled' or 'exact'")
-        shape = ImageShape(self.n_rows, self.n_cols)  # validates register size
+        if (self.n_rows, self.n_cols) != (IMAGE.rows, IMAGE.cols):
+            raise ValueError(
+                f"n_rows = {self.n_rows}, n_cols = {self.n_cols}: the image is 2x2, so both must be 2"
+            )
         if self.noise is not None:
             self.noise.check_register(self.n_qubits)
         if self.dc3_edges is not None:
@@ -177,15 +180,13 @@ class TrainingConfig:
             object.__setattr__(self, "dc3_edges", edges)
         # The run's derived objects, built once.  They are plain attributes,
         # not fields, so kv_items, digest, == and replace see only the fields.
-        # The kernel goes first: it caps the register before the target's
-        # 2^n vector is allocated.
         kernel = KernelSpec(
             self.n_qubits,
             sigma=self.sigma,
             distance=self.kernel_distance,
             sigma_is_variance=self.sigma_is_variance,
         )
-        target = bas_target_distribution(shape)
+        target = bas_target_distribution(IMAGE)
         circuit = build_circuit(
             self.n_qubits,
             self.d_c,

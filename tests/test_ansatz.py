@@ -8,7 +8,6 @@ from bornbench import (
     CircuitSpec,
     CouplingGraph,
     EntanglerLayer,
-    ImageShape,
     TargetDistribution,
     bas_target_distribution,
     build_circuit,
@@ -139,7 +138,7 @@ def test_chow_liu_star(target22):
     assert {tuple(sorted(e)) for e in layer.edges} == {(0, 1), (0, 2), (0, 3)}
     assert all(edge[0] == 0 for edge in layer.edges)  # directed away from the root
     assert layer.d_c == 3
-    kinds = [classify_pixel_pair(ImageShape(2, 2), u, v) for u, v in layer.edges]
+    kinds = [classify_pixel_pair(u, v) for u, v in layer.edges]
     assert kinds.count("local") == 2 and kinds.count("non-local") == 1
 
 
@@ -240,10 +239,13 @@ def test_build_circuit_errors(target22):
     with pytest.raises(ValueError):
         build_circuit(4, 5, 1)
     with pytest.raises(ValueError):
-        build_circuit(6, 2, 1)  # built-in layers are 4-qubit only
-    with pytest.raises(ValueError):
         build_circuit(4, 2, 0)
-    # other registers take explicit layers through the CircuitSpec constructor
+    # the ansatz is 4-qubit only, the product circuit (d_c = 0) too
+    for n_qubits in (0, 1, 2, 3, 5, 6):
+        for d_c, layers in [(0, 0), (0, 1), (2, 1), (3, 1), (4, 2)]:
+            with pytest.raises(ValueError, match=f"^the ansatz is defined on 4 qubits, got {n_qubits}$"):
+                build_circuit(n_qubits, d_c, layers, chow_liu_source=target22)
+    # a hand-built circuit on another register takes explicit layers
     layer = layer_from_edges([(0, 1), (2, 3), (4, 5)])
     patterns = build_circuit(4, 2, 1).rotation_layers
     circuit = CircuitSpec(6, patterns, (layer,))
@@ -268,20 +270,20 @@ def test_l0_output_is_product(rng):
 
 
 def test_classify_pixel_pairs():
-    shape = ImageShape(2, 2)
+    """Pixel r*2 + c of the 2x2 image sits at (r, c); a pair is local when
+    its grid distance is 1, checked against that geometry."""
+    for u, v in itertools.product(range(4), repeat=2):
+        (ru, cu), (rv, cv) = divmod(u, 2), divmod(v, 2)
+        expected = "local" if abs(ru - rv) + abs(cu - cv) == 1 else "non-local"
+        assert classify_pixel_pair(u, v) == expected
     local = [(0, 1), (0, 2), (1, 3), (2, 3)]
-    nonlocal_ = [(0, 3), (1, 2)]
-    for u, v in local:
-        assert classify_pixel_pair(shape, u, v) == "local"
-    for u, v in nonlocal_:
-        assert classify_pixel_pair(shape, u, v) == "non-local"
+    assert [p for p in itertools.combinations(range(4), 2) if classify_pixel_pair(*p) == "local"] == local
 
 
 def test_classify_pixel_pair_rejects_pixels_outside_the_image():
     for u, v in [(0, 4), (5, 1), (-1, 0)]:
         with pytest.raises(ValueError, match="outside the 2x2 image"):
-            classify_pixel_pair(ImageShape(2, 2), u, v)
-    assert classify_pixel_pair(ImageShape(2, 4), 0, 4) == "local"
+            classify_pixel_pair(u, v)
 
 
 # -- embedding ---------------------------------------------------------------

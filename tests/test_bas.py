@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from bornbench import ImageShape, TargetDistribution, bas_target_distribution, bitstring, enumerate_bas
+from bornbench.bas import IMAGE
 
 
 def brute_force_is_bas(index: int, rows: int, cols: int) -> bool:
@@ -76,7 +77,8 @@ def test_shape_validation():
     with pytest.raises(ValueError):
         ImageShape(0, 2)
     with pytest.raises(ValueError):
-        ImageShape(5, 5)  # exceeds the register cap
+        ImageShape(2, -1)
+    assert IMAGE == ImageShape(2, 2) and IMAGE.n_bits == 4
 
 
 def test_target_validation():

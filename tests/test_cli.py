@@ -57,9 +57,13 @@ def read_csv(path):
 
 
 def test_bas_subcommand(capsys):
-    assert main(["bas", "--rows", "2", "--cols", "2"]) == 0
+    assert main(["bas"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
     assert lines == ["0000", "0011", "0101", "1010", "1100", "1111"]
+    # the image is 2x2, so there is no shape to choose
+    assert main(["bas", "--rows", "2", "--cols", "2"]) == 1
+    captured = capsys.readouterr()
+    assert "unrecognized arguments: --rows 2 --cols 2" in captured.err and captured.out == ""
 
 
 def test_train_outputs(tiny_run):
@@ -339,18 +343,18 @@ def test_embed_rejects_pixels_outside_the_image(capsys):
     captured = capsys.readouterr()
     assert "pixel 5 is outside the 2x2 image" in captured.err
     assert "non-local" not in captured.out
-    assert main(ladder + ["--rows", "2", "--cols", "4"]) == 0
-    assert "0 local, 2 non-local" in capsys.readouterr().out
+    # the pixels are those of the 2x2 image; the graph may be larger
+    assert main(["embed", "--edges", "0-1,1-3", "--graph", "ladder2x4"]) == 0
+    assert "2 local, 0 non-local" in capsys.readouterr().out
 
 
 def test_embed_rejects_a_built_in_layer_off_four_qubits(capsys):
-    """The built-in layers live on 4 qubits, as in train: a 3x4 image is
-    refused rather than read as the pixels of the 2x2 layer's edges."""
-    assert main(["embed", "--dc", "3", "--rows", "3", "--cols", "4", "--graph", "plaquette4"]) == 1
-    captured = capsys.readouterr()
-    assert "built-in entangling layers are defined on 4 qubits, got 12 for d_c = 3" in captured.err
-    assert captured.out == ""
-    assert main(["embed", "--edges", "0-5,1-7", "--rows", "3", "--cols", "4", "--graph", "ladder2x4"]) == 0
+    """The built-in layers live on the 4 qubits of the 2x2 image, as in
+    train: there is no other image to place them on."""
+    for layer in (["--dc", "3"], ["--edges", "0-5,1-7"]):
+        assert main(["embed", *layer, "--rows", "3", "--cols", "4", "--graph", "ladder2x4"]) == 1
+        captured = capsys.readouterr()
+        assert "unrecognized arguments: --rows 3 --cols 4" in captured.err and captured.out == ""
 
 
 def test_bad_edge_tokens_are_named(tmp_path, capsys):
@@ -758,10 +762,13 @@ def test_dc3_edges_must_list_three_edges(tmp_path, capsys):
 
 
 def test_register_mismatch_fails_when_config_is_built(tmp_path, capsys):
+    """A train config, a sweep row (named by its index) and a warmstart
+    override that set another image are refused, exit 1 naming both keys,
+    before any directory is made."""
     config = tmp_path / "wide.cfg"
     config.write_text(TINY_CONFIG + "n_cols = 3\n")
     assert main(["train", "-c", str(config), "-o", str(tmp_path / "run")]) == 1
-    message = "built-in entangling layers are defined on 4 qubits, got 6 for d_c = 2"
+    message = "n_rows = 2, n_cols = 3: the image is 2x2, so both must be 2"
     assert message in capsys.readouterr().err
     assert not (tmp_path / "run").exists()
 
@@ -772,45 +779,47 @@ def test_register_mismatch_fails_when_config_is_built(tmp_path, capsys):
     assert f"{sweep}: row 1: {message}" in capsys.readouterr().err
     assert not out.exists()
 
+    config.write_text(TINY_CONFIG)
+    run = tmp_path / "tiny"
+    assert main(["train", "-c", str(config), "-o", str(run)]) == 0
+    override = tmp_path / "over.cfg"
+    override.write_text("n_rows = 1\n")
+    before = snapshot(tmp_path)
+    warm = ["warmstart", str(run), "--step", "0", "--steps", "1", "-c", str(override), "--force"]
+    assert main(warm) == 1
+    assert "n_rows = 1, n_cols = 2: the image is 2x2, so both must be 2" in capsys.readouterr().err
+    assert snapshot(tmp_path) == before
 
-def test_kernel_cap_fails_when_config_is_built(tmp_path, capsys):
-    config = tmp_path / "big.cfg"
-    config.write_text(
-        TINY_CONFIG.replace("d_c = 2", "d_c = 0") + "n_rows = 4\nn_cols = 4\n"
-    )
+
+# Registers that once passed a config: a 12-qubit product circuit, noiseless
+# (accepted) or noisy (the density path's cap), 16 qubits (the kernel's cap),
+# and the 1- and 2-qubit product circuits.
+OTHER_IMAGES = {
+    "3x4": "n_rows = 3\nn_cols = 4\n",
+    "3x4_p1": "n_rows = 3\nn_cols = 4\nnoise_p1 = 0.01\n",
+    "3x4_readout_only": "n_rows = 3\nn_cols = 4\nnoise_readout_flip_all = 0.01\n",
+    "4x4": "n_rows = 4\nn_cols = 4\n",
+    "1x1": "n_rows = 1\nn_cols = 1\n",
+    "1x2": "n_rows = 1\nn_cols = 2\n",
+}
+
+
+@pytest.mark.parametrize("name", sorted(OTHER_IMAGES))
+def test_an_image_other_than_2x2_is_refused_at_config_time(tmp_path, capsys, name, monkeypatch):
+    from bornbench import cli
+
+    monkeypatch.setattr(cli, "train", lambda *args: pytest.fail("trained a refused config"))
+    rows, cols = name.split("_")[0].split("x")
+    message = f"n_rows = {rows}, n_cols = {cols}: the image is 2x2, so both must be 2"
+    config = tmp_path / "other.cfg"
+    config.write_text(TINY_CONFIG.replace("d_c = 2", "d_c = 0") + OTHER_IMAGES[name])
     assert main(["train", "-c", str(config), "-o", str(tmp_path / "run")]) == 1
-    assert "the MMD kernel is capped at 12" in capsys.readouterr().err
-    assert not (tmp_path / "run").exists()
-
-
-@pytest.mark.parametrize(
-    "noise", ["noise_p1 = 0.01", "noise_readout_flip_all = 0.01"], ids=["p1", "readout_only"]
-)
-def test_density_cap_fails_when_config_is_built(tmp_path, capsys, noise):
-    """12 qubits fit the kernel but not the density path, which any noise,
-    readout alone included, takes."""
-    wide = TINY_CONFIG.replace("d_c = 2", "d_c = 0") + "n_rows = 3\nn_cols = 4\n"
-    message = "density-matrix simulation capped at 10 qubits, got a noisy 12-qubit register"
-    config = tmp_path / "wide.cfg"
-    config.write_text(wide + noise + "\n")
-    assert main(["train", "-c", str(config), "-o", str(tmp_path / "run")]) == 1
-    assert message in capsys.readouterr().err
-    assert not (tmp_path / "run").exists()
-
-    sweep = tmp_path / "wide.sweep"
-    sweep.write_text(wide + noise + " 0.02\n")
-    out = tmp_path / "sweep"
-    assert main(["sweep", "-c", str(sweep), "-o", str(out)]) == 1
-    assert f"{sweep}: row 0: {message}" in capsys.readouterr().err
-    assert not out.exists()
-
-
-def test_noiseless_wide_config_is_accepted(tmp_path):
-    from bornbench.runio import load_config_file
-
-    config = tmp_path / "wide.cfg"
-    config.write_text(TINY_CONFIG.replace("d_c = 2", "d_c = 0") + "n_rows = 3\nn_cols = 4\n")
-    assert load_config_file(config).n_qubits == 12
+    assert f"bornbench: {message}\n" == capsys.readouterr().err
+    sweep = tmp_path / "other.sweep"
+    sweep.write_text(config.read_text().replace("n_steps = 4", "n_steps = 1 2"))
+    assert main(["sweep", "-c", str(sweep), "-o", str(tmp_path / "sweep")]) == 1
+    assert f"sweep: {sweep}: row 0: {message}\n" == capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["other.cfg", "other.sweep"]
 
 
 def test_a_built_config_is_not_rebuilt(tmp_path, monkeypatch):
@@ -1080,6 +1089,28 @@ def test_an_output_that_is_or_holds_an_input_is_refused(case, tmp_path, monkeypa
         capsys.readouterr()
         assert main(command.split() + force) == 1
         assert f"output directory {out} is or holds the input {read}" in capsys.readouterr().err
+    assert calls == []
+    assert snapshot(tmp_path) == before
+
+
+def test_deploy_refuses_an_out_that_is_its_noise_profile(tiny_run, tmp_path, monkeypatch, capsys):
+    """deploy's --out, a path in the run, that resolves to the --noise
+    profile it reads exits 1 naming both, with or without --force, before
+    anything is simulated, and the profile keeps its bytes."""
+    from bornbench import cli
+
+    _, run = tiny_run
+    inside, outside = run / "p.profile", tmp_path / "p.profile"
+    for profile in (inside, outside):
+        profile.write_text(MODERATE.read_text())
+    calls = []
+    monkeypatch.setattr(cli, "circuit_probabilities", lambda *args: calls.append(args))
+    before = snapshot(tmp_path)
+    for profile, out in [(inside, "p.profile"), (inside, "checkpoints/../p.profile"), (outside, "../p.profile")]:
+        for force in ([], ["--force"]):
+            capsys.readouterr()
+            assert main(["deploy", str(run), "--noise", str(profile), "--out", out, *force]) == 1
+            assert f"output file {run / out} is or holds the input {profile}" in capsys.readouterr().err
     assert calls == []
     assert snapshot(tmp_path) == before
 

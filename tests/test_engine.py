@@ -45,7 +45,7 @@ MODERATE = CONFIGS / "noise" / "moderate.profile"
 ZERO = CONFIGS / "noise" / "zero.profile"
 
 # SHA-256 of every byte-identical run file after a 5-step train at seed 0 of
-# a shipped config, or of one in EXTRA_CONFIGS.
+# a shipped config.
 GOLDEN_RUNS = {
     "dc2_L2_2048": {
         "checkpoints/step_000000.json": "c9b70b33938347a65a599165f6273d224c8c020aed2bf3f1fb2178cf3a5c7e18",
@@ -102,13 +102,6 @@ GOLDEN_RUNS = {
         "final_theta.json": "300ea4a1295b7f3638abccbdb14d78b13d182749b2e3d249404d5b74d5211e3f",
         "metrics.csv": "93d31c942afbc1db9b27b384f58adb3886bcdc08aa335134ef09c2adc8b7d004",
         "theta_trajectory.csv": "68256e0523096cb38c736df73172a5c47d5429ea7aa876a96bba78f2a91ecaaa",
-    },
-    "bas23_dc0_L0_qbas": {
-        "checkpoints/step_000000.json": "e925b9f4469aec780969d303a919ca34c87d83fac32dc8387cdfcf46e73b4273",
-        "checkpoints/step_000005.json": "e5314fd669487060af2db876aee724b22e820819852db8d2c32cf1761c6deac6",
-        "final_theta.json": "aa3c453308b159f89969d055d2192e818179799d9380919bb9e4f3505f6a7797",
-        "metrics.csv": "7b382c896613996cb0a87005b84d3f83a6c3b5f817e38e60205fcb9ffee11cab",
-        "theta_trajectory.csv": "722df7b770b5c0a3759394ab67f4d7c49b95de5cde88332be234f3608421c0b7",
     },
 }
 
@@ -172,14 +165,8 @@ def run_digests(config: TrainingConfig, out_dir: Path) -> dict[str, str]:
     }
 
 
-# Golden runs no shipped config covers: the 2x3 target has 10 support states.
-EXTRA_CONFIGS = {
-    "bas23_dc0_L0_qbas": TrainingConfig(d_c=0, n_layers=0, n_rows=2, n_cols=3, qbas_enabled=True),
-}
-
-
 def short_run_digests(name: str, out_dir: Path) -> dict[str, str]:
-    config = EXTRA_CONFIGS.get(name) or load_config_file(CONFIGS / f"{name}.cfg")
+    config = load_config_file(CONFIGS / f"{name}.cfg")
     return run_digests(replace(config, n_steps=5, seed=0), out_dir)
 
 
@@ -404,14 +391,18 @@ def assert_batch_is_rows_alone(circuit, thetas, noise):
     assert batch.tobytes() == rows.tobytes()
 
 
-# (n_rows, n_cols, d_c, n_layers): every 2x2 shape, the 2x3 register, and a
-# 1- and a 2-qubit register, whose rows are too narrow for one shared product
-REGISTERS = [(2, 2, d_c, layers) for d_c, layers in SHAPES] + [
-    (2, 3, 0, 1),
-    (2, 3, 0, 2),
-    (1, 1, 0, 1),
-    (1, 2, 0, 2),
-]
+# (n_rows, n_cols, d_c, n_layers): every 2x2 shape, and the product circuit
+# on a 2x3 register, which no config takes but the simulators do
+REGISTERS = [(2, 2, d_c, layers) for d_c, layers in SHAPES] + [(2, 3, 0, 1), (2, 3, 0, 2)]
+
+
+def register_circuit(rows, cols, d_c, layers):
+    """The circuit of a 2x2 config, or on another register, which no config
+    takes, the product circuit (d_c = 0) built by hand."""
+    if (rows, cols) == (2, 2):
+        return TrainingConfig(d_c=d_c, n_layers=layers).circuit()
+    patterns = TrainingConfig(d_c=0, n_layers=layers).circuit().rotation_layers
+    return CircuitSpec(rows * cols, patterns, (EntanglerLayer(()),) * layers)
 
 
 @pytest.mark.parametrize("rows, cols, d_c, layers", REGISTERS)
@@ -419,7 +410,7 @@ REGISTERS = [(2, 2, d_c, layers) for d_c, layers in SHAPES] + [
 def test_shift_batch_matches_rows_bit_for_bit(rows, cols, d_c, layers, noisy):
     """A gradient batch shares one product per gate and redoes its 2 shifted
     rows alone; every row must still come out as it does alone."""
-    circuit = TrainingConfig(d_c=d_c, n_layers=layers, n_rows=rows, n_cols=cols).circuit()
+    circuit = register_circuit(rows, cols, d_c, layers)
     theta = np.random.default_rng(rows * cols + 10 * d_c + layers).uniform(
         0.0, 2.0 * math.pi, circuit.parameter_count
     )
@@ -427,15 +418,12 @@ def test_shift_batch_matches_rows_bit_for_bit(rows, cols, d_c, layers, noisy):
 
 
 @pytest.mark.parametrize(
-    "n, coverings",
-    [(2, [[((0, 1),)], [((1, 0),)]]), (3, [[((0, 2),), ((1, 0),)], [((2, 1),)]])],
-    ids=["2_qubits", "3_qubits"],
+    "n, coverings", [(3, [[((0, 2),), ((1, 0),)], [((2, 1),)]])], ids=["3_qubits"]
 )
 def test_hand_built_edges_off_four_qubits_match_rows(n, coverings):
     """No config puts a CNOT on other than 4 qubits, but a hand-built circuit
-    may: on 2 qubits an edge contracts the whole register (one product per
-    row), on 3 it leaves 4 columns a row.  Batch rows still come out as they
-    do alone, and within 1e-12 of the reference."""
+    may: on 3 an edge leaves 4 columns a row.  Batch rows still come out as
+    they do alone, and within 1e-12 of the reference."""
     layers = tuple(EntanglerLayer(tuple(covering)) for covering in coverings)
     circuit = CircuitSpec(n, (("rx", "rz"), ("rz", "rx", "rz"), ("rz", "rx")), layers)
     noise = load_noise(MODERATE)
@@ -476,15 +464,11 @@ DENSITY_PINS = {
     "2x3_dc0_L1/moderate": "1b2714b477069f3e36b3989a98f53b2e9a9b4610f58f08aa0647c9e40a953906",
     "2x3_dc0_L2/full": "8d00897f20c83bd4c53497d7d6465b3e3fe60d27f06870b03e130359f2c85c6f",
     "2x3_dc0_L2/moderate": "7c04f32653700b51846336504ed775da315fb9f3f107d2f07267b9a5dd7b9a16",
-    "1x1_dc0_L1/full": "a30711f9fda4744c05376439270d8cfceae0b894de92cefe70b35dfcd2e4d600",
-    "1x1_dc0_L1/moderate": "11387a7375aa0c07d25ccb60e5381dc61d529d867c46acb34228ba40b99b6b67",
-    "1x2_dc0_L2/full": "341dce305634dc984e08deae42c95b37cf012446f970ea08d7f9bec41c10aae3",
-    "1x2_dc0_L2/moderate": "c9a2268a6f8cfd0174df485209a7ac764242049a9846879ebec484f7951d6837",
 }
 
 
 def density_pin(rows, cols, d_c, layers, noise):
-    circuit = TrainingConfig(d_c=d_c, n_layers=layers, n_rows=rows, n_cols=cols).circuit()
+    circuit = register_circuit(rows, cols, d_c, layers)
     rng = np.random.default_rng([rows, cols, d_c, layers])
     theta, lone = rng.uniform(0.0, 2.0 * math.pi, (2, circuit.parameter_count))
     digest = hashlib.sha256(evolve_density(circuit, shift_batch(theta), noise).tobytes())
@@ -497,33 +481,6 @@ def density_pin(rows, cols, d_c, layers, noise):
 def test_density_bytes_unchanged_on_every_register(register, noise):
     key = "%dx%d_dc%d_L%d/%s" % (*register, noise)
     assert density_pin(*register, PIN_NOISE[noise]) == DENSITY_PINS[key]
-
-
-# SHA-256 of the bytes of noiseless ``circuit_probabilities`` on the
-# parameter-shift batch and on the lone angle vector that ``density_pin``
-# draws, for the 1- and 2-qubit registers of REGISTERS, whose rows take a
-# product per row.  Recorded with SkylakeX OpenBLAS kernels; these narrow
-# products round otherwise on other BLAS cores (Haswell and Sandybridge move
-# 3 of the 4), so the pins hold per core, as ROADMAP item 7 records.
-NARROW_PINS = {
-    "1x1_dc0_L1/batch": "244a08465c1c6d97997c74ec79685fb688a1a5a0daa43f71c5679f942af5b16a",
-    "1x1_dc0_L1/row": "68d7152658d24dfcbf09ff25f18fcb38e98109be0462485915e5aff7eed87a68",
-    "1x2_dc0_L2/batch": "da3f3cae225d98045c828deae8eb737fa10138e42011636562fa05679d7c47c8",
-    "1x2_dc0_L2/row": "2008ea3c2899fdf27746d862f725959ac97fbfd27e1dec3890fafe3e0d9b1743",
-}
-
-
-@pytest.mark.parametrize("register", [(1, 1, 0, 1), (1, 2, 0, 2)], ids=lambda r: "%dx%d_dc%d_L%d" % r)
-def test_noiseless_bytes_unchanged_on_narrow_registers(register):
-    rows, cols, d_c, layers = register
-    circuit = TrainingConfig(d_c=d_c, n_layers=layers, n_rows=rows, n_cols=cols).circuit()
-    rng = np.random.default_rng(list(register))
-    theta, lone = rng.uniform(0.0, 2.0 * math.pi, (2, circuit.parameter_count))
-    key = "%dx%d_dc%d_L%d" % register
-    # a mismatch on a CPU family other than SkylakeX may be BLAS rounding, not a regression
-    where = "recorded with SkylakeX OpenBLAS kernels; other cores round these otherwise (ROADMAP item 7)"
-    assert _sha(circuit_probabilities(circuit, shift_batch(theta)).tobytes()) == NARROW_PINS[f"{key}/batch"], where
-    assert _sha(circuit_probabilities(circuit, lone).tobytes()) == NARROW_PINS[f"{key}/row"], where
 
 
 class Recorded(np.ndarray):
@@ -714,23 +671,21 @@ LAYOUT_COPIES = {
     (2, 2, 4, 2): 6,
     (2, 3, 0, 1): 1,
     (2, 3, 0, 2): 2,
-    (1, 1, 0, 1): 1,
-    (1, 2, 0, 2): 2,
 }
 
 
 def test_density_layout_copies_per_evaluation():
     assert set(LAYOUT_COPIES) == set(PIN_REGISTERS)
     for (rows, cols, d_c, layers), count in LAYOUT_COPIES.items():
-        circuit = TrainingConfig(d_c=d_c, n_layers=layers, n_rows=rows, n_cols=cols).circuit()
+        circuit = register_circuit(rows, cols, d_c, layers)
         steps = sim._schedule(circuit)[0]
         assert sum(step[2] is not None for step in steps) == count, (rows, cols, d_c, layers)
 
 
 # TrainingConfig.digest() of every shipped config (each sweep row labelled and
 # seeded as the sweep command does it, each plain config also under the
-# noiseless zero profile) and of EXTRA_CONFIGS, recorded before the density
-# path had a version of its own.
+# noiseless zero profile), recorded before the density path had a version of
+# its own.
 PINNED_DIGESTS = {
     "dc2_L1_1024": "505aedd76e86df532cc92a1b952363022a70f89622fd17884b163942b54db39b",
     "dc2_L1_1024+zero": "95d22f511120ecade7a397852b3cbe4a2465f52c565a4d8b3d7047252f7416f5",
@@ -766,14 +721,13 @@ PINNED_DIGESTS = {
     "sweep_full_grid/row015": "c1b8aa92d421a1ebced91e0ac5deb522601b95a069563fc56fd5e084c91a26d2",
     "sweep_full_grid/row016": "c02ab2e55010cb2f24bf259cdb15e7d709fd4f8aa9103ea7703a20b787f18055",
     "sweep_full_grid/row017": "ee75085e4bb52c796cdf5793d1144eda3930d813d50b7018be05fe152da2c72c",
-    "bas23_dc0_L0_qbas": "90df5493f8000730e8611dbb1b220038dc39d4f53e94f6ce23839633fceb9517",
 }
 
 
 def shipped_configs() -> dict[str, TrainingConfig]:
     """Every shipped config, and every row of a shipped sweep file as
     ``bornbench sweep`` builds it."""
-    configs = dict(EXTRA_CONFIGS)
+    configs = {}
     for path in sorted(CONFIGS.glob("*.cfg")):
         rows = read_sweep(path)
         if len(rows) > 1:

@@ -131,8 +131,6 @@ def test_kernel_validation():
         KernelSpec(4, sigma=0.0)
     with pytest.raises(ValueError):
         KernelSpec(4, distance="euclidean")
-    with pytest.raises(ValueError):
-        KernelSpec(14)
 
 
 def test_exact_loss_zero_at_target(target22, kernel4):

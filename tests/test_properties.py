@@ -30,7 +30,6 @@ from test_mmd import is_indefinite, three_axis_kernel
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 
 SHAPES = [(0, 0), (0, 1), (2, 1), (2, 2), (3, 1), (3, 2), (4, 1), (4, 2)]
-NARROW = [(1, 1), (1, 2), (2, 3)]
 
 # probabilities on [0, 1], with both endpoints drawn often
 probability = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
@@ -38,11 +37,8 @@ probability = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
 
 @st.composite
 def noisy_circuits(draw):
-    # the product circuit (d_c = 0) also takes narrow registers; on 1x1 every
-    # gate contracts the whole register, which takes one product per row
-    narrow = [(rows, cols, 0, layers) for rows, cols in NARROW for layers in (0, 1)]
-    rows, cols, d_c, layers = draw(st.sampled_from([(2, 2, *s) for s in SHAPES] + narrow))
-    circuit = TrainingConfig(d_c=d_c, n_layers=layers, n_rows=rows, n_cols=cols).circuit()
+    d_c, layers = draw(st.sampled_from(SHAPES))
+    circuit = TrainingConfig(d_c=d_c, n_layers=layers).circuit()
     noise = NoiseModel(p1=draw(probability), p2=draw(probability), t_damp=draw(probability))
     n_params = circuit.parameter_count
     angle = st.floats(-7.0, 7.0)
@@ -153,8 +149,8 @@ def _floats(**bounds):
 def _sigmas(sigma_is_variance: bool):
     """Bandwidths whose kernel denominator, 2 sigma or 2 sigma^2, is a
     positive finite float, drawn up to one of three bounds on the variance
-    alike: 5e14, below which no kernel is all ones; 1e20, beyond which every
-    register's is, and which is refused; and the largest finite one."""
+    alike: 5e14, below which no kernel is all ones; 1e20, beyond which the
+    kernel is, and which is refused; and the largest finite one."""
     if sigma_is_variance:
         bounds = (5e14, 1e20, sys.float_info.max / 2.0)
         return st.one_of(_floats(min_value=0.0, max_value=b, exclude_min=True) for b in bounds)
@@ -167,7 +163,7 @@ def proper_or_refused(**fields):
     every entry is 1.0, as ``three_axis_kernel`` must then be, or for an
     indefinite Hamming kernel, which ``is_indefinite`` (an ``eigvalsh``
     check) must then find; a kernel refusal names sigma."""
-    kernel = (fields["n_rows"] * fields["n_cols"], fields["sigma"], fields["kernel_distance"])
+    kernel = (4, fields["sigma"], fields["kernel_distance"])
     if fields["label"] in (".", ".."):
         refusal = "^label must name one directory"
     elif np.all(three_axis_kernel(*kernel, fields["sigma_is_variance"]) == 1.0):
@@ -185,11 +181,7 @@ def proper_or_refused(**fields):
 def run_configs(draw):
     """A config, or None for one refused as ``proper_or_refused`` says."""
     d_c, layers = draw(st.sampled_from(SHAPES))
-    registers = [(2, 2), (1, 4), (4, 1)]
-    if d_c == 0:  # the product circuit takes any register
-        registers += [(2, 3), (1, 1)]
-    rows, cols = draw(st.sampled_from(registers))
-    n_qubits = rows * cols
+    n_qubits = 4
     pixel = st.integers(0, n_qubits - 1)
     noise = NoiseModel(
         p1=draw(probability),
@@ -202,7 +194,7 @@ def run_configs(draw):
     sigma_is_variance = draw(st.booleans())
     # the layer of a d_c = 3 circuit takes no self-loop
     edge = st.tuples(pixel, pixel).filter(lambda e: e[0] != e[1])
-    edges = st.lists(edge, min_size=3, max_size=3) if n_qubits > 1 else st.nothing()
+    edges = st.lists(edge, min_size=3, max_size=3)
     return proper_or_refused(
         d_c=d_c,
         n_layers=draw(st.integers(layers, 5)),
@@ -216,8 +208,6 @@ def run_configs(draw):
         kernel_distance=draw(st.sampled_from(DISTANCE_KINDS)),
         sigma_is_variance=sigma_is_variance,
         seed=draw(st.integers(0, 2**63)),
-        n_rows=rows,
-        n_cols=cols,
         kl_shots=draw(positive),
         kl_repeats=draw(st.integers(2, 100)),
         metric_every=draw(positive),

@@ -91,16 +91,14 @@ def test_config_validation():
 
 
 def test_config_rejects_register_the_circuit_or_kernel_cannot_take():
-    with pytest.raises(ValueError, match="defined on 4 qubits"):
-        TrainingConfig(d_c=2, n_layers=1, n_rows=2, n_cols=3)
-    with pytest.raises(ValueError, match="capped at 12"):
-        TrainingConfig(d_c=0, n_layers=1, n_rows=4, n_cols=4)
-    # the largest registers each check allows still build their circuit and kernel
-    for config in (
-        TrainingConfig(d_c=0, n_layers=1, n_rows=3, n_cols=4),
-        TrainingConfig(d_c=4, n_layers=1, n_rows=1, n_cols=4),
-    ):
-        assert config.circuit().n_qubits == config.kernel().n_bits == config.n_qubits
+    """The image is 2x2: any other shape is refused, naming both keys, the
+    product circuit (d_c = 0) and 4 pixels in another shape included."""
+    for d_c, rows, cols in [(2, 2, 3), (0, 4, 4), (0, 3, 4), (4, 1, 4), (0, 1, 1), (0, 2, 1)]:
+        message = f"^n_rows = {rows}, n_cols = {cols}: the image is 2x2, so both must be 2$"
+        with pytest.raises(ValueError, match=message):
+            TrainingConfig(d_c=d_c, n_layers=1, n_rows=rows, n_cols=cols)
+    config = TrainingConfig(d_c=4, n_layers=1, n_rows=2, n_cols=2)
+    assert config.circuit().n_qubits == config.kernel().n_bits == config.n_qubits == 4
 
 
 def test_config_rejects_readout_flip_outside_register():
@@ -123,7 +121,8 @@ def test_config_digest_sensitivity():
 
 def test_config_kv_roundtrip():
     # every field off its default, so none can drop out of the key/value form
-    # or come back parsed as the wrong type
+    # or come back parsed as the wrong type; n_rows and n_cols take no other
+    # value, so they are checked as keys
     config = TrainingConfig(
         d_c=3,
         n_layers=2,
@@ -137,8 +136,6 @@ def test_config_kv_roundtrip():
         kernel_distance="hamming-squared",
         sigma_is_variance=False,
         seed=5,
-        n_rows=1,
-        n_cols=4,
         kl_shots=1000,
         kl_repeats=3,
         metric_every=2,
@@ -155,7 +152,9 @@ def test_config_kv_roundtrip():
     )
     defaults = TrainingConfig(d_c=0, n_layers=0)
     for f in fields(TrainingConfig):
-        assert getattr(config, f.name) != getattr(defaults, f.name), f.name
+        if f.name not in ("n_rows", "n_cols"):
+            assert getattr(config, f.name) != getattr(defaults, f.name), f.name
+    assert ("n_rows", "2") in config.kv_items() and ("n_cols", "2") in config.kv_items()
     rebuilt = config_from_items(dict(config.kv_items()))
     assert rebuilt == config
     assert rebuilt.digest() == config.digest()
